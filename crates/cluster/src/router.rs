@@ -64,8 +64,8 @@ pub struct ClusterConfig {
     pub slots: u32,
     /// Bytes per result slot.
     pub slot_bytes: u32,
-    /// Directory for sockets and rmem backing files; `None` = a
-    /// per-process directory under the system temp dir.
+    /// Directory for sockets and rmem backing files; `None` = a fresh
+    /// per-router directory under the system temp dir.
     pub dir: Option<PathBuf>,
 }
 
@@ -193,8 +193,13 @@ impl Router {
     /// server calls [`Dispatch::run`]).  Creates the socket/rmem
     /// directory and the MRAPI attach node.
     pub fn new(cfg: ClusterConfig) -> std::io::Result<Arc<Router>> {
+        // One directory per router, not per process: two routers in one
+        // process (parallel tests) would otherwise bind the same socket
+        // paths and remove each other's directory on shutdown.
+        static NEXT_DIR: AtomicU64 = AtomicU64::new(0);
         let dir = cfg.dir.clone().unwrap_or_else(|| {
-            std::env::temp_dir().join(format!("romp-cluster-{}", std::process::id()))
+            let n = NEXT_DIR.fetch_add(1, Ordering::Relaxed);
+            std::env::temp_dir().join(format!("romp-cluster-{}-{n}", std::process::id()))
         });
         std::fs::create_dir_all(&dir)?;
         let sys = MrapiSystem::new_t4240();

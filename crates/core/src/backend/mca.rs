@@ -29,7 +29,7 @@
 //! individual lock over to a native mutex embedded in it, preserving
 //! mutual exclusion through the transition (see [`McaLock`]).
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -275,45 +275,40 @@ impl McaBackend {
     }
 }
 
-/// Who currently holds an [`McaLock`].
-enum HeldBy {
-    None,
-    /// Held through MRAPI; the key must be returned to `mrapi_mutex_unlock`.
-    Mrapi(mca_mrapi::sync::MutexKey),
-    /// Held through the embedded native mutex (degraded mode).
-    Native,
-}
-
-/// Lock is serviced by MRAPI (the normal state).
-const MODE_MCA: u8 = 0;
-/// Lock has degraded to its embedded native mutex.
-const MODE_NATIVE: u8 = 1;
+/// `McaLock::state` bit: the lock has degraded to its embedded native
+/// mutex (one-way).
+const DEGRADED: u64 = 1 << 63;
+/// `McaLock::state` bit: held through the embedded native mutex.
+const NATIVE_HELD: u64 = 1 << 62;
+/// `McaLock::state` bits carrying the outstanding MRAPI lock key; 0 means
+/// no MRAPI holder is inside.
+const KEY_MASK: u64 = NATIVE_HELD - 1;
 
 /// An MRAPI-mutex-backed lock, carrying the outstanding lock key as MRAPI
 /// requires (Listing 4's `mrapi_key_t`) — plus a one-way escape hatch.
 ///
-/// When MRAPI fails persistently the lock flips `mode` to
-/// [`MODE_NATIVE`] and services all later acquisitions from the embedded
-/// [`RawMutex`].  Mutual exclusion holds *through* the flip:
+/// When MRAPI fails persistently the lock sets [`DEGRADED`] and services
+/// all later acquisitions from the embedded [`RawMutex`].  Who is inside
+/// the critical section lives in one atomic word, `state`, so entering it
+/// is a single compare-and-swap on that word and mutual exclusion holds
+/// *through* the flip:
 ///
-/// * every MRAPI acquirer bumps `mrapi_holder` (SeqCst RMW) and then
-///   re-checks `mode`; if the flip landed first it undoes the MRAPI
-///   acquisition and takes the native path instead;
-/// * every native acquirer takes the native mutex and then spins until
-///   `mrapi_holder` is zero before entering the critical section.
+/// * an MRAPI acquirer, once it holds the MRAPI mutex, enters by swapping
+///   `state` from exactly 0 to its key; if the flip landed first the swap
+///   fails, and it stands down (releases the MRAPI mutex) and takes the
+///   native path instead;
+/// * a native acquirer, once it holds the native mutex, enters by setting
+///   [`NATIVE_HELD`], which it only does while the key bits are 0 — it
+///   yields until an MRAPI holder that entered before the flip has left.
 ///
-/// In the SeqCst total order either the acquirer's increment precedes the
-/// flip — then the native locker's drain observes it and waits for the
-/// matching decrement — or the flip precedes the mode re-check, and the
-/// MRAPI acquirer stands down.  Either way two threads are never inside
-/// the critical section at once.
+/// The key bits and [`NATIVE_HELD`] are never set together, so the two
+/// paths exclude each other by construction; within a path the MRAPI or
+/// the native mutex excludes.
 struct McaLock {
     shared: Arc<McaShared>,
     mutex: mca_mrapi::MrapiMutex,
-    held: PlMutex<HeldBy>,
-    mode: AtomicU8,
-    /// Number of threads holding (or briefly over-holding) the MRAPI mutex.
-    mrapi_holder: AtomicUsize,
+    /// [`DEGRADED`] | [`NATIVE_HELD`] | the MRAPI key of the current hold.
+    state: AtomicU64,
     native: RawMutex,
 }
 
@@ -322,22 +317,20 @@ impl McaLock {
         McaLock {
             shared,
             mutex,
-            held: PlMutex::new(HeldBy::None),
-            mode: AtomicU8::new(MODE_MCA),
-            mrapi_holder: AtomicUsize::new(0),
+            state: AtomicU64::new(0),
             native: RawMutex::new(),
         }
     }
 
     fn degraded(&self) -> bool {
-        self.mode.load(Ordering::SeqCst) == MODE_NATIVE
+        self.state.load(Ordering::Acquire) & DEGRADED != 0
     }
 
     /// Flip to native servicing (one-way) and poison the backend.
     #[cold]
     fn degrade(&self, err: &RompError) {
         self.shared.poison(err);
-        self.mode.store(MODE_NATIVE, Ordering::SeqCst);
+        self.state.fetch_or(DEGRADED, Ordering::AcqRel);
         if let Some(tr) = self.shared.trace() {
             // `a` = the abandoned mutex's key; distinguishes a single-lock
             // degradation from the runtime-level backend swap (a = 0).
@@ -346,14 +339,46 @@ impl McaLock {
         }
     }
 
-    /// Acquire through the embedded native mutex, draining any MRAPI
-    /// holder that slipped in before the mode flip.
+    /// Enter the critical section holding MRAPI lock `k`; `false` (with
+    /// the MRAPI mutex released again) if the flip landed first.
+    fn enter_mrapi(&self, k: mca_mrapi::sync::MutexKey) -> bool {
+        if self
+            .state
+            .compare_exchange(0, k.raw(), Ordering::Acquire, Ordering::Relaxed)
+            .is_ok()
+        {
+            return true;
+        }
+        let _ = self.mutex.unlock(&k);
+        false
+    }
+
+    /// Enter the critical section holding the native mutex, once any
+    /// MRAPI holder that entered before the flip has left.
+    fn enter_native(&self) {
+        let mut cur = self.state.load(Ordering::Relaxed);
+        loop {
+            if cur & KEY_MASK != 0 {
+                std::thread::yield_now();
+                cur = self.state.load(Ordering::Relaxed);
+                continue;
+            }
+            match self.state.compare_exchange_weak(
+                cur,
+                cur | NATIVE_HELD,
+                Ordering::Acquire,
+                Ordering::Relaxed,
+            ) {
+                Ok(_) => return,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// Acquire through the embedded native mutex.
     fn lock_native(&self) {
         self.native.lock();
-        while self.mrapi_holder.load(Ordering::SeqCst) != 0 {
-            std::thread::yield_now();
-        }
-        *self.held.lock() = HeldBy::Native;
+        self.enter_native();
     }
 
     /// Record one over-long wait; first one per backend also warns.
@@ -412,16 +437,11 @@ impl RegionLock for McaLock {
             }
             match self.mutex.lock(self.shared.lock_timeout) {
                 Ok(k) => {
-                    self.mrapi_holder.fetch_add(1, Ordering::SeqCst);
-                    if self.degraded() {
-                        // The flip landed while we were acquiring: stand
-                        // down and take the native path.
-                        let _ = self.mutex.unlock(&k);
-                        self.mrapi_holder.fetch_sub(1, Ordering::SeqCst);
+                    if !self.enter_mrapi(k) {
+                        // The flip landed while we were acquiring: take
+                        // the native path.
                         self.lock_native();
-                        return finish(contended);
                     }
-                    *self.held.lock() = HeldBy::Mrapi(k);
                     return finish(contended);
                 }
                 // A timed-out wait is contention (or a wedged holder),
@@ -449,10 +469,10 @@ impl RegionLock for McaLock {
                     // the whole backend (watchdog grace-period expiry) is
                     // declaring the wedge permanent.  Flip this lock to
                     // native; the next iteration takes the handover path,
-                    // which still drains `mrapi_holder` before admitting a
-                    // native acquirer, so mutual exclusion holds.
+                    // which still waits out an MRAPI holder before admitting
+                    // a native acquirer, so mutual exclusion holds.
                     if self.shared.poisoned.load(Ordering::Acquire) {
-                        self.mode.store(MODE_NATIVE, Ordering::SeqCst);
+                        self.state.fetch_or(DEGRADED, Ordering::AcqRel);
                     }
                 }
                 Err(e) => {
@@ -474,41 +494,35 @@ impl RegionLock for McaLock {
     }
 
     fn unlock(&self) -> Result<(), RompError> {
-        let prev = std::mem::replace(&mut *self.held.lock(), HeldBy::None);
-        match prev {
-            HeldBy::None => Err(RompError::Lock(MrapiError(MrapiStatus::ErrMutexNotLocked))),
-            HeldBy::Native => {
-                self.native.unlock();
-                Ok(())
-            }
-            HeldBy::Mrapi(k) => {
-                let mut failures = 0u32;
-                loop {
-                    match self.mutex.unlock(&k) {
-                        Ok(()) => {
-                            self.mrapi_holder.fetch_sub(1, Ordering::SeqCst);
-                            return Ok(());
-                        }
-                        Err(e) => {
-                            failures += 1;
-                            if failures < self.shared.retry.max_attempts {
-                                std::thread::sleep(self.shared.retry.backoff_delay(failures));
-                            } else {
-                                // The MRAPI mutex is wedged: abandon it.
-                                // Degrading first means every waiter that
-                                // times out on the wedged mutex finds the
-                                // native path; decrementing the holder
-                                // count afterwards releases their drain.
-                                let err = RompError::Exhausted {
-                                    op: "mrapi_mutex_unlock",
-                                    attempts: failures,
-                                    last: e,
-                                };
-                                self.degrade(&err);
-                                self.mrapi_holder.fetch_sub(1, Ordering::SeqCst);
-                                return Err(err);
-                            }
-                        }
+        // Leave the critical section: clear the holder bits, keep the mode.
+        let prev = self.state.fetch_and(DEGRADED, Ordering::Release);
+        if prev & NATIVE_HELD != 0 {
+            self.native.unlock();
+            return Ok(());
+        }
+        if prev & KEY_MASK == 0 {
+            return Err(RompError::Lock(MrapiError(MrapiStatus::ErrMutexNotLocked)));
+        }
+        let k = mca_mrapi::sync::MutexKey::from_raw(prev & KEY_MASK);
+        let mut failures = 0u32;
+        loop {
+            match self.mutex.unlock(&k) {
+                Ok(()) => return Ok(()),
+                Err(e) => {
+                    failures += 1;
+                    if failures < self.shared.retry.max_attempts {
+                        std::thread::sleep(self.shared.retry.backoff_delay(failures));
+                    } else {
+                        // The MRAPI mutex is wedged: abandon it.  Every
+                        // waiter that times out on it now finds the native
+                        // path, and nobody is inside to wait out.
+                        let err = RompError::Exhausted {
+                            op: "mrapi_mutex_unlock",
+                            attempts: failures,
+                            last: e,
+                        };
+                        self.degrade(&err);
+                        return Err(err);
                     }
                 }
             }
@@ -518,25 +532,13 @@ impl RegionLock for McaLock {
     fn try_lock(&self) -> bool {
         if self.degraded() {
             if self.native.try_lock() {
-                while self.mrapi_holder.load(Ordering::SeqCst) != 0 {
-                    std::thread::yield_now();
-                }
-                *self.held.lock() = HeldBy::Native;
+                self.enter_native();
                 return true;
             }
             return false;
         }
         match self.mutex.try_lock() {
-            Ok(k) => {
-                self.mrapi_holder.fetch_add(1, Ordering::SeqCst);
-                if self.degraded() {
-                    let _ = self.mutex.unlock(&k);
-                    self.mrapi_holder.fetch_sub(1, Ordering::SeqCst);
-                    return false;
-                }
-                *self.held.lock() = HeldBy::Mrapi(k);
-                true
-            }
+            Ok(k) => self.enter_mrapi(k),
             // Contention and injected statuses alike: a failed try_lock
             // is always a legal answer.
             Err(_) => false,
@@ -934,6 +936,52 @@ mod tests {
         // The degraded lock keeps working.
         lock.lock();
         assert!(!lock.try_lock());
+        lock.unlock().unwrap();
+    }
+
+    #[test]
+    fn mrapi_acquirer_racing_the_flip_stands_down() {
+        // B is parked on the MRAPI mutex when the lock degrades; C then
+        // queues on the native path behind the MRAPI holder A.  When A
+        // leaves, B wins the MRAPI mutex after the flip and must stand
+        // down rather than enter beside C.
+        let be = McaBackend::with_options(
+            MrapiSystem::new_t4240(),
+            McaOptions {
+                lock_timeout: Duration::from_secs(10),
+                retry: fast_retry(),
+            },
+        )
+        .unwrap();
+        let mutex = be
+            .master
+            .mutex_create(0x7777, &MutexAttributes::default())
+            .unwrap();
+        let lock = Arc::new(McaLock::new(mutex, Arc::clone(&be.shared)));
+        let inside = Arc::new(AtomicBool::new(false));
+        let enter = |lock: Arc<McaLock>, inside: Arc<AtomicBool>| {
+            std::thread::spawn(move || {
+                lock.lock();
+                assert!(!inside.swap(true, Ordering::SeqCst), "two holders inside");
+                std::thread::sleep(Duration::from_millis(20));
+                inside.store(false, Ordering::SeqCst);
+                lock.unlock().unwrap();
+            })
+        };
+        lock.lock();
+        let b = enter(Arc::clone(&lock), Arc::clone(&inside));
+        while lock.mutex.contended() == 0 {
+            std::thread::yield_now();
+        }
+        lock.degrade(&RompError::Mrapi(MrapiError(MrapiStatus::ErrMutexInvalid)));
+        let c = enter(Arc::clone(&lock), Arc::clone(&inside));
+        // Give C time to queue behind A (exclusion is asserted either way).
+        std::thread::sleep(Duration::from_millis(30));
+        lock.unlock().unwrap();
+        b.join().unwrap();
+        c.join().unwrap();
+        assert!(lock.degraded(), "the flip is one-way");
+        assert!(lock.try_lock(), "free again, on the native path");
         lock.unlock().unwrap();
     }
 

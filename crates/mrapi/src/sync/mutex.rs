@@ -1,9 +1,18 @@
 //! MRAPI mutexes with lock keys and checked recursion.
+//!
+//! The lock is one atomic owner word holding the holder's per-thread token
+//! (0 = free).  Uncontended, `lock` is one compare-and-swap and `unlock`
+//! one store; the recursion depth, the owning node and the acquisition
+//! count are written only by the holder, so they need no read-modify-write.
+//! Contended acquirers spin briefly, then park on a condvar, counted in
+//! `waiters`; `unlock` touches the park lock only when that count is
+//! non-zero.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::hint;
+use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::ThreadId;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mca_sync::{Condvar, Mutex as PlMutex};
 
@@ -22,27 +31,88 @@ pub struct MutexAttributes {
 
 /// The lock key `mrapi_mutex_lock` hands back (`mrapi_key_t`).
 ///
-/// Opaque: its only use is to be given back to [`Mutex::unlock`].
+/// Opaque: its only use is to be given back to [`Mutex::unlock`].  Like
+/// the C API's integer key it can round-trip through [`MutexKey::raw`] and
+/// [`MutexKey::from_raw`] (the value is never zero).
 #[derive(Debug, PartialEq, Eq)]
 pub struct MutexKey(pub(crate) u64);
 
-struct State {
-    owner: Option<ThreadId>,
-    /// The MRAPI node the owning thread locked through — the "which node
-    /// holds this lock" half of a deadlock report.
-    owner_node: Option<NodeId>,
-    depth: u64,
+impl MutexKey {
+    /// The key's integer value, as `mrapi_key_t` carries it.
+    pub fn raw(&self) -> u64 {
+        self.0
+    }
+
+    /// Rebuild a key from [`MutexKey::raw`].
+    pub fn from_raw(raw: u64) -> MutexKey {
+        MutexKey(raw)
+    }
+}
+
+/// Pause-loop iterations a contended `lock` burns before parking.
+const SPIN_LIMIT: u32 = 64;
+
+/// This thread's owner token: unique per thread for the process lifetime,
+/// never 0 (0 marks a free mutex).
+#[inline]
+fn token() -> u64 {
+    static NEXT: AtomicU64 = AtomicU64::new(1);
+    thread_local! {
+        static TOKEN: Cell<u64> = const { Cell::new(0) };
+    }
+    TOKEN.with(|t| match t.get() {
+        0 => {
+            let fresh = NEXT.fetch_add(1, Ordering::Relaxed);
+            t.set(fresh);
+            fresh
+        }
+        tok => tok,
+    })
 }
 
 /// Registry entry shared by every handle to one mutex.
+///
+/// The holder-only fields are `Relaxed`: each holder's writes reach the
+/// next holder through the owner word (the `unlock` store releases, the
+/// claiming compare-and-swap acquires).
 pub struct MutexInner {
     key: u32,
     recursive: bool,
-    state: PlMutex<State>,
-    cv: Condvar,
-    deleted: AtomicBool,
+    /// The holder's [`token`], 0 when free.
+    owner: AtomicU64,
+    /// Holder-only: recursion depth of the current hold.
+    depth: AtomicU64,
+    /// Holder-only: 1 + the id of the MRAPI node the holder locked through
+    /// (the "which node holds this lock" half of a deadlock report), 0
+    /// when free.
+    owner_node: AtomicU64,
+    /// Holder-only: successful acquisitions.
     acquisitions: AtomicU64,
     contended: AtomicU64,
+    /// Threads registered to park; `unlock` skips the wake while it is 0.
+    waiters: AtomicU32,
+    park: PlMutex<()>,
+    cv: Condvar,
+    deleted: AtomicBool,
+}
+
+impl MutexInner {
+    /// Take the free mutex for `me`; `false` if it is held.  SeqCst: the
+    /// claim half of the parked-waiter handshake with `unlock`.
+    #[inline]
+    fn try_claim(&self, me: u64) -> bool {
+        self.owner
+            .compare_exchange(0, me, Ordering::SeqCst, Ordering::SeqCst)
+            .is_ok()
+    }
+
+    /// Bump a holder-only counter (no other thread writes it).
+    #[inline]
+    fn bump(counter: &AtomicU64) -> u64 {
+        let v = counter.load(Ordering::Relaxed) + 1;
+        counter.store(v, Ordering::Relaxed);
+        v
+    }
 }
 
 /// A node's handle to an MRAPI mutex.
@@ -60,15 +130,15 @@ impl Node {
         let inner = Arc::new(MutexInner {
             key,
             recursive: attrs.recursive,
-            state: PlMutex::new(State {
-                owner: None,
-                owner_node: None,
-                depth: 0,
-            }),
-            cv: Condvar::new(),
-            deleted: AtomicBool::new(false),
+            owner: AtomicU64::new(0),
+            depth: AtomicU64::new(0),
+            owner_node: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
             contended: AtomicU64::new(0),
+            waiters: AtomicU32::new(0),
+            park: PlMutex::new(()),
+            cv: Condvar::new(),
+            deleted: AtomicBool::new(false),
         });
         let mut map = self.domain_db().mutexes.write();
         ensure(!map.contains_key(&key), MrapiStatus::ErrMutexExists)?;
@@ -115,49 +185,93 @@ impl Mutex {
         )
     }
 
+    /// Record a fresh (depth-1) hold; called right after the owner word
+    /// was claimed.
+    #[inline]
+    fn acquired(&self) -> MutexKey {
+        let inner = &*self.inner;
+        inner.depth.store(1, Ordering::Relaxed);
+        inner
+            .owner_node
+            .store(u64::from(self.node.node_id().0) + 1, Ordering::Relaxed);
+        MutexInner::bump(&inner.acquisitions);
+        MutexKey(1)
+    }
+
+    /// A re-lock by the holder: a deeper key if recursive,
+    /// `MRAPI_ERR_MUTEX_LOCKED` otherwise.
+    fn relock(&self) -> MrapiResult<MutexKey> {
+        ensure(self.inner.recursive, MrapiStatus::ErrMutexAlreadyLocked)?;
+        let depth = MutexInner::bump(&self.inner.depth);
+        MutexInner::bump(&self.inner.acquisitions);
+        Ok(MutexKey(depth))
+    }
+
     /// `mrapi_mutex_lock`.  Blocks up to `timeout`
     /// ([`crate::MRAPI_TIMEOUT_INFINITE`] to wait forever) and returns the
     /// lock key for this acquisition.
     ///
     /// Re-locking while holding: allowed for recursive mutexes (a deeper
-    /// key is returned), `MRAPI_ERR_MUTEX_LOCKED` otherwise.
+    /// key is returned), `MRAPI_ERR_MUTEX_LOCKED` otherwise.  A waiter
+    /// whose mutex is deleted under it fails with `MRAPI_ERR_MUTEX_INVALID`.
     pub fn lock(&self, timeout: Duration) -> MrapiResult<MutexKey> {
         self.check_live()?;
         self.node.system().fault_check(FaultSite::MutexLock)?;
-        let me = std::thread::current().id();
-        let mut st = self.inner.state.lock();
-        if st.owner == Some(me) {
-            if self.inner.recursive {
-                st.depth += 1;
-                self.inner.acquisitions.fetch_add(1, Ordering::Relaxed);
-                return Ok(MutexKey(st.depth));
+        let me = token();
+        match self
+            .inner
+            .owner
+            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
+        {
+            Ok(_) => Ok(self.acquired()),
+            Err(cur) if cur == me => self.relock(),
+            Err(_) => {
+                self.inner.contended.fetch_add(1, Ordering::Relaxed);
+                self.lock_contended(me, timeout)
             }
-            return Err(MrapiStatus::ErrMutexAlreadyLocked.into());
         }
-        if st.owner.is_some() {
-            self.inner.contended.fetch_add(1, Ordering::Relaxed);
+    }
+
+    #[cold]
+    fn lock_contended(&self, me: u64, timeout: Duration) -> MrapiResult<MutexKey> {
+        let inner = &*self.inner;
+        for _ in 0..SPIN_LIMIT {
+            if inner.owner.load(Ordering::Relaxed) == 0 && inner.try_claim(me) {
+                return Ok(self.acquired());
+            }
+            hint::spin_loop();
         }
-        match finite_timeout(timeout) {
-            None => {
-                while st.owner.is_some() {
-                    self.inner.cv.wait(&mut st);
+        let deadline = finite_timeout(timeout).map(|budget| Instant::now() + budget);
+        let mut park = inner.park.lock();
+        loop {
+            // Register before the final claim attempt: an `unlock` whose
+            // release store precedes our claim in the SeqCst order lets the
+            // claim succeed, and one that follows it sees `waiters > 0` and
+            // notifies under `park`, which we hold until we sleep.
+            inner.waiters.fetch_add(1, Ordering::SeqCst);
+            // `delete` notifies under `park`, so a deletion after this
+            // check still wakes us.
+            if inner.deleted.load(Ordering::Acquire) {
+                inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                return Err(MrapiStatus::ErrMutexInvalid.into());
+            }
+            if inner.try_claim(me) {
+                inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                return Ok(self.acquired());
+            }
+            let timed_out = match deadline {
+                None => {
+                    inner.cv.wait(&mut park);
+                    false
                 }
-            }
-            Some(budget) => {
-                let deadline = std::time::Instant::now() + budget;
-                while st.owner.is_some() {
-                    if self.inner.cv.wait_until(&mut st, deadline).timed_out() {
-                        ensure(st.owner.is_none(), MrapiStatus::Timeout)?;
-                        break;
-                    }
-                }
+                Some(d) => inner.cv.wait_until(&mut park, d).timed_out(),
+            };
+            inner.waiters.fetch_sub(1, Ordering::Relaxed);
+            if timed_out {
+                ensure(inner.try_claim(me), MrapiStatus::Timeout)?;
+                return Ok(self.acquired());
             }
         }
-        st.owner = Some(me);
-        st.owner_node = Some(self.node.node_id());
-        st.depth = 1;
-        self.inner.acquisitions.fetch_add(1, Ordering::Relaxed);
-        Ok(MutexKey(1))
     }
 
     /// `mrapi_mutex_trylock` — acquire without blocking, or
@@ -165,19 +279,16 @@ impl Mutex {
     pub fn try_lock(&self) -> MrapiResult<MutexKey> {
         self.check_live()?;
         self.node.system().fault_check(FaultSite::MutexLock)?;
-        let me = std::thread::current().id();
-        let mut st = self.inner.state.lock();
-        if st.owner == Some(me) && self.inner.recursive {
-            st.depth += 1;
-            self.inner.acquisitions.fetch_add(1, Ordering::Relaxed);
-            return Ok(MutexKey(st.depth));
+        let me = token();
+        match self
+            .inner
+            .owner
+            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
+        {
+            Ok(_) => Ok(self.acquired()),
+            Err(cur) if cur == me && self.inner.recursive => self.relock(),
+            Err(_) => Err(MrapiStatus::ErrMutexAlreadyLocked.into()),
         }
-        ensure(st.owner.is_none(), MrapiStatus::ErrMutexAlreadyLocked)?;
-        st.owner = Some(me);
-        st.owner_node = Some(self.node.node_id());
-        st.depth = 1;
-        self.inner.acquisitions.fetch_add(1, Ordering::Relaxed);
-        Ok(MutexKey(1))
     }
 
     /// `mrapi_mutex_unlock`.  The presented key must be the most recent
@@ -188,16 +299,23 @@ impl Mutex {
         // An injected unlock failure leaves the mutex held — the wedged-lock
         // scenario recovery code must handle (waiters time out and degrade).
         self.node.system().fault_check(FaultSite::MutexUnlock)?;
-        let me = std::thread::current().id();
-        let mut st = self.inner.state.lock();
-        ensure(st.owner == Some(me), MrapiStatus::ErrMutexNotLocked)?;
-        ensure(key.0 == st.depth, MrapiStatus::ErrMutexKey)?;
-        st.depth -= 1;
-        if st.depth == 0 {
-            st.owner = None;
-            st.owner_node = None;
-            drop(st);
-            self.inner.cv.notify_one();
+        let inner = &*self.inner;
+        ensure(
+            inner.owner.load(Ordering::Relaxed) == token(),
+            MrapiStatus::ErrMutexNotLocked,
+        )?;
+        let depth = inner.depth.load(Ordering::Relaxed);
+        ensure(key.0 == depth, MrapiStatus::ErrMutexKey)?;
+        inner.depth.store(depth - 1, Ordering::Relaxed);
+        if depth == 1 {
+            inner.owner_node.store(0, Ordering::Relaxed);
+            // SeqCst store then load: the store-load edge against a
+            // parking waiter's register-then-claim (see `lock_contended`).
+            inner.owner.store(0, Ordering::SeqCst);
+            if inner.waiters.load(Ordering::SeqCst) != 0 {
+                let _park = inner.park.lock();
+                inner.cv.notify_one();
+            }
         }
         Ok(())
     }
@@ -205,7 +323,10 @@ impl Mutex {
     /// Which MRAPI node currently holds the mutex (`None` when free) — the
     /// diagnostic a deadlock report wants.
     pub fn holder_node(&self) -> Option<NodeId> {
-        self.inner.state.lock().owner_node
+        match self.inner.owner_node.load(Ordering::Relaxed) {
+            0 => None,
+            id => Some(NodeId((id - 1) as u32)),
+        }
     }
 
     /// Run `f` under the mutex (convenience; not part of the C API).
@@ -216,7 +337,8 @@ impl Mutex {
         Ok(out)
     }
 
-    /// Total successful acquisitions (diagnostics).
+    /// Total successful acquisitions (diagnostics; exact once the holders
+    /// have synchronized with the reader, e.g. by being joined).
     pub fn acquisitions(&self) -> u64 {
         self.inner.acquisitions.load(Ordering::Relaxed)
     }
@@ -227,7 +349,8 @@ impl Mutex {
     }
 
     /// `mrapi_mutex_delete` — remove from the registry; other handles'
-    /// subsequent operations fail with `MRAPI_ERR_MUTEX_INVALID`.
+    /// subsequent operations fail with `MRAPI_ERR_MUTEX_INVALID`, and so do
+    /// threads blocked in [`Mutex::lock`] on it.
     pub fn delete(self) -> MrapiResult<()> {
         self.check_live()?;
         self.inner.deleted.store(true, Ordering::Release);
@@ -236,6 +359,7 @@ impl Mutex {
             .mutexes
             .write()
             .remove(&self.inner.key);
+        let _park = self.inner.park.lock();
         self.inner.cv.notify_all();
         Ok(())
     }
@@ -254,6 +378,7 @@ impl std::fmt::Debug for Mutex {
 mod tests {
     use super::*;
     use crate::{DomainId, MrapiSystem, NodeId, MRAPI_TIMEOUT_INFINITE};
+    use std::sync::atomic::AtomicU64;
 
     fn node() -> Node {
         MrapiSystem::new_t4240()
@@ -470,6 +595,219 @@ mod tests {
         sys.set_fault_probe(None);
         m.unlock(&k).unwrap();
         assert_eq!(m.holder_node(), None);
+    }
+
+    /// Run `f` on its own thread; fail (rather than hang) if it has not
+    /// finished within `limit` — the symptom of a lost wakeup.
+    fn within<T: Send + 'static>(limit: Duration, f: impl FnOnce() -> T + Send + 'static) -> T {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(f());
+        });
+        rx.recv_timeout(limit)
+            .expect("mutex test wedged: a waiter was never woken")
+    }
+
+    #[test]
+    fn delete_wakes_a_blocked_waiter() {
+        within(Duration::from_secs(30), || {
+            let sys = MrapiSystem::new_t4240();
+            let master = sys.initialize(DomainId(1), NodeId(0)).unwrap();
+            let m = master.mutex_create(1, &MutexAttributes::default()).unwrap();
+            let probe = master.mutex_get(1).unwrap();
+            let _k = m.lock(MRAPI_TIMEOUT_INFINITE).unwrap();
+            let (got, handle_ready) = std::sync::mpsc::channel();
+            let waiter = master
+                .thread_create(NodeId(1), move |me| {
+                    let m = me.mutex_get(1).unwrap();
+                    got.send(()).unwrap();
+                    m.lock(MRAPI_TIMEOUT_INFINITE).map(|_| ())
+                })
+                .unwrap();
+            handle_ready.recv().unwrap();
+            // Registered to park: it holds `park` until it sleeps, and
+            // `delete` notifies under `park`.
+            while probe.inner.waiters.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            m.delete().unwrap();
+            let res = waiter.join().unwrap();
+            assert_eq!(res.unwrap_err().0, MrapiStatus::ErrMutexInvalid);
+            assert_eq!(probe.contended(), 1, "the waiter found the mutex held");
+        });
+    }
+
+    #[test]
+    fn mixed_operations_keep_exclusion_and_exact_counts() {
+        const THREADS: u32 = 3;
+        const ITERS: u64 = 400;
+        let (count, acquired, lock_calls, timeouts, m) = within(Duration::from_secs(60), || {
+            let sys = MrapiSystem::new_t4240();
+            let master = sys.initialize(DomainId(1), NodeId(0)).unwrap();
+            let m = master
+                .mutex_create(1, &MutexAttributes { recursive: true })
+                .unwrap();
+            let count = Arc::new(AtomicU64::new(0));
+            let workers: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let count = Arc::clone(&count);
+                    master
+                        .thread_create(NodeId(1 + t), move |me| {
+                            let m = me.mutex_get(1).unwrap();
+                            // (acquisitions, lock() calls, timeouts)
+                            let mut tally = (0u64, 0u64, 0u64);
+                            let lock = |timeout: Duration, tally: &mut (u64, u64, u64)| loop {
+                                tally.1 += 1;
+                                match m.lock(timeout) {
+                                    Ok(k) => {
+                                        tally.0 += 1;
+                                        return k;
+                                    }
+                                    Err(e) => {
+                                        assert_eq!(e.0, MrapiStatus::Timeout);
+                                        tally.2 += 1;
+                                    }
+                                }
+                            };
+                            let mut rng = 0x9E37_79B9_7F4A_7C15u64 ^ u64::from(t);
+                            for i in 0..ITERS {
+                                rng ^= rng << 13;
+                                rng ^= rng >> 7;
+                                rng ^= rng << 17;
+                                let outer = match rng % 4 {
+                                    0 => lock(MRAPI_TIMEOUT_INFINITE, &mut tally),
+                                    1 => lock(Duration::from_micros(200), &mut tally),
+                                    _ => match m.try_lock() {
+                                        Ok(k) => {
+                                            tally.0 += 1;
+                                            k
+                                        }
+                                        Err(e) => {
+                                            assert_eq!(e.0, MrapiStatus::ErrMutexAlreadyLocked);
+                                            lock(MRAPI_TIMEOUT_INFINITE, &mut tally)
+                                        }
+                                    },
+                                };
+                                // Every other iteration nests one level and
+                                // presents the keys out of order first.
+                                let inner = (rng & 4 != 0).then(|| {
+                                    let k = if rng & 8 != 0 {
+                                        m.try_lock().unwrap()
+                                    } else {
+                                        m.lock(MRAPI_TIMEOUT_INFINITE).unwrap()
+                                    };
+                                    tally.0 += 1;
+                                    assert_eq!(
+                                        m.unlock(&outer).unwrap_err().0,
+                                        MrapiStatus::ErrMutexKey
+                                    );
+                                    k
+                                });
+                                // Deliberately non-atomic read-modify-write:
+                                // only the mutex makes it correct.
+                                let v = count.load(Ordering::Relaxed);
+                                if i % 16 == 0 {
+                                    std::thread::yield_now();
+                                }
+                                count.store(v + 1, Ordering::Relaxed);
+                                if let Some(k) = inner {
+                                    m.unlock(&k).unwrap();
+                                }
+                                m.unlock(&outer).unwrap();
+                            }
+                            tally
+                        })
+                        .unwrap()
+                })
+                .collect();
+            let (mut acquired, mut lock_calls, mut timeouts) = (0, 0, 0);
+            for w in workers {
+                let (a, l, t) = w.join().unwrap();
+                acquired += a;
+                lock_calls += l;
+                timeouts += t;
+            }
+            (
+                count.load(Ordering::Relaxed),
+                acquired,
+                lock_calls,
+                timeouts,
+                m,
+            )
+        });
+        assert_eq!(count, u64::from(THREADS) * ITERS, "a lost update");
+        assert_eq!(
+            m.acquisitions(),
+            acquired,
+            "holder-only counter lost a bump"
+        );
+        // Every timed-out call found the mutex held; nested calls and
+        // `try_lock` never count.
+        assert!(m.contended() >= timeouts && m.contended() <= lock_calls);
+        assert_eq!(m.holder_node(), None);
+        // Exactness of the contention count, with a known number of
+        // contended calls: three timed waits against a held mutex.
+        let before = m.contended();
+        let k = m.lock(MRAPI_TIMEOUT_INFINITE).unwrap();
+        let node = m.node.clone();
+        let waiters: Vec<_> = (0..3)
+            .map(|i| {
+                node.thread_create(NodeId(10 + i), |me| {
+                    let m = me.mutex_get(1).unwrap();
+                    m.lock(Duration::from_millis(2)).unwrap_err().0
+                })
+                .unwrap()
+            })
+            .collect();
+        for w in waiters {
+            assert_eq!(w.join().unwrap(), MrapiStatus::Timeout);
+        }
+        m.unlock(&k).unwrap();
+        assert_eq!(m.contended(), before + 3);
+        assert_eq!(m.acquisitions(), acquired + 1);
+    }
+
+    #[test]
+    fn parked_waiters_are_never_lost() {
+        // The holder sleeps with the lock held, far longer than the spin
+        // phase, so its partner parks on nearly every acquisition; 2 x 1000
+        // acquisitions are ~2000 handoffs to a parked thread.  A lost wake
+        // shows as the watchdog firing, not as a hang.
+        const PER_THREAD: u64 = 1000;
+        let (count, contended) = within(Duration::from_secs(60), || {
+            let sys = MrapiSystem::new_t4240();
+            let master = sys.initialize(DomainId(1), NodeId(0)).unwrap();
+            let m = master.mutex_create(1, &MutexAttributes::default()).unwrap();
+            let count = Arc::new(AtomicU64::new(0));
+            let workers: Vec<_> = (0..2)
+                .map(|t| {
+                    let count = Arc::clone(&count);
+                    master
+                        .thread_create(NodeId(1 + t), move |me| {
+                            let m = me.mutex_get(1).unwrap();
+                            for _ in 0..PER_THREAD {
+                                let k = m.lock(MRAPI_TIMEOUT_INFINITE).unwrap();
+                                let v = count.load(Ordering::Relaxed);
+                                std::thread::sleep(Duration::from_micros(20));
+                                count.store(v + 1, Ordering::Relaxed);
+                                m.unlock(&k).unwrap();
+                                // Let the woken partner take its turn.
+                                std::thread::sleep(Duration::from_micros(20));
+                            }
+                        })
+                        .unwrap()
+                })
+                .collect();
+            for w in workers {
+                w.join().unwrap();
+            }
+            (count.load(Ordering::Relaxed), m.contended())
+        });
+        assert_eq!(count, 2 * PER_THREAD);
+        assert!(
+            contended >= PER_THREAD / 2,
+            "only {contended} contended acquisitions: the test no longer exercises parking"
+        );
     }
 
     #[test]

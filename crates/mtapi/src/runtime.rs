@@ -392,11 +392,13 @@ impl RtInner {
         let input = task.input.lock().take().unwrap_or_default();
         let action = Arc::clone(&task.action);
         let result = catch_unwind(AssertUnwindSafe(|| action(&input)));
+        // Count before `finish`: completing the task wakes its waiters,
+        // who may read `tasks_executed()` straight away.
+        self.executed.fetch_add(1, Ordering::Relaxed);
         match result {
             Ok(out) => task.finish(TaskState::Done, Some(out)),
             Err(_) => task.finish(TaskState::Failed, None),
         }
-        self.executed.fetch_add(1, Ordering::Relaxed);
         if let Some(q) = &task.queue {
             q.advance(self);
         }
