@@ -29,6 +29,7 @@
 //! individual lock over to a native mutex embedded in it, preserving
 //! mutual exclusion through the transition (see [`McaLock`]).
 
+use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -304,9 +305,11 @@ const KEY_MASK: u64 = NATIVE_HELD - 1;
 /// The key bits and [`NATIVE_HELD`] are never set together, so the two
 /// paths exclude each other by construction; within a path the MRAPI or
 /// the native mutex excludes.
+///
+/// Dropping the lock deletes its MRAPI mutex from the domain's registry.
 struct McaLock {
     shared: Arc<McaShared>,
-    mutex: mca_mrapi::MrapiMutex,
+    mutex: ManuallyDrop<mca_mrapi::MrapiMutex>,
     /// [`DEGRADED`] | [`NATIVE_HELD`] | the MRAPI key of the current hold.
     state: AtomicU64,
     native: RawMutex,
@@ -316,7 +319,7 @@ impl McaLock {
     fn new(mutex: mca_mrapi::MrapiMutex, shared: Arc<McaShared>) -> Self {
         McaLock {
             shared,
-            mutex,
+            mutex: ManuallyDrop::new(mutex),
             state: AtomicU64::new(0),
             native: RawMutex::new(),
         }
@@ -404,6 +407,16 @@ impl McaLock {
         if !self.shared.warned.swap(true, Ordering::Relaxed) {
             eprintln!("romp[WARN] backend=mca {report}");
         }
+    }
+}
+
+impl Drop for McaLock {
+    fn drop(&mut self) {
+        // SAFETY: the mutex is taken exactly once, here, and never
+        // touched again.
+        let mutex = unsafe { ManuallyDrop::take(&mut self.mutex) };
+        // As for `ShmemWords`: fails only during runtime teardown.
+        let _ = mutex.delete();
     }
 }
 
@@ -547,12 +560,24 @@ impl RegionLock for McaLock {
 }
 
 /// Shared words carved from an MRAPI shmem segment (heap-backed via the
-/// `use_malloc` extension).
-struct ShmemWords(ShmemHandle);
+/// `use_malloc` extension).  The backend creates one per region, so the
+/// segment is deleted from the domain's registry when the words drop.
+struct ShmemWords(ManuallyDrop<ShmemHandle>);
 
 impl SharedWords for ShmemWords {
     fn words(&self) -> &[AtomicU64] {
         self.0.as_words()
+    }
+}
+
+impl Drop for ShmemWords {
+    fn drop(&mut self) {
+        // SAFETY: the handle is taken exactly once, here, and never
+        // touched again.
+        let handle = unsafe { ManuallyDrop::take(&mut self.0) };
+        // Fails only once the master node is finalized, i.e. the runtime
+        // (and with it the domain) is being torn down anyway.
+        let _ = handle.delete();
     }
 }
 
@@ -654,7 +679,7 @@ impl Backend for McaBackend {
                 if let Some(tr) = self.shared.trace() {
                     tr.shmem_bytes.add(bytes as u64);
                 }
-                Ok(Arc::new(ShmemWords(handle)))
+                Ok(Arc::new(ShmemWords(ManuallyDrop::new(handle))))
             }
             Err(e) => {
                 self.shared.poison(&e);
@@ -983,6 +1008,37 @@ mod tests {
         assert!(lock.degraded(), "the flip is one-way");
         assert!(lock.try_lock(), "free again, on the native path");
         lock.unlock().unwrap();
+    }
+
+    #[test]
+    fn regions_and_locks_leave_no_mrapi_objects_behind() {
+        // One reduction segment per region and one MRAPI mutex per lock:
+        // both must leave the domain's registries when dropped.
+        let sys = MrapiSystem::new_t4240();
+        let be = McaBackend::on_system(sys.clone()).unwrap();
+        let rt = crate::Runtime::with_config_and_backend(crate::Config::default(), Box::new(be))
+            .unwrap();
+        rt.parallel(2, |_| {});
+        rt.quiesce();
+        let segments = sys.shmem_count(OMP_DOMAIN);
+        let mutexes = sys.mutex_count(OMP_DOMAIN);
+        for i in 0..1000u64 {
+            if i % 2 == 0 {
+                rt.parallel(2, |_| {});
+            } else {
+                assert_eq!(rt.parallel_reduce_sum(2, 0..i, |x| x), i * (i - 1) / 2);
+            }
+        }
+        for _ in 0..100 {
+            let lock = rt.new_lock();
+            lock.set();
+            lock.unset();
+        }
+        // Workers release their team reference before going idle.
+        rt.quiesce();
+        assert_eq!(rt.backend_kind(), BackendKind::Mca, "no fallback happened");
+        assert_eq!(sys.shmem_count(OMP_DOMAIN), segments, "segment leaked");
+        assert_eq!(sys.mutex_count(OMP_DOMAIN), mutexes, "mutex leaked");
     }
 
     #[test]

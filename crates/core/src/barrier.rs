@@ -25,7 +25,11 @@
 //! explicit tasks while blocked — the OpenMP rule that barriers are task
 //! scheduling points.  The sleep path uses a condition variable with a
 //! bounded wait, which keeps oversubscribed runs (24 workers on one host
-//! core) from melting down in spin loops.
+//! core) from melting down in spin loops.  Sleepers register in a counter
+//! before their final generation check, so the release is one generation
+//! bump plus a counter load, and it takes the sleep lock and wakes the
+//! condvar only when a member actually sleeps: a barrier whose members
+//! all catch the release while spinning costs no syscall.
 
 use std::hint;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -47,12 +51,27 @@ pub enum BarrierKind {
     },
 }
 
+/// How long a sleeping waiter blocks before re-running its idle callback
+/// (a task posted late still gets drained).  Wakes are by notification;
+/// this bound is only the task-drain heartbeat.
+const SLEEP_BOUND: Duration = Duration::from_micros(500);
+
 /// Shared release machinery: generation word + sleep support.  The
 /// generation is cache-padded away from the arrival counters: every waiter
 /// spins reading it, and sharing its line with a counter that every
 /// arriver writes would turn each arrival into a team-wide invalidation.
+///
+/// Wake protocol (a store-load handshake on both sides, all `SeqCst`): a
+/// sleeper increments `sleepers` under `lock`, then re-checks the
+/// generation and the cancel flag, and keeps holding `lock` until the
+/// condvar wait releases it.  [`Release::fire`] bumps the generation, then
+/// loads `sleepers`.  In the single `SeqCst` order either the sleeper's
+/// re-check sees the bump, or `fire` sees the registration and notifies
+/// under `lock` — which it can only take once the sleeper is waiting.
 struct Release {
     gen: CachePadded<AtomicU64>,
+    /// Members between registering under `lock` and leaving their wait.
+    sleepers: AtomicUsize,
     lock: PlMutex<()>,
     cv: Condvar,
     /// Set by [`Barrier::cancel`].  Checked inside the wait loop (not just
@@ -60,15 +79,20 @@ struct Release {
     /// the canceller sets it and fires — a one-shot release would race; the
     /// in-loop check cannot miss it.
     cancelled: AtomicBool,
+    #[cfg(test)]
+    hook: hook::Hook,
 }
 
 impl Release {
     fn new() -> Self {
         Release {
             gen: CachePadded::new(AtomicU64::new(0)),
+            sleepers: AtomicUsize::new(0),
             lock: PlMutex::new(()),
             cv: Condvar::new(),
             cancelled: AtomicBool::new(false),
+            #[cfg(test)]
+            hook: hook::Hook::default(),
         }
     }
 
@@ -78,13 +102,22 @@ impl Release {
     }
 
     fn fire(&self) {
-        // Bump under the lock so sleepers can't miss the transition between
-        // their check and their wait.
-        {
-            let _g = self.lock.lock();
-            self.gen.fetch_add(1, Ordering::Release);
+        self.gen.fetch_add(1, Ordering::SeqCst);
+        self.wake_sleepers();
+    }
+
+    /// Wake registered sleepers, if any.  Call after a `SeqCst` write of
+    /// the condition they re-check (the generation or the cancel flag).
+    #[inline]
+    fn wake_sleepers(&self) {
+        if self.sleepers.load(Ordering::SeqCst) != 0 {
+            // Taking the lock orders this wake after the sleeper's wait
+            // began: it holds the lock from registering until it waits.
+            drop(self.lock.lock());
+            self.cv.notify_all();
+            #[cfg(test)]
+            self.hook.notifies.fetch_add(1, Ordering::Relaxed);
         }
-        self.cv.notify_all();
     }
 
     /// Wait until the generation moves past `gen`, calling `idle` in the
@@ -106,15 +139,52 @@ impl Release {
                 std::thread::yield_now();
                 spins += 1;
             } else {
-                let mut guard = self.lock.lock();
-                if self.current() != gen {
-                    return;
-                }
-                // Bounded wait: re-runs the idle callback periodically so a
-                // task posted late still gets drained.
-                self.cv.wait_for(&mut guard, Duration::from_micros(500));
+                self.sleep(gen);
             }
         }
+    }
+
+    /// One bounded sleep, registered so [`Release::fire`] and
+    /// [`Barrier::cancel`] know to wake it.
+    fn sleep(&self, gen: u64) {
+        let mut guard = self.lock.lock();
+        self.sleepers.fetch_add(1, Ordering::SeqCst);
+        if self.gen.load(Ordering::SeqCst) == gen && !self.cancelled.load(Ordering::SeqCst) {
+            let bound = self.sleep_bound();
+            let _timed_out = self.cv.wait_for(&mut guard, bound).timed_out();
+            #[cfg(test)]
+            if _timed_out {
+                self.hook.timeouts.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        self.sleepers.fetch_sub(1, Ordering::SeqCst);
+    }
+
+    #[inline]
+    fn sleep_bound(&self) -> Duration {
+        #[cfg(test)]
+        match self.hook.bound_ms.load(Ordering::Relaxed) {
+            0 => {}
+            ms => return Duration::from_millis(ms),
+        }
+        SLEEP_BOUND
+    }
+}
+
+/// Test hook: what the sleep path did, and an override for its bound so
+/// a test can tell a notified wake from a timed-out one.
+#[cfg(test)]
+mod hook {
+    use std::sync::atomic::AtomicU64;
+
+    #[derive(Default)]
+    pub(super) struct Hook {
+        /// Sleeps that ended by timing out.
+        pub timeouts: AtomicU64,
+        /// Lock-and-notify wakes issued by `fire` / `cancel`.
+        pub notifies: AtomicU64,
+        /// Sleep bound override in milliseconds (0 = `SLEEP_BOUND`).
+        pub bound_ms: AtomicU64,
     }
 }
 
@@ -241,13 +311,10 @@ impl Barrier {
     /// leave late arrivers stranded on a count that will never fill.  The
     /// barrier is per-region, so a broken barrier dies with its team.
     pub fn cancel(&self) {
-        self.release.cancelled.store(true, Ordering::Release);
-        // Take the sleep lock so a waiter between its generation check and
-        // its `cv` wait cannot miss the wake-up.
-        {
-            let _g = self.release.lock.lock();
-        }
-        self.release.cv.notify_all();
+        // Same handshake as a release: set the flag, then wake registered
+        // sleepers (their re-check reads the flag after registering).
+        self.release.cancelled.store(true, Ordering::SeqCst);
+        self.release.wake_sleepers();
     }
 
     /// Has [`Barrier::cancel`] been called?
@@ -343,7 +410,7 @@ impl Barrier {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64 as Au64;
     use std::sync::Arc;
@@ -520,6 +587,119 @@ mod tests {
         // Post-cancel arrivals fall straight through.
         b.wait(0);
         b.wait(2);
+    }
+
+    /// Run `f` on its own thread and fail — instead of hanging — if it
+    /// has not finished within `secs` (a lost wake-up).
+    pub(crate) fn within(secs: u64, f: impl FnOnce() + Send + 'static) {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let h = thread::spawn(move || {
+            f();
+            let _ = tx.send(());
+        });
+        match rx.recv_timeout(Duration::from_secs(secs)) {
+            Ok(()) => h.join().unwrap(),
+            Err(std::sync::mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(h.join().unwrap_err())
+            }
+            Err(std::sync::mpsc::RecvTimeoutError::Timeout) => {
+                panic!("watchdog: not done within {secs}s (lost wake-up?)")
+            }
+        }
+    }
+
+    /// A barrier whose sleepers only a notification can wake in time: the
+    /// sleep bound is far beyond the watchdog.
+    fn notify_only_barrier(layout: &ShardLayout) -> Arc<Barrier> {
+        let b = Barrier::with_layout(layout.num_members(), BarrierKind::Centralized, layout);
+        b.release.hook.bound_ms.store(600_000, Ordering::Relaxed);
+        Arc::new(b)
+    }
+
+    /// Park member `tid` of `b` in its wait and return once it is
+    /// registered as a sleeper.
+    fn park_sleeper(b: &Arc<Barrier>, tid: usize) -> thread::JoinHandle<()> {
+        let b2 = Arc::clone(b);
+        let h = thread::spawn(move || b2.wait(tid));
+        while b.release.sleepers.load(Ordering::SeqCst) == 0 {
+            thread::yield_now();
+        }
+        h
+    }
+
+    #[test]
+    fn fire_wakes_a_registered_sleeper() {
+        within(20, || {
+            for shards in [1, 2] {
+                let layout = ShardLayout::uniform(shards, 2);
+                let b = notify_only_barrier(&layout);
+                for _ in 0..50 {
+                    let h = park_sleeper(&b, 1);
+                    b.wait(0); // last arriver: fires
+                    h.join().unwrap();
+                }
+                let hook = &b.release.hook;
+                assert_eq!(hook.timeouts.load(Ordering::Relaxed), 0);
+                assert!(hook.notifies.load(Ordering::Relaxed) > 0);
+            }
+        });
+    }
+
+    #[test]
+    fn cancel_wakes_a_registered_sleeper() {
+        within(20, || {
+            for shards in [1, 2] {
+                let layout = ShardLayout::uniform(shards, 4);
+                for _ in 0..20 {
+                    let b = notify_only_barrier(&layout);
+                    let h = park_sleeper(&b, 1);
+                    b.cancel();
+                    h.join().unwrap();
+                    let hook = &b.release.hook;
+                    assert_eq!(hook.timeouts.load(Ordering::Relaxed), 0);
+                    assert_eq!(hook.notifies.load(Ordering::Relaxed), 1);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn release_without_sleepers_makes_no_wake_call() {
+        let b = Barrier::new(2, BarrierKind::Centralized);
+        for _ in 0..100 {
+            b.release.fire();
+        }
+        b.cancel();
+        assert_eq!(b.release.hook.notifies.load(Ordering::Relaxed), 0);
+    }
+
+    #[test]
+    fn many_generations_with_sleepers_lose_no_wake() {
+        // Members alternate between catching the release while spinning
+        // and sleeping through it (the last arriver is delayed past the
+        // spin phase on seeded rounds); only notifications wake sleepers.
+        within(60, || {
+            let n = 3;
+            let b = notify_only_barrier(&ShardLayout::single(n));
+            let handles: Vec<_> = (0..n)
+                .map(|tid| {
+                    let b = Arc::clone(&b);
+                    thread::spawn(move || {
+                        let mut rng = mca_sync::SmallRng::seed_from_u64(0xBA55 + tid as u64);
+                        for _ in 0..400 {
+                            if rng.next_u64().is_multiple_of(4) {
+                                thread::sleep(Duration::from_micros(200));
+                            }
+                            b.wait(tid);
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(b.release.hook.timeouts.load(Ordering::Relaxed), 0);
+        });
     }
 
     #[test]

@@ -20,7 +20,7 @@ use crate::lock::OmpLock;
 use crate::schedule::Schedule;
 use crate::stats::{ProfileAccum, RuntimeStats, StatsSnapshot};
 use crate::sync::BackendMutex;
-use crate::team::{run_region_member, JobMsg, PoolSlot, RegionFn, TeamShared};
+use crate::team::{note_fork, run_region_member, JobMsg, PoolSlot, RegionFn, TeamShared};
 use crate::worker::{ReduceOp, Worker};
 use crate::RompError;
 
@@ -267,7 +267,7 @@ impl RtInner {
     fn ensure_pool(self: &Arc<Self>, n: usize) -> Result<(), RompError> {
         let mut pool = self.pool.lock();
         while pool.len() < n {
-            let slot = PoolSlot::new();
+            let slot = PoolSlot::new(Arc::as_ptr(self));
             let label = format!("romp-worker-{}", pool.len() + 1);
             let s2 = Arc::clone(&slot);
             let join = match self
@@ -590,6 +590,7 @@ impl Runtime {
     {
         let n = self.normalize_team(num_threads);
         let _gate = self.inner.region_gate.lock();
+        note_fork(Arc::as_ptr(&self.inner));
         // Region boundary: if the backend poisoned itself mid-run, swap
         // in its fallback before forking the next team.
         self.inner.heal_backend();

@@ -1,12 +1,16 @@
 //! Teams, the worker pool, and the fork/join machinery.
 //!
-//! Mirrors libGOMP's "dock" design: the runtime keeps a pool of sleeping
-//! worker threads; `parallel` wakes `n-1` of them (spawning more through the
-//! backend if the pool is short), hands every member the region closure and
-//! a shared `TeamShared`, runs thread 0 on the encountering thread, and
-//! joins at the implicit end-of-region barrier.  Workers go back to sleep in
-//! their dock slot afterwards, so steady-state region launch costs no thread
-//! creation — the behaviour EPCC's `parallel` overhead measures.
+//! Mirrors libGOMP's "dock" design: the runtime keeps a pool of docked
+//! worker threads; `parallel` hands `n-1` of them a job (spawning more
+//! through the backend if the pool is short), gives every member the region
+//! closure and a shared `TeamShared`, runs thread 0 on the encountering
+//! thread, and joins at the implicit end-of-region barrier.  Workers return
+//! to their dock slot afterwards, so steady-state region launch costs no
+//! thread creation — the behaviour EPCC's `parallel` overhead measures.  A
+//! docked worker spins, then yields, on its slot's phase word for a bounded
+//! time before it parks on a condvar (libGOMP's spin-then-futex), so
+//! back-to-back regions hand over without a syscall on either side; see
+//! [`PoolSlot`].
 //!
 //! Two lock-free structures carry the region's hot paths:
 //!
@@ -26,12 +30,13 @@
 
 use std::any::Any;
 use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use mca_platform::ShardLayout;
 use mca_sync::deque::{Injector, RingQueue, Steal};
-use mca_sync::{CachePadded, Condvar, Mutex as PlMutex};
+use mca_sync::{CachePadded, Condvar, Mutex as PlMutex, MutexGuard};
 use romp_trace::{EventKind, Tracer};
 
 use crate::backend::SharedWords;
@@ -550,17 +555,65 @@ impl TeamShared {
     }
 }
 
-/// What a dock slot is being told to do.
-pub(crate) enum SlotState {
-    /// Nothing; wait for work.
-    Idle,
-    /// Run this region member.
-    Job(JobMsg),
-    /// A taken job is still executing; the slot returns to `Idle` when the
-    /// member (and its post-barrier epilogue) fully completes.
-    Running,
-    /// Exit the worker loop (runtime shutdown).
-    Exit,
+/// Dock phases ([`PoolSlot::phase`]).  Each transition has one writer:
+/// the master moves `IDLE → JOB` and `IDLE → EXIT`, the worker `JOB →
+/// RUNNING → IDLE`.
+const IDLE: u8 = 0;
+/// A job is posted and not yet taken.
+const JOB: u8 = 1;
+/// A taken job is still executing; the slot returns to `IDLE` when the
+/// member (and its post-barrier epilogue) fully completes.
+const RUNNING: u8 = 2;
+/// Exit the worker loop (runtime shutdown).
+const EXIT: u8 = 3;
+
+/// Pause-loop iterations a dock waiter burns before it starts yielding.
+const DOCK_SPINS: u32 = 128;
+/// How long a dock waiter keeps yielding before it parks on a condvar.
+/// Covers the master's gap between back-to-back regions — join, counter
+/// fold, the next team's allocation: 2–8 µs, rarely 16, on a 2-vCPU KVM
+/// guest — with room to spare, so a steady stream of regions never
+/// sleeps; a worker left idle longer parks and stops competing for the
+/// core.
+const DOCK_YIELD: Duration = Duration::from_micros(50);
+
+/// The runtime (its `RtInner` address) that forked a region most recently
+/// in this process.  A docked worker spins only while this is its own
+/// runtime: once the process forks on another runtime — a benchmark
+/// alternating two backends on one thread, say — its master has moved on,
+/// so it parks at once.  A worker left spinning would take a core from the
+/// other runtime's team, and make the kernel place that team's freshly
+/// woken worker on a busy core.
+static LAST_FORK: AtomicUsize = AtomicUsize::new(0);
+
+/// Record that runtime `rt` is forking a region (see [`LAST_FORK`]).  The
+/// shared word is only written when the forking runtime changes.
+pub(crate) fn note_fork(rt: *const crate::runtime::RtInner) {
+    let rt = rt as usize;
+    if LAST_FORK.load(Ordering::Relaxed) != rt {
+        LAST_FORK.store(rt, Ordering::Relaxed);
+    }
+}
+
+/// Spin, then yield, until `ready` holds or the dock budget runs out;
+/// returns whether it held.
+fn dock_spin(ready: impl Fn() -> bool) -> bool {
+    for _ in 0..DOCK_SPINS {
+        if ready() {
+            return true;
+        }
+        std::hint::spin_loop();
+    }
+    let deadline = Instant::now() + DOCK_YIELD;
+    loop {
+        if ready() {
+            return true;
+        }
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::yield_now();
+    }
 }
 
 /// A region assignment for one pool worker.
@@ -595,86 +648,156 @@ impl RegionFn {
     }
 }
 
+/// What the dock lock guards besides the condvar handshakes: the posted
+/// job and who is parked on which side.
+struct Dock {
+    job: Option<JobMsg>,
+    /// The worker is waiting on `cv_assign`.
+    worker_parked: bool,
+    /// Masters waiting on `cv_idle` (`assign`, `wait_idle`, `send_exit`).
+    idle_waiters: u32,
+}
+
 /// One dock slot: a mailbox between the master and a pool worker.
+///
+/// The `phase` word is the fast path: the idle worker spins, then yields,
+/// on it for a bounded time, so a job posted inside that window is taken
+/// without either side sleeping.  Only past the budget does a waiter park
+/// on its condvar.  Every phase change is made under `dock`, and a waiter
+/// re-checks the phase under `dock` before it parks, so the condvars keep
+/// the classic no-lost-wakeup handshake; what the parked flags buy is that
+/// the other side calls `notify` — a futex syscall — only when someone is
+/// actually parked.
 ///
 /// Two condition variables, one per direction: `cv_assign` wakes the worker
 /// when a job (or exit) lands, `cv_idle` wakes the master when the slot
-/// returns to idle.  With a single shared condvar every region launch
-/// cross-woke the other side's waiters — measurable on the EPCC `parallel`
-/// overhead at larger team sizes.
+/// returns to idle.
 pub(crate) struct PoolSlot {
-    pub state: PlMutex<SlotState>,
+    /// The owning runtime, as [`note_fork`] records it.
+    owner: usize,
+    /// [`IDLE`] / [`JOB`] / [`RUNNING`] / [`EXIT`]; written under `dock`,
+    /// read lock-free by spinning waiters.
+    phase: AtomicU8,
+    dock: PlMutex<Dock>,
     /// Signalled master → worker (new job / exit).
     cv_assign: Condvar,
     /// Signalled worker → master (slot back to idle).
     cv_idle: Condvar,
+    /// Test hook: times the worker parked on `cv_assign`.
+    #[cfg(test)]
+    worker_parks: AtomicU64,
 }
 
 impl PoolSlot {
-    pub(crate) fn new() -> Arc<Self> {
+    pub(crate) fn new(owner: *const crate::runtime::RtInner) -> Arc<Self> {
         Arc::new(PoolSlot {
-            state: PlMutex::new(SlotState::Idle),
+            owner: owner as usize,
+            phase: AtomicU8::new(IDLE),
+            dock: PlMutex::new(Dock {
+                job: None,
+                worker_parked: false,
+                idle_waiters: 0,
+            }),
             cv_assign: Condvar::new(),
             cv_idle: Condvar::new(),
+            #[cfg(test)]
+            worker_parks: AtomicU64::new(0),
         })
+    }
+
+    #[inline]
+    fn phase(&self) -> u8 {
+        self.phase.load(Ordering::Acquire)
+    }
+
+    /// Master side: wait until the slot's phase satisfies `done`, spinning
+    /// within the dock budget before parking on `cv_idle`.  Returns the
+    /// dock guard with `done` holding.
+    fn wait_phase(&self, done: impl Fn(u8) -> bool) -> MutexGuard<'_, Dock> {
+        dock_spin(|| done(self.phase()));
+        let mut dock = self.dock.lock();
+        while !done(self.phase()) {
+            dock.idle_waiters += 1;
+            self.cv_idle.wait(&mut dock);
+            dock.idle_waiters -= 1;
+        }
+        dock
+    }
+
+    /// Master side: move an idle slot to `phase` (carrying `job`), waking
+    /// the worker only if it is parked.
+    fn post(&self, phase: u8, job: Option<JobMsg>) {
+        let mut dock = self.wait_phase(|p| p == IDLE);
+        dock.job = job;
+        self.phase.store(phase, Ordering::Release);
+        let parked = dock.worker_parked;
+        drop(dock);
+        if parked {
+            self.cv_assign.notify_one();
+        }
     }
 
     /// Master side: hand a job to this slot (waits for the slot to be idle,
     /// which it almost always already is).
     pub(crate) fn assign(&self, job: JobMsg) {
-        let mut st = self.state.lock();
-        while !matches!(*st, SlotState::Idle) {
-            self.cv_idle.wait(&mut st);
-        }
-        *st = SlotState::Job(job);
-        drop(st);
-        self.cv_assign.notify_one();
+        self.post(JOB, Some(job));
     }
 
     /// Block until this slot is idle — i.e. any taken job has fully
     /// completed, trailing trace events included.  Used by trace drains,
     /// which need real quiescence, not just "job accepted".
     pub(crate) fn wait_idle(&self) {
-        let mut st = self.state.lock();
-        while !matches!(*st, SlotState::Idle | SlotState::Exit) {
-            self.cv_idle.wait(&mut st);
-        }
+        drop(self.wait_phase(|p| p == IDLE || p == EXIT));
     }
 
     /// Master side at shutdown.
     pub(crate) fn send_exit(&self) {
-        let mut st = self.state.lock();
-        while !matches!(*st, SlotState::Idle) {
-            self.cv_idle.wait(&mut st);
+        self.post(EXIT, None);
+    }
+
+    /// Worker side: wait for a job or exit — spin, yield, then park —
+    /// and take the job.  `None` means exit.  The spin stops early once
+    /// another runtime forks (see [`LAST_FORK`]).
+    fn take(&self) -> Option<JobMsg> {
+        let posted = |p: u8| p == JOB || p == EXIT;
+        dock_spin(|| posted(self.phase()) || LAST_FORK.load(Ordering::Relaxed) != self.owner);
+        let mut dock = self.dock.lock();
+        while !posted(self.phase()) {
+            #[cfg(test)]
+            self.worker_parks.fetch_add(1, Ordering::Relaxed);
+            dock.worker_parked = true;
+            self.cv_assign.wait(&mut dock);
+            dock.worker_parked = false;
         }
-        *st = SlotState::Exit;
-        drop(st);
-        self.cv_assign.notify_one();
+        if self.phase() == EXIT {
+            return None;
+        }
+        self.phase.store(RUNNING, Ordering::Relaxed);
+        Some(dock.job.take().expect("a posted job"))
+    }
+
+    /// Worker side: back to idle, waking a master only if one waits.
+    fn finish(&self) {
+        let dock = self.dock.lock();
+        self.phase.store(IDLE, Ordering::Release);
+        let waiters = dock.idle_waiters;
+        drop(dock);
+        if waiters != 0 {
+            self.cv_idle.notify_all();
+        }
     }
 
     /// Worker side: the dock loop.
     pub(crate) fn worker_loop(self: &Arc<Self>) {
-        loop {
-            let job = {
-                let mut st = self.state.lock();
-                loop {
-                    match &*st {
-                        SlotState::Idle | SlotState::Running => self.cv_assign.wait(&mut st),
-                        SlotState::Exit => return,
-                        SlotState::Job(_) => break,
-                    }
-                }
-                match std::mem::replace(&mut *st, SlotState::Running) {
-                    SlotState::Job(j) => j,
-                    _ => unreachable!("checked above"),
-                }
-            };
-            // Run outside the slot lock. Mark idle only after the region
+        while let Some(job) = self.take() {
+            // Run outside the dock lock.  Mark idle only after the region
             // member fully completes — its trailing trace events included —
-            // so `wait_idle` observers see a quiescent member.
+            // and its team reference is gone, so `wait_idle` observers see
+            // a quiescent member and every per-region backend object the
+            // worker kept alive has been released.
             run_region_member(&job);
-            *self.state.lock() = SlotState::Idle;
-            self.cv_idle.notify_one();
+            drop(job);
+            self.finish();
         }
     }
 }
@@ -997,7 +1120,8 @@ mod tests {
 
     #[test]
     fn slot_assign_exit_protocol() {
-        let slot = PoolSlot::new();
+        let rt = crate::runtime::RtInner::for_tests();
+        let slot = PoolSlot::new(Arc::as_ptr(&rt));
         let s2 = Arc::clone(&slot);
         let h = std::thread::spawn(move || s2.worker_loop());
         let team = mk_team(2);
@@ -1005,7 +1129,6 @@ mod tests {
         let f: &(dyn Fn(&crate::worker::Worker) + Sync) = &|w| {
             assert_eq!(w.num_threads(), 2);
         };
-        let rt = crate::runtime::RtInner::for_tests();
         slot.assign(JobMsg {
             team: Arc::clone(&team),
             tid: 1,
@@ -1024,5 +1147,115 @@ mod tests {
         slot.send_exit();
         h.join().unwrap();
         assert!(team.panic.lock().is_none());
+    }
+
+    #[test]
+    fn dock_catches_jobs_spinning_and_parked() {
+        // Seeded master gaps on both sides of the dock budget: the worker
+        // takes some jobs while still spinning and others after parking.
+        // Idle waits land while the worker spins; so does the exit.
+        crate::barrier::tests::within(60, || {
+            let rt = crate::runtime::RtInner::for_tests();
+            let slot = PoolSlot::new(Arc::as_ptr(&rt));
+            let s2 = Arc::clone(&slot);
+            let h = std::thread::spawn(move || s2.worker_loop());
+            let ran = Arc::new(AtomicU64::new(0));
+            let r2 = Arc::clone(&ran);
+            let f: &(dyn Fn(&crate::worker::Worker) + Sync) = &move |_| {
+                r2.fetch_add(1, Ordering::Relaxed);
+            };
+            let regions = 3000;
+            let mut rng = mca_sync::SmallRng::seed_from_u64(0xD0C4);
+            for _ in 0..regions {
+                match rng.next_u64() % 4 {
+                    0 => std::thread::sleep(DOCK_YIELD * 3),
+                    1 => slot.wait_idle(),
+                    _ => {}
+                }
+                // As `fork_join` does.  (A concurrently running test that
+                // forks its own runtime only makes this worker park more.)
+                note_fork(Arc::as_ptr(&rt));
+                let team = mk_team(2);
+                let job = |tid| JobMsg {
+                    team: Arc::clone(&team),
+                    tid,
+                    func: RegionFn(f as *const _),
+                    rt: &*rt,
+                    profiling: false,
+                };
+                slot.assign(job(1));
+                run_region_member(&job(0));
+                assert!(team.panic.lock().is_none());
+            }
+            slot.wait_idle();
+            assert_eq!(ran.load(Ordering::Relaxed), 2 * regions);
+            let parks = slot.worker_parks.load(Ordering::Relaxed);
+            assert!(parks > 0, "no job was caught after parking");
+            assert!(parks < regions, "no job was caught while spinning");
+            slot.send_exit();
+            h.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn idle_waiter_parked_through_a_long_region_is_woken() {
+        // A quiesce that outlasts the dock budget parks on `cv_idle`; the
+        // worker's return to idle must wake it.
+        crate::barrier::tests::within(20, || {
+            let rt = crate::runtime::RtInner::for_tests();
+            let slot = PoolSlot::new(Arc::as_ptr(&rt));
+            let s2 = Arc::clone(&slot);
+            let h = std::thread::spawn(move || s2.worker_loop());
+            let f: &(dyn Fn(&crate::worker::Worker) + Sync) = &|w| {
+                if w.thread_num() == 1 {
+                    std::thread::sleep(DOCK_YIELD * 20);
+                }
+            };
+            for _ in 0..20 {
+                let team = mk_team(2);
+                let job = |tid| JobMsg {
+                    team: Arc::clone(&team),
+                    tid,
+                    func: RegionFn(f as *const _),
+                    rt: &*rt,
+                    profiling: false,
+                };
+                slot.assign(job(1));
+                let s3 = Arc::clone(&slot);
+                let waiter = std::thread::spawn(move || s3.wait_idle());
+                run_region_member(&job(0));
+                waiter.join().unwrap();
+            }
+            slot.send_exit();
+            h.join().unwrap();
+        });
+    }
+
+    #[test]
+    fn runtime_regions_quiesce_and_drop_around_the_dock_budget() {
+        // The same gaps through the public runtime: regions, quiesce
+        // (`wait_idle` on every slot) and runtime drop (`send_exit`) while
+        // the pool workers are still spinning.
+        crate::barrier::tests::within(60, || {
+            let mut rng = mca_sync::SmallRng::seed_from_u64(0xD0C5);
+            for kind in crate::BackendKind::all() {
+                for _ in 0..4 {
+                    let rt = crate::Runtime::with_backend(kind).unwrap();
+                    let n = 2 + (rng.next_u64() % 2) as usize;
+                    for _ in 0..250 {
+                        match rng.next_u64() % 4 {
+                            0 => std::thread::sleep(DOCK_YIELD * 3),
+                            1 => rt.quiesce(),
+                            _ => {}
+                        }
+                        let sum = rt.parallel_reduce_sum(n, 0..100, |i| i);
+                        assert_eq!(sum, 4950);
+                    }
+                    rt.quiesce();
+                    rt.parallel(n, |w| w.barrier());
+                    drop(rt);
+                }
+            }
+        });
     }
 }

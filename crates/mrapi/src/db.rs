@@ -210,11 +210,28 @@ impl MrapiSystem {
     /// Number of nodes currently registered in a domain (0 if the domain was
     /// never touched).
     pub fn node_count(&self, domain_id: DomainId) -> usize {
+        self.with_domain(domain_id, |d| d.nodes.read().len())
+    }
+
+    /// Number of live (created, not yet deleted) shared-memory segments in
+    /// a domain — a leak check for users that create one per operation.
+    pub fn shmem_count(&self, domain_id: DomainId) -> usize {
+        self.with_domain(domain_id, |d| d.shmems.read().len())
+    }
+
+    /// Number of live (created, not yet deleted) mutexes in a domain.
+    pub fn mutex_count(&self, domain_id: DomainId) -> usize {
+        self.with_domain(domain_id, |d| d.mutexes.read().len())
+    }
+
+    /// `f` over an existing domain database; 0 if the domain was never
+    /// touched.
+    fn with_domain(&self, domain_id: DomainId, f: impl FnOnce(&DomainDb) -> usize) -> usize {
         self.inner
             .domains
             .read()
             .get(&domain_id.0)
-            .map(|d| d.nodes.read().len())
+            .map(|d| f(d))
             .unwrap_or(0)
     }
 
@@ -247,6 +264,26 @@ impl std::fmt::Debug for MrapiSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn live_object_counts_follow_create_and_delete() {
+        let sys = MrapiSystem::new_t4240();
+        let d = DomainId(8);
+        assert_eq!((sys.shmem_count(d), sys.mutex_count(d)), (0, 0));
+        let n = sys.initialize(d, NodeId(0)).unwrap();
+        let attrs = crate::shmem::ShmemAttributes::default();
+        let seg = n.shmem_create(1, 64, &attrs).unwrap();
+        let mutex = n
+            .mutex_create(2, &crate::sync::MutexAttributes::default())
+            .unwrap();
+        assert_eq!((sys.shmem_count(d), sys.mutex_count(d)), (1, 1));
+        // Dropping a handle only detaches; deleting removes the object.
+        drop(n.shmem_get(1).unwrap());
+        assert_eq!(sys.shmem_count(d), 1);
+        seg.delete().unwrap();
+        mutex.delete().unwrap();
+        assert_eq!((sys.shmem_count(d), sys.mutex_count(d)), (0, 0));
+    }
 
     #[test]
     fn initialize_registers_and_rejects_duplicates() {

@@ -249,9 +249,9 @@ impl Mutex {
             // claim succeed, and one that follows it sees `waiters > 0` and
             // notifies under `park`, which we hold until we sleep.
             inner.waiters.fetch_add(1, Ordering::SeqCst);
-            // `delete` notifies under `park`, so a deletion after this
-            // check still wakes us.
-            if inner.deleted.load(Ordering::Acquire) {
+            // Same handshake against `delete`: its flag store precedes its
+            // `waiters` load, so a deletion after this check still wakes us.
+            if inner.deleted.load(Ordering::SeqCst) {
                 inner.waiters.fetch_sub(1, Ordering::Relaxed);
                 return Err(MrapiStatus::ErrMutexInvalid.into());
             }
@@ -353,14 +353,16 @@ impl Mutex {
     /// threads blocked in [`Mutex::lock`] on it.
     pub fn delete(self) -> MrapiResult<()> {
         self.check_live()?;
-        self.inner.deleted.store(true, Ordering::Release);
+        self.inner.deleted.store(true, Ordering::SeqCst);
         self.node
             .domain_db()
             .mutexes
             .write()
             .remove(&self.inner.key);
-        let _park = self.inner.park.lock();
-        self.inner.cv.notify_all();
+        if self.inner.waiters.load(Ordering::SeqCst) != 0 {
+            let _park = self.inner.park.lock();
+            self.inner.cv.notify_all();
+        }
         Ok(())
     }
 }
