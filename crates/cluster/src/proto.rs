@@ -4,14 +4,14 @@
 //! preserves packet boundaries, so there is no length prefix here);
 //! `body[0]` is the opcode, integers are big-endian — the same framing
 //! discipline as the client protocol in [`romp_serve::protocol`], whose
-//! typed [`ProtoError`] this module reuses.
+//! byte reader [`Cur`] and typed [`ProtoError`] this module reuses.
 //!
 //! Job payloads ride as [`romp_serve::protocol::spec_to_bytes`] specs;
 //! result details ride either inline (small / rmem exhausted) or as a
 //! `(slot, len)` reference into the worker's file-backed rmem segment
 //! (the zero-copy path).
 
-use romp_serve::protocol::{spec_from_bytes, spec_to_bytes, ProtoError};
+use romp_serve::protocol::{spec_from_bytes, spec_to_bytes, Cur, ProtoError};
 use romp_serve::{JobSpec, JobState};
 
 /// `Done.slot` value meaning "the detail is inline in this message, not
@@ -102,32 +102,6 @@ pub enum ToRouter {
     },
 }
 
-fn u64_at(b: &[u8], off: usize, op: u8) -> Result<u64, ProtoError> {
-    b.get(off..off + 8)
-        .map(|s| u64::from_be_bytes(s.try_into().unwrap()))
-        .ok_or(ProtoError::Truncated { opcode: op })
-}
-
-fn u32_at(b: &[u8], off: usize, op: u8) -> Result<u32, ProtoError> {
-    b.get(off..off + 4)
-        .map(|s| u32::from_be_bytes(s.try_into().unwrap()))
-        .ok_or(ProtoError::Truncated { opcode: op })
-}
-
-fn u8_at(b: &[u8], off: usize, op: u8) -> Result<u8, ProtoError> {
-    b.get(off)
-        .copied()
-        .ok_or(ProtoError::Truncated { opcode: op })
-}
-
-fn exact(b: &[u8], len: usize, op: u8) -> Result<(), ProtoError> {
-    match b.len().cmp(&len) {
-        std::cmp::Ordering::Less => Err(ProtoError::Truncated { opcode: op }),
-        std::cmp::Ordering::Equal => Ok(()),
-        std::cmp::Ordering::Greater => Err(ProtoError::TrailingBytes(op)),
-    }
-}
-
 impl ToWorker {
     /// Encode as one wire packet.
     pub fn encode(&self) -> Vec<u8> {
@@ -154,31 +128,25 @@ impl ToWorker {
 
     /// Decode one wire packet; never panics on hostile bytes.
     pub fn decode(body: &[u8]) -> Result<ToWorker, ProtoError> {
-        let &op = body.first().ok_or(ProtoError::EmptyFrame)?;
-        match op {
-            OP_DISPATCH => Ok(ToWorker::Dispatch {
-                job: u64_at(body, 1, op)?,
-                spec: spec_from_bytes(body.get(9..).unwrap_or(&[]))?,
-            }),
-            OP_CANCEL => {
-                exact(body, 10, op)?;
-                Ok(ToWorker::Cancel {
-                    job: u64_at(body, 1, op)?,
-                    deadline: u8_at(body, 9, op)? != 0,
+        let (op, mut cur) = Cur::open(body)?;
+        let msg = match op {
+            // The spec is decoded standalone, exactly as it was encoded.
+            OP_DISPATCH => {
+                return Ok(ToWorker::Dispatch {
+                    job: cur.u64()?,
+                    spec: spec_from_bytes(cur.rest())?,
                 })
             }
-            OP_RELEASE => {
-                exact(body, 5, op)?;
-                Ok(ToWorker::Release {
-                    slot: u32_at(body, 1, op)?,
-                })
-            }
-            OP_EXIT => {
-                exact(body, 1, op)?;
-                Ok(ToWorker::Exit)
-            }
-            other => Err(ProtoError::UnknownOpcode(other)),
-        }
+            OP_CANCEL => ToWorker::Cancel {
+                job: cur.u64()?,
+                deadline: cur.u8()? != 0,
+            },
+            OP_RELEASE => ToWorker::Release { slot: cur.u32()? },
+            OP_EXIT => ToWorker::Exit,
+            other => return Err(ProtoError::UnknownOpcode(other)),
+        };
+        cur.finish()?;
+        Ok(msg)
     }
 }
 
@@ -235,43 +203,40 @@ impl ToRouter {
 
     /// Decode one wire packet; never panics on hostile bytes.
     pub fn decode(body: &[u8]) -> Result<ToRouter, ProtoError> {
-        let &op = body.first().ok_or(ProtoError::EmptyFrame)?;
-        match op {
-            OP_HELLO => {
-                exact(body, 21, op)?;
-                Ok(ToRouter::Hello {
-                    worker: u32_at(body, 1, op)?,
-                    pid: u32_at(body, 5, op)?,
-                    rmem_id: u32_at(body, 9, op)?,
-                    slots: u32_at(body, 13, op)?,
-                    slot_bytes: u32_at(body, 17, op)?,
-                })
-            }
-            OP_HEARTBEAT => {
-                exact(body, 21, op)?;
-                Ok(ToRouter::Heartbeat {
-                    seq: u64_at(body, 1, op)?,
-                    inflight: u32_at(body, 9, op)?,
-                    executed: u64_at(body, 13, op)?,
-                })
-            }
+        let (op, mut cur) = Cur::open(body)?;
+        let msg = match op {
+            OP_HELLO => ToRouter::Hello {
+                worker: cur.u32()?,
+                pid: cur.u32()?,
+                rmem_id: cur.u32()?,
+                slots: cur.u32()?,
+                slot_bytes: cur.u32()?,
+            },
+            OP_HEARTBEAT => ToRouter::Heartbeat {
+                seq: cur.u64()?,
+                inflight: cur.u32()?,
+                executed: cur.u64()?,
+            },
             OP_DONE => {
-                if body.len() < 27 {
-                    return Err(ProtoError::Truncated { opcode: op });
-                }
-                Ok(ToRouter::Done {
-                    job: u64_at(body, 1, op)?,
-                    state: JobState::from_u8(u8_at(body, 9, op)?)
+                // Read the whole fixed part before judging the state
+                // byte: a short message is `Truncated`, not `BadPayload`.
+                let (job, state) = (cur.u64()?, cur.u8()?);
+                let (ok, wall_us, slot, len) = (cur.u8()? != 0, cur.u64()?, cur.u32()?, cur.u32()?);
+                return Ok(ToRouter::Done {
+                    job,
+                    state: JobState::from_u8(state)
                         .ok_or(ProtoError::BadPayload("unknown job state"))?,
-                    ok: u8_at(body, 10, op)? != 0,
-                    wall_us: u64_at(body, 11, op)?,
-                    slot: u32_at(body, 19, op)?,
-                    len: u32_at(body, 23, op)?,
-                    inline: body[27..].to_vec(),
-                })
+                    ok,
+                    wall_us,
+                    slot,
+                    len,
+                    inline: cur.rest().to_vec(),
+                });
             }
-            other => Err(ProtoError::UnknownOpcode(other)),
-        }
+            other => return Err(ProtoError::UnknownOpcode(other)),
+        };
+        cur.finish()?;
+        Ok(msg)
     }
 }
 

@@ -29,6 +29,7 @@ use std::time::{Duration, Instant};
 
 use mca_mcapi::{McapiStatus, WireChan, WireListener};
 use mca_mrapi::{DomainId, MrapiSystem, Node, NodeId, RmemAttributes, RmemHandle};
+use mca_platform::mix64;
 use mca_sync::{Condvar, Mutex};
 use romp::BackendKind;
 use romp_serve::lifecycle::terminal_for;
@@ -610,18 +611,8 @@ impl Router {
             }
         }
         for mut inf in orphans {
-            if let Some(reason) = inf.job.cancel.reason() {
-                let (state, outcome) = terminal_for(
-                    Some(reason),
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: "worker died during cancellation".into(),
-                    },
-                );
-                if let Some(ctx) = self.ctx.get() {
-                    ctx.complete(inf.job.id, &inf.job.spec.label(), state, outcome, 0);
-                }
+            if inf.job.cancel.is_cancelled() {
+                self.settle(&inf.job, "worker died during cancellation".into());
             } else if inf.retries < self.cfg.max_retries && !stopping {
                 inf.retries += 1;
                 self.n_retries.fetch_add(1, Ordering::Relaxed);
@@ -629,21 +620,28 @@ impl Router {
                     m.retries.incr();
                 }
                 self.dispatch_job(inf.job, inf.retries);
-            } else if let Some(ctx) = self.ctx.get() {
-                ctx.complete(
-                    inf.job.id,
-                    &inf.job.spec.label(),
-                    JobState::Failed,
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: format!("worker {id} died; retries exhausted"),
-                    },
-                    0,
-                );
+            } else {
+                self.settle(&inf.job, format!("worker {id} died; retries exhausted"));
             }
         }
         self.cv.notify_all();
+    }
+
+    /// Complete a job that will not run (again) on any worker: its fired
+    /// token decides the terminal state, otherwise it failed.  The zero
+    /// exec time keeps it out of the service-time estimates.
+    fn settle(&self, job: &QueuedJob, detail: String) {
+        let (state, outcome) = terminal_for(
+            job.cancel.reason(),
+            JobOutcome {
+                ok: false,
+                wall_us: 0,
+                detail,
+            },
+        );
+        if let Some(ctx) = self.ctx.get() {
+            ctx.complete(job.id, &job.spec.label(), state, outcome, 0);
+        }
     }
 
     /// Place one job on a worker (called from the dispatch loop and the
@@ -653,18 +651,8 @@ impl Router {
         let mut job = Some(job);
         loop {
             let j = job.as_ref().expect("job present until placed");
-            if let Some(reason) = j.cancel.reason() {
-                let (state, outcome) = terminal_for(
-                    Some(reason),
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: "cancelled before dispatch".into(),
-                    },
-                );
-                if let Some(ctx) = self.ctx.get() {
-                    ctx.complete(j.id, &j.spec.label(), state, outcome, 0);
-                }
+            if j.cancel.is_cancelled() {
+                self.settle(j, "cancelled before dispatch".into());
                 return;
             }
             let target = {
@@ -698,19 +686,7 @@ impl Router {
                     }
                     None => {
                         if self.stop.load(Ordering::Acquire) {
-                            if let Some(ctx) = self.ctx.get() {
-                                ctx.complete(
-                                    j.id,
-                                    &j.spec.label(),
-                                    JobState::Failed,
-                                    JobOutcome {
-                                        ok: false,
-                                        wall_us: 0,
-                                        detail: "cluster shutting down".into(),
-                                    },
-                                    0,
-                                );
-                            }
+                            self.settle(j, "cluster shutting down".into());
                             return;
                         }
                         let _ = self.cv.wait_for(&mut inner, Duration::from_millis(50));
@@ -934,9 +910,6 @@ impl Dispatch for Router {
             .spawn(move || me.supervisor_loop())
             .expect("spawn supervisor");
         while let Some(qjob) = ctx.pop() {
-            if !ctx.begin_run(qjob.id) {
-                continue;
-            }
             self.dispatch_job(qjob, 0);
         }
         self.drain();
@@ -1010,16 +983,17 @@ impl Dispatch for Router {
     }
 }
 
-/// Choose a dispatch target: the affinity-preferred worker when it is
-/// eligible (up, not draining, has window), else the least-loaded
-/// eligible worker.  `None` when the pool is saturated or empty.
+/// Choose a dispatch target: the affinity-preferred worker (the key's
+/// [`mix64`] placement, as for runtime shards) when it is eligible (up,
+/// not draining, has window), else the least-loaded eligible worker.
+/// `None` when the pool is saturated or empty.
 fn pick_worker(inner: &Inner, window: usize, affinity: u64) -> Option<usize> {
     let eligible = |ws: &WorkerSlot| {
         ws.up && !ws.draining && ws.chan.is_some() && (ws.inflight as usize) < window.max(1)
     };
     let n = inner.workers.len();
     if affinity != 0 {
-        let pref = (splitmix64(affinity) % n as u64) as usize;
+        let pref = (mix64(affinity) % n as u64) as usize;
         if eligible(&inner.workers[pref]) {
             return Some(pref);
         }
@@ -1031,15 +1005,6 @@ fn pick_worker(inner: &Inner, window: usize, affinity: u64) -> Option<usize> {
         .filter(|(_, ws)| eligible(ws))
         .min_by_key(|(i, ws)| (ws.inflight, *i))
         .map(|(i, _)| i)
-}
-
-/// The affinity-key spreader (same finalizer the runtime's shard
-/// selector uses, so a key's jobs land on a stable worker).
-fn splitmix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Find `romp-worker` next to the current executable (cargo puts all

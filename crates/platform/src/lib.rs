@@ -66,6 +66,6 @@ pub use memory::{MemoryMap, MemoryRegion, RegionClass};
 pub use partition::{Hypervisor, Partition, PartitionSpec};
 pub use power::{EnergyEstimate, PowerModel, PowerState};
 pub use resource::{ResourceAttr, ResourceKind, ResourceNode, ResourceTree};
-pub use shard::ShardLayout;
+pub use shard::{mix64, ShardLayout};
 pub use topology::{CacheLevel, CacheSpec, Cluster, Core, HwThread, Topology};
 pub use vtime::{Clock, CostModel, RegionProfile, VirtualClock, VirtualTimer};

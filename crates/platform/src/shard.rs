@@ -139,8 +139,17 @@ impl ShardLayout {
 
 /// splitmix64 finalizer — cheap, stateless avalanche so sequential
 /// affinity keys (client ids, connection ids) don't all pile onto the
-/// low shards.
-fn mix64(mut x: u64) -> u64 {
+/// low shards.  The one key mixer for affinity placement: the runtime's
+/// shard selector and the cluster router's worker pick both reduce it
+/// mod their slot count, so a key's placement is the same everywhere.
+///
+/// ```
+/// use mca_platform::{mix64, ShardLayout};
+///
+/// let layout = ShardLayout::uniform(4, 8);
+/// assert_eq!(layout.shard_for_key(7), (mix64(7) % 4) as usize);
+/// ```
+pub fn mix64(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

@@ -21,10 +21,13 @@
 //!   every socket edge-triggered, decodes frames incrementally across
 //!   partial reads, pipelines many in-flight requests per connection, and
 //!   admits each wakeup's submissions as one batch;
-//! * [`server`] — admission, idempotency, supervision (deadlines, cancel,
-//!   watchdog) and the single dispatcher; graceful drain on `shutdown`
-//!   completes every accepted job, quiesces the pool, and reports a
-//!   [`DrainReport`];
+//! * [`server`] — the listener, the threads (reactors, dispatcher,
+//!   watchdog) and the in-process dispatcher behind the [`Dispatch`]
+//!   seam; graceful drain on `shutdown` completes every accepted job,
+//!   quiesces the pool, and reports a [`DrainReport`];
+//! * [`state`] — the one [`ServeState`] (job table, queue, metrics,
+//!   service-time estimators) and its pop / finish / sweep / stats
+//!   bookkeeping, shared by the server, `romp-cluster` and `romp-sim`;
 //! * [`client`] — the blocking client used by `loadgen`, the chaos tests
 //!   and the CI smoke, including the split [`Client::send`] /
 //!   [`Client::recv`] halves pipelining load generators drive;
@@ -77,6 +80,7 @@ pub mod queue;
 pub mod reactor;
 pub mod server;
 pub mod session;
+pub mod state;
 
 pub use client::{Client, ClientError, SubmitOptions, SubmitOutcome};
 pub use job::{DiagSpec, JobLimits, JobOutcome, JobSpec, JobState};
@@ -87,3 +91,4 @@ pub use queue::QueuedJob;
 pub use queue::{lane_name, lane_of, JobQueue, PushError, DEFAULT_LANE_WEIGHTS, LANES};
 pub use server::{Dispatch, DispatchCtx, DrainReport, ServeConfig, Server, ServerHandle};
 pub use session::{ServeCore, Session};
+pub use state::ServeState;

@@ -274,19 +274,30 @@ const OP_ERROR: u8 = 0x8F;
 
 // ---- byte cursor (decode side) ----
 
-struct Cur<'a> {
+/// A big-endian reader over one message body: the decoder of this
+/// protocol and of `romp-cluster`'s router↔worker messages.  A read past
+/// the end is [`ProtoError::Truncated`] and bytes left over at
+/// [`Cur::finish`] are [`ProtoError::TrailingBytes`], both naming the
+/// message's opcode.
+pub struct Cur<'a> {
     body: &'a [u8],
     off: usize,
     opcode: u8,
 }
 
 impl<'a> Cur<'a> {
-    fn new(body: &'a [u8], opcode: u8) -> Self {
-        Cur {
-            body,
-            off: 1,
+    /// Start reading a message: its opcode (the first byte; an empty
+    /// body is [`ProtoError::EmptyFrame`]) and a cursor just past it.
+    pub fn open(body: &'a [u8]) -> Result<(u8, Cur<'a>), ProtoError> {
+        let &opcode = body.first().ok_or(ProtoError::EmptyFrame)?;
+        Ok((
             opcode,
-        }
+            Cur {
+                body,
+                off: 1,
+                opcode,
+            },
+        ))
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8], ProtoError> {
@@ -300,31 +311,40 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, ProtoError> {
+    /// Read one byte.
+    pub fn u8(&mut self) -> Result<u8, ProtoError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, ProtoError> {
+    /// Read a big-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, ProtoError> {
         Ok(u16::from_be_bytes(self.take(2)?.try_into().unwrap()))
     }
 
-    fn u32(&mut self) -> Result<u32, ProtoError> {
+    /// Read a big-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, ProtoError> {
         Ok(u32::from_be_bytes(self.take(4)?.try_into().unwrap()))
     }
 
-    fn u64(&mut self) -> Result<u64, ProtoError> {
+    /// Read a big-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, ProtoError> {
         Ok(u64::from_be_bytes(self.take(8)?.try_into().unwrap()))
+    }
+
+    /// The rest of the body (a trailing variable-length field).
+    pub fn rest(&mut self) -> &'a [u8] {
+        let rest = &self.body[self.off..];
+        self.off = self.body.len();
+        rest
     }
 
     /// The rest of the body as UTF-8 (the one string field, always last).
     fn rest_str(&mut self) -> Result<String, ProtoError> {
-        let rest = &self.body[self.off..];
-        self.off = self.body.len();
-        String::from_utf8(rest.to_vec()).map_err(|_| ProtoError::BadPayload("invalid utf-8"))
+        String::from_utf8(self.rest().to_vec()).map_err(|_| ProtoError::BadPayload("invalid utf-8"))
     }
 
     /// Assert the payload was consumed exactly.
-    fn finish(self) -> Result<(), ProtoError> {
+    pub fn finish(self) -> Result<(), ProtoError> {
         if self.off == self.body.len() {
             Ok(())
         } else {
@@ -538,8 +558,7 @@ impl Request {
 
     /// Decode a frame body (without the length prefix).
     pub fn decode(body: &[u8]) -> Result<Request, ProtoError> {
-        let &opcode = body.first().ok_or(ProtoError::EmptyFrame)?;
-        let mut cur = Cur::new(body, opcode);
+        let (opcode, mut cur) = Cur::open(body)?;
         let req = match opcode {
             OP_SUBMIT => {
                 let deadline_ms = cur.u32()?;
@@ -627,8 +646,7 @@ impl Response {
 
     /// Decode a frame body (without the length prefix).
     pub fn decode(body: &[u8]) -> Result<Response, ProtoError> {
-        let &opcode = body.first().ok_or(ProtoError::EmptyFrame)?;
-        let mut cur = Cur::new(body, opcode);
+        let (opcode, mut cur) = Cur::open(body)?;
         let resp = match opcode {
             OP_ACCEPTED => Response::Accepted { job: cur.u64()? },
             OP_REJECTED => Response::Rejected {

@@ -174,7 +174,7 @@ impl Reactor {
                     0
                 }
             };
-            let m = &self.shared.metrics;
+            let m = &self.shared.state.metrics();
             m.reactor_wakeups.incr();
             m.reactor_events.record(n as u64);
             let mut accept_ready = false;
@@ -307,7 +307,8 @@ impl Reactor {
             },
         );
         self.shared
-            .metrics
+            .state
+            .metrics()
             .reactor_conns
             .set(self.conns.len() as u64);
     }
@@ -391,7 +392,11 @@ impl Reactor {
             }
         }
         if !batch.is_empty() {
-            shared.metrics.reactor_batch.record(batch.len() as u64);
+            shared
+                .state
+                .metrics()
+                .reactor_batch
+                .record(batch.len() as u64);
         }
         let mut slots: Vec<Option<Response>> =
             shared.admit_batch(batch).into_iter().map(Some).collect();
@@ -445,7 +450,8 @@ impl Reactor {
             }
         }
         self.shared
-            .metrics
+            .state
+            .metrics()
             .reactor_conns
             .set(self.conns.len() as u64);
     }
@@ -490,6 +496,6 @@ impl Reactor {
             }
             std::thread::sleep(Duration::from_millis(1));
         }
-        self.shared.metrics.reactor_conns.set(0);
+        self.shared.state.metrics().reactor_conns.set(0);
     }
 }

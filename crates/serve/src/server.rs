@@ -10,47 +10,43 @@
 //! an admission decision, not on sixty-four rival connection threads
 //! thrashing the compute pool.
 //!
-//! Since PR 7 the protocol-to-job-table *policy* lives in
-//! [`crate::session`] (the [`ServeCore`] provided methods) and the job
-//! lifecycle state machine in [`crate::lifecycle`] — both shared with
-//! the deterministic simulator `romp-sim`, which drives them on a
-//! virtual clock.  This module keeps what is irreducibly production:
-//! the TCP listener, the real threads (reactors, dispatcher, watchdog),
-//! and the [`Runtime`] binding.  Job completions flow back to the
-//! reactors over per-reactor mailboxes (`Shared::complete_job`) so
-//! parked `Await`s answer the moment a job turns terminal.
+//! The protocol-to-job-table *policy* lives in [`crate::session`] (the
+//! [`ServeCore`] provided methods), the serving state and its
+//! bookkeeping in [`crate::state`], and the job lifecycle state machine
+//! in [`crate::lifecycle`] — all shared with the deterministic simulator
+//! `romp-sim`, which drives them on a virtual clock, and with the
+//! `romp-cluster` router.  This module keeps what is irreducibly
+//! production: the TCP listener, the real threads (reactors, dispatcher,
+//! watchdog), and the [`Runtime`] binding.  Job completions flow back to
+//! the reactors over per-reactor mailboxes ([`ServeCore::on_complete`])
+//! so parked `Await`s answer the moment a job turns terminal.
 
 use std::net::{SocketAddr, TcpListener};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mca_platform::Clock;
 use romp::Runtime;
-use romp_trace::json_escape;
-
-use std::collections::HashMap;
-
-use mca_sync::Mutex;
 
 use crate::job::{execute, JobLimits, JobOutcome, JobState};
-use crate::lifecycle::{terminal_for, DedupConfig, JobTable};
+use crate::lifecycle::{terminal_for, DedupConfig};
 use crate::metrics::Metrics;
-use crate::queue::{lane_name, JobQueue, QueuedJob, DEFAULT_LANE_WEIGHTS, LANES};
+use crate::queue::{QueuedJob, DEFAULT_LANE_WEIGHTS, LANES};
 use crate::reactor::{Mailbox, Reactor};
 use crate::session::ServeCore;
+use crate::state::ServeState;
 
-/// Where the dispatcher sends admitted jobs: the seam that lets
-/// `romp-cluster` replace the in-process execution loop with routing to
-/// a pool of worker processes, while admission, the job table, the
-/// watchdog and the reactors stay untouched.
+/// Where the dispatcher sends admitted jobs: the in-process executor
+/// ([`Server::start`]) runs them on the server's runtime, `romp-cluster`
+/// routes them to a pool of worker processes; admission, the job table,
+/// the watchdog and the reactors are the same for both.
 ///
-/// The implementation's [`run`](Dispatch::run) plays the role of
-/// the built-in dispatch loop: pop jobs through the [`DispatchCtx`] until the
-/// queue closes and every accepted job has been completed via
-/// [`DispatchCtx::complete`] — the zero-dropped-jobs drain contract is
-/// the implementor's to keep.
+/// The implementation's [`run`](Dispatch::run) pops jobs through the
+/// [`DispatchCtx`] until the queue closes and every accepted job has been
+/// completed via [`DispatchCtx::complete`] — the zero-dropped-jobs drain
+/// contract is the implementor's to keep.
 pub trait Dispatch: Send + Sync + 'static {
     /// The dispatcher body; called once on the `serve-dispatch` thread.
     /// Must not return until the queue is closed **and** every popped
@@ -59,11 +55,9 @@ pub trait Dispatch: Send + Sync + 'static {
 
     /// The watchdog found `job` unresponsive to cancellation past the
     /// escalation grace.  Return `true` if the dispatcher took an
-    /// escalating action (e.g. killed the worker process running it).
-    fn escalate(&self, job: u64) -> bool {
-        let _ = job;
-        false
-    }
+    /// escalating action (poisoned the backend, killed the worker
+    /// process running it).
+    fn escalate(&self, job: u64) -> bool;
 
     /// Operator-triggered rolling restart; `Some(n)` = scheduled across
     /// `n` workers.  `None` = unsupported.
@@ -84,46 +78,27 @@ pub trait Dispatch: Send + Sync + 'static {
 }
 
 /// The dispatcher's window into the serving stack, handed to
-/// [`Dispatch::run`].  Wraps the queue/table/metrics so an external
-/// dispatcher observes exactly the bookkeeping the in-process loop does.
+/// [`Dispatch::run`]: every dispatcher pops and completes through the
+/// server's one [`ServeState`], so all of them keep the same books.
 #[derive(Clone)]
 pub struct DispatchCtx {
     shared: Arc<Shared>,
 }
 
 impl DispatchCtx {
-    /// Pop the next admitted job (blocking), recording queue-wait
-    /// latency and depth.  `None` means the queue is closed and empty —
-    /// the drain signal; finish outstanding work and return from `run`.
+    /// Claim the next job to run (blocking; see [`ServeState::pop`]).
+    /// `None` means the queue is closed and empty — the drain signal;
+    /// finish outstanding work and return from `run`.
     pub fn pop(&self) -> Option<QueuedJob> {
-        let qjob = self.shared.queue.pop()?;
-        let now = self.shared.table.clock().now_ns();
-        self.shared
-            .metrics
-            .lat_queue
-            .record(now.saturating_sub(qjob.enqueued_ns));
-        self.shared
-            .metrics
-            .queue_depth
-            .set(self.shared.queue.len() as u64);
-        self.shared.set_lane_depths();
-        Some(qjob)
+        self.shared.state.pop()
     }
 
-    /// Transition `job` to `Running`.  `false` means it turned terminal
-    /// while queued (cancel / queued-deadline kill) — skip it; whoever
-    /// killed it already completed it.
-    pub fn begin_run(&self, job: u64) -> bool {
-        self.shared.table.begin_run(job)
-    }
-
-    /// Record a popped job's terminal state: metrics, the global and
-    /// per-class EWMAs feeding admission backpressure and the shed gate
+    /// Record a popped job's terminal state: metrics, the service-time
+    /// estimators feeding admission backpressure and the shed gate
     /// (`label` is the job's [`crate::JobSpec::label`]; a zero `exec_ns`
-    /// — a job that never ran — leaves the class EWMA untouched), the
-    /// table entry, and the completion broadcast that answers parked
-    /// `Await`s.  Call exactly once per job that
-    /// [`begin_run`](DispatchCtx::begin_run) admitted.
+    /// — a job that never ran — leaves them untouched), the table entry,
+    /// and the completion broadcast that answers parked `Await`s.  Call
+    /// exactly once per job [`pop`](DispatchCtx::pop) returned.
     pub fn complete(
         &self,
         job: u64,
@@ -132,12 +107,7 @@ impl DispatchCtx {
         outcome: JobOutcome,
         exec_ns: u64,
     ) {
-        self.shared.metrics.lat_exec.record(exec_ns);
-        self.shared.note_exec_time(exec_ns);
-        if exec_ns > 0 {
-            self.shared.note_class_exec_time(label, exec_ns);
-        }
-        self.shared.finish_job(job, state, outcome);
+        self.shared.finish_job(job, label, state, outcome, exec_ns);
     }
 
     /// The server's shared runtime handle (cheap clone) — the metrics
@@ -148,12 +118,7 @@ impl DispatchCtx {
 
     /// Current clock nanoseconds (the table's clock).
     pub fn now_ns(&self) -> u64 {
-        self.shared.table.clock().now_ns()
-    }
-
-    /// Whether the graceful drain has begun.
-    pub fn draining(&self) -> bool {
-        self.shared.draining.load(Ordering::Acquire)
+        self.shared.state.clock().now_ns()
     }
 }
 
@@ -218,7 +183,7 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// The dedup bounds in [`JobTable`] terms.
+    /// The dedup bounds in [`crate::JobTable`] terms.
     pub(crate) fn dedup(&self) -> DedupConfig {
         DedupConfig {
             cap: self.dedup_cap,
@@ -230,225 +195,48 @@ impl ServeConfig {
 pub(crate) struct Shared {
     pub(crate) rt: Runtime,
     pub(crate) cfg: ServeConfig,
-    pub(crate) queue: JobQueue,
-    /// Job lifecycle state (ids, states, outcomes, idempotency), shared
-    /// logic with `romp-sim` — see [`crate::lifecycle`].
-    pub(crate) table: JobTable,
-    pub(crate) draining: AtomicBool,
+    /// Table, queue, metrics and estimators — shared logic with
+    /// `romp-sim` and the cluster router, see [`crate::state`].
+    pub(crate) state: ServeState,
     pub(crate) stopped: AtomicBool,
     /// Tells the watchdog thread to exit (set during [`ServerHandle::join`]).
     pub(crate) wd_stop: AtomicBool,
-    pub(crate) metrics: Metrics,
-    /// EWMA of job execution time, nanoseconds — the retry-after basis.
-    pub(crate) exec_ewma_ns: AtomicU64,
-    /// Per-class (`JobSpec::label`) execution-time EWMAs, nanoseconds —
-    /// the shed gate's service-time model.  Seeded by each class's first
-    /// completed sample.
-    pub(crate) class_ewma_ns: Mutex<HashMap<String, u64>>,
     /// One mailbox per reactor: completions are broadcast so whichever
     /// reactor parked an `Await` on the job hears about it.
     pub(crate) mailboxes: Vec<Arc<Mailbox>>,
-    /// When present, jobs route here instead of the in-process
-    /// [`dispatch_loop`] (the cluster mode).
-    pub(crate) remote: Option<Arc<dyn Dispatch>>,
-}
-
-impl Shared {
-    fn note_exec_time(&self, ns: u64) {
-        // EWMA with alpha = 1/8; seeded by the first sample.
-        let prev = self.exec_ewma_ns.load(Ordering::Relaxed);
-        let next = if prev == 0 {
-            ns
-        } else {
-            prev - prev / 8 + ns / 8
-        };
-        self.exec_ewma_ns.store(next, Ordering::Relaxed);
-    }
-
-    /// Fold one execution sample into its class's EWMA (alpha = 1/8,
-    /// seeded by the first sample, same smoothing as the global EWMA).
-    pub(crate) fn note_class_exec_time(&self, label: &str, ns: u64) {
-        let mut map = self.class_ewma_ns.lock();
-        match map.get_mut(label) {
-            Some(prev) => *prev = *prev - *prev / 8 + ns / 8,
-            None => {
-                map.insert(label.to_string(), ns);
-            }
-        }
-    }
-
-    /// Refresh the per-lane depth gauges from the queue.
-    pub(crate) fn set_lane_depths(&self) {
-        let depths = self.queue.lane_depths();
-        for (lane, &d) in depths.iter().enumerate() {
-            self.metrics.sched_depth[lane].set(d as u64);
-        }
-    }
-
-    /// The `"sched"` section of the stats document.
-    fn sched_json(&self) -> String {
-        let m = &self.metrics;
-        let depths = self.queue.lane_depths();
-        let lanes = (0..LANES)
-            .map(|l| {
-                format!(
-                    "\"{}\":{{\"depth\":{},\"admits\":{},\"sheds\":{}}}",
-                    lane_name(l),
-                    depths[l],
-                    m.sched_admits[l].get(),
-                    m.sched_sheds[l].get()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        let classes = {
-            let map = self.class_ewma_ns.lock();
-            let mut entries: Vec<(String, u64)> =
-                map.iter().map(|(k, &v)| (k.clone(), v)).collect();
-            entries.sort();
-            entries
-                .iter()
-                .map(|(k, v)| format!("\"{}\":{v}", json_escape(k)))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        format!(
-            "{{\"lanes\":{{{lanes}}},\"deadline_miss\":{},\"shed\":{},\
-             \"class_ewma_ns\":{{{classes}}}}}",
-            m.sched_deadline_miss.get(),
-            self.cfg.shed,
-        )
-    }
-
-    /// Broadcast "job `id` is terminal (with its outcome recorded)" to
-    /// every reactor.  Must be called *after* the jobs-table entry holds
-    /// the outcome, so a woken reactor always finds it consumable.
-    pub(crate) fn complete_job(&self, id: u64) {
-        for mb in &self.mailboxes {
-            mb.notify_completion(id);
-        }
-    }
-
-    /// Record a terminal transition end-to-end: the per-state counter,
-    /// the table entry (with total/cancel latency), and the completion
-    /// broadcast.  Shared by the in-process dispatcher and
-    /// [`DispatchCtx::complete`].
-    fn finish_job(&self, id: u64, state: JobState, outcome: JobOutcome) {
-        match state {
-            JobState::Done => self.metrics.completed.incr(),
-            JobState::Cancelled => self.metrics.cancelled.incr(),
-            JobState::TimedOut => self.metrics.timed_out.incr(),
-            _ => self.metrics.failed.incr(),
-        }
-        if let Some(stamp) = self.table.finish(id, state, outcome) {
-            self.metrics.lat_total.record(stamp.total_ns);
-            if let Some(ns) = stamp.cancel_latency_ns {
-                self.metrics.wd_cancel_latency.record(ns);
-            }
-        }
-        self.complete_job(id);
-    }
+    /// Where admitted jobs run.
+    pub(crate) dispatch: Arc<dyn Dispatch>,
 }
 
 impl ServeCore for Shared {
-    fn table(&self) -> &JobTable {
-        &self.table
-    }
-
-    fn queue(&self) -> &JobQueue {
-        &self.queue
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn limits(&self) -> &JobLimits {
-        &self.cfg.limits
-    }
-
-    fn default_deadline_ms(&self) -> u32 {
-        self.cfg.default_deadline_ms
-    }
-
-    fn draining(&self) -> bool {
-        self.draining.load(Ordering::Acquire)
-    }
-
-    fn begin_drain(&self) {
-        self.draining.store(true, Ordering::Release);
-        self.queue.close();
-    }
-
-    fn ewma_ns(&self) -> u64 {
-        self.exec_ewma_ns.load(Ordering::Relaxed)
-    }
-
-    fn class_ewma_ns(&self, label: &str) -> Option<u64> {
-        self.class_ewma_ns.lock().get(label).copied()
-    }
-
-    fn shed_enabled(&self) -> bool {
-        self.cfg.shed
-    }
-
-    fn retry_floor_ms(&self) -> u32 {
-        self.cfg.retry_floor_ms
+    fn state(&self) -> &ServeState {
+        &self.state
     }
 
     fn activity(&self) -> u64 {
         self.rt.activity()
     }
 
-    /// Jobs accepted but not yet finished.
-    fn outstanding(&self) -> u64 {
-        let accepted = self.metrics.accepted.get();
-        let done = self.metrics.completed.get()
-            + self.metrics.failed.get()
-            + self.metrics.cancelled.get()
-            + self.metrics.timed_out.get();
-        accepted.saturating_sub(done)
+    /// Broadcast "job `id` is terminal (with its outcome recorded)" to
+    /// every reactor.  Called *after* the jobs-table entry holds the
+    /// outcome, so a woken reactor always finds it consumable.
+    fn on_complete(&self, job: u64) {
+        for mb in &self.mailboxes {
+            mb.notify_completion(job);
+        }
     }
 
     fn stats_json(&self) -> String {
-        let m = &self.metrics;
-        let cluster = self
-            .remote
-            .as_ref()
-            .and_then(|d| d.stats_json())
-            .map(|j| format!("\"cluster\":{j},"))
-            .unwrap_or_default();
-        format!(
-            "{{\"backend\":\"{}\",\"degraded\":{},\"draining\":{},\
-             \"queue_depth\":{},\"queue_cap\":{},\"outstanding\":{},\
-             \"accepted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\
-             \"cancelled\":{},\"timed_out\":{},{}\
-             \"sched\":{},\
-             \"metrics\":{}}}",
-            json_escape(self.rt.backend_kind().label()),
+        self.state.stats_json(
+            self.rt.backend_kind().label(),
             self.rt.degraded(),
-            self.draining.load(Ordering::Acquire),
-            self.queue.len(),
-            self.queue.cap(),
-            self.outstanding(),
-            m.accepted.get(),
-            m.rejected.get(),
-            m.completed.get(),
-            m.failed.get(),
-            m.cancelled.get(),
-            m.timed_out.get(),
-            cluster,
-            self.sched_json(),
-            self.rt.tracer().metrics().snapshot().to_json(),
+            self.dispatch.stats_json(),
+            self.rt.tracer().metrics(),
         )
     }
 
-    fn on_complete(&self, job: u64) {
-        self.complete_job(job);
-    }
-
     fn rolling_restart(&self) -> Option<u64> {
-        self.remote.as_ref().and_then(|d| d.rolling_restart())
+        self.dispatch.rolling_restart()
     }
 }
 
@@ -522,7 +310,8 @@ impl Server {
     /// cheap handle) to inspect degradation or drain traces while the
     /// server runs; all jobs execute on its one persistent pool.
     pub fn start(addr: &str, cfg: ServeConfig, rt: Runtime) -> std::io::Result<ServerHandle> {
-        Self::launch(addr, cfg, rt, None)
+        let dispatch = Arc::new(InProcess { rt: rt.clone() });
+        Self::start_with_dispatch(addr, cfg, rt, dispatch)
     }
 
     /// [`Server::start`], but jobs route to `dispatch` instead of the
@@ -536,15 +325,6 @@ impl Server {
         rt: Runtime,
         dispatch: Arc<dyn Dispatch>,
     ) -> std::io::Result<ServerHandle> {
-        Self::launch(addr, cfg, rt, Some(dispatch))
-    }
-
-    fn launch(
-        addr: &str,
-        cfg: ServeConfig,
-        rt: Runtime,
-        remote: Option<Arc<dyn Dispatch>>,
-    ) -> std::io::Result<ServerHandle> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let metrics = Metrics::new(rt.tracer().metrics());
@@ -553,29 +333,21 @@ impl Server {
             .map(|_| Mailbox::new().map(Arc::new))
             .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
-            queue: JobQueue::with_weights(cfg.queue_cap, cfg.lane_weights),
-            table: JobTable::new(Clock::real(), cfg.dedup()),
-            draining: AtomicBool::new(false),
+            state: ServeState::new(Clock::real(), cfg.dedup(), metrics, &cfg),
             stopped: AtomicBool::new(false),
             wd_stop: AtomicBool::new(false),
-            metrics,
-            exec_ewma_ns: AtomicU64::new(0),
-            class_ewma_ns: Mutex::new(HashMap::new()),
             mailboxes,
-            remote,
+            dispatch,
             cfg,
             rt,
         });
 
-        let disp_shared = Arc::clone(&shared);
+        let ctx = DispatchCtx {
+            shared: Arc::clone(&shared),
+        };
         let dispatcher = std::thread::Builder::new()
             .name("serve-dispatch".into())
-            .spawn(move || match disp_shared.remote.clone() {
-                Some(d) => d.run(DispatchCtx {
-                    shared: Arc::clone(&disp_shared),
-                }),
-                None => dispatch_loop(&disp_shared),
-            })?;
+            .spawn(move || Arc::clone(&ctx.shared.dispatch).run(ctx))?;
 
         let wd_shared = Arc::clone(&shared);
         let watchdog = std::thread::Builder::new()
@@ -624,7 +396,7 @@ impl ServerHandle {
     /// Begin the drain without a wire request (equivalent to a client
     /// sending `Shutdown`).
     pub fn request_drain(&self) {
-        self.shared.begin_drain();
+        self.shared.state.begin_drain();
     }
 
     /// Wait for the graceful drain to finish and tear the server down.
@@ -649,27 +421,18 @@ impl ServerHandle {
         for h in self.reactors {
             let _ = h.join();
         }
-        let m = &self.shared.metrics;
-        let accepted = m.accepted.get();
-        let completed = m.completed.get();
-        let failed = m.failed.get();
-        let cancelled = m.cancelled.get();
-        let timed_out = m.timed_out.get();
+        let state = &self.shared.state;
+        let m = state.metrics();
         DrainReport {
-            accepted,
-            completed,
-            failed,
-            cancelled,
-            timed_out,
+            accepted: m.accepted.get(),
+            completed: m.completed.get(),
+            failed: m.failed.get(),
+            cancelled: m.cancelled.get(),
+            timed_out: m.timed_out.get(),
             rejected: m.rejected.get(),
             proto_errors: m.proto_errors.get(),
-            dropped: accepted.saturating_sub(completed + failed + cancelled + timed_out),
-            rmem_leaked: self
-                .shared
-                .remote
-                .as_ref()
-                .map(|d| d.rmem_leaked())
-                .unwrap_or(0),
+            dropped: state.outstanding(),
+            rmem_leaked: self.shared.dispatch.rmem_leaked(),
         }
     }
 }
@@ -685,84 +448,81 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The dispatcher: the queue's single consumer, running every job on the
-/// shared runtime's persistent pool.  Exits only when the queue is closed
-/// *and* empty — i.e. after the graceful drain has finished every
-/// accepted job (to completion or to a supervised kill).
+/// The in-process dispatcher: the queue's single consumer, running every
+/// job on the shared runtime's persistent pool.  Exits only when the
+/// queue is closed *and* empty — i.e. after the graceful drain has
+/// finished every accepted job (to completion or to a supervised kill).
 ///
 /// Every job runs under `catch_unwind`: a panicking kernel becomes a
 /// `Failed` job carrying the panic message, never a dead dispatcher.
-/// Each terminal transition is broadcast over the completion bus so
-/// reactors answer parked `Await`s without polling.
-fn dispatch_loop(shared: &Shared) {
-    let clock = shared.table.clock().clone();
-    while let Some(qjob) = shared.queue.pop() {
-        let started = clock.now_ns();
-        shared
-            .metrics
-            .lat_queue
-            .record(started.saturating_sub(qjob.enqueued_ns));
-        shared.metrics.queue_depth.set(shared.queue.len() as u64);
-        shared.set_lane_depths();
-        // Cancelled (or deadline-killed) while queued: already terminal
-        // with an outcome — skip without running (whoever made it
-        // terminal also notified the completion bus).
-        if !shared.table.begin_run(qjob.id) {
-            continue;
-        }
-        // Arm the runtime with this job's token so every region the job
-        // forks — including ones nested inside kernels — checks it, and
-        // with its affinity key (when non-zero) so those regions' tasks
-        // stay on the key's home shard.
-        shared.rt.set_cancel_token(Some(qjob.cancel.clone()));
-        if qjob.affinity != 0 {
-            shared.rt.set_affinity(Some(qjob.affinity));
-        }
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute(&shared.rt, &qjob.spec)
-        }));
-        shared.rt.set_affinity(None);
-        shared.rt.set_cancel_token(None);
-        let exec_ns = clock.now_ns().saturating_sub(started);
-        shared.metrics.lat_exec.record(exec_ns);
-        shared.note_exec_time(exec_ns);
-        if exec_ns > 0 {
-            shared.note_class_exec_time(&qjob.spec.label(), exec_ns);
-        }
-        let (state, outcome) = match result {
-            Err(payload) => {
-                // The pool has already contained the unwind (each member
-                // runs under its own net); quiesce so trailing region
-                // epilogues finish before the next job is dispatched.
-                shared.rt.quiesce();
-                (
-                    JobState::Failed,
-                    JobOutcome {
-                        ok: false,
-                        wall_us: exec_ns / 1_000,
-                        detail: format!("panicked: {}", panic_message(payload.as_ref())),
-                    },
-                )
+struct InProcess {
+    rt: Runtime,
+}
+
+impl Dispatch for InProcess {
+    fn run(&self, ctx: DispatchCtx) {
+        let rt = &self.rt;
+        while let Some(qjob) = ctx.pop() {
+            let started = ctx.now_ns();
+            // Arm the runtime with this job's token so every region the job
+            // forks — including ones nested inside kernels — checks it, and
+            // with its affinity key (when non-zero) so those regions' tasks
+            // stay on the key's home shard.
+            rt.set_cancel_token(Some(qjob.cancel.clone()));
+            if qjob.affinity != 0 {
+                rt.set_affinity(Some(qjob.affinity));
             }
-            // A fired token outranks the outcome `execute` assembled: the
-            // job's regions unwound, so whatever it returned is partial.
-            Ok(out) => terminal_for(qjob.cancel.reason(), out),
-        };
-        // finish_job makes the outcome visible in the table, then
-        // broadcasts so any reactor holding a parked Await can consume it.
-        shared.finish_job(qjob.id, state, outcome);
+            let result =
+                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, &qjob.spec)));
+            rt.set_affinity(None);
+            rt.set_cancel_token(None);
+            let exec_ns = ctx.now_ns().saturating_sub(started);
+            let (state, outcome) = match result {
+                Err(payload) => {
+                    // The pool has already contained the unwind (each member
+                    // runs under its own net); quiesce so trailing region
+                    // epilogues finish before the next job is dispatched.
+                    rt.quiesce();
+                    (
+                        JobState::Failed,
+                        JobOutcome {
+                            ok: false,
+                            wall_us: exec_ns / 1_000,
+                            detail: format!("panicked: {}", panic_message(payload.as_ref())),
+                        },
+                    )
+                }
+                // A fired token outranks the outcome `execute` assembled: the
+                // job's regions unwound, so whatever it returned is partial.
+                Ok(out) => terminal_for(qjob.cancel.reason(), out),
+            };
+            ctx.complete(qjob.id, &qjob.spec.label(), state, outcome, exec_ns);
+        }
+    }
+
+    /// Poison the backend so a wedged MRAPI wait flips to the native
+    /// fallback at its next timeout lap, after which the job unwinds
+    /// normally; then swap the fallback in now rather than at the next
+    /// region boundary, so later jobs never touch the poisoned backend.
+    fn escalate(&self, job: u64) -> bool {
+        let poisoned = self
+            .rt
+            .poison_backend(&format!("watchdog: job {job} unresponsive to cancellation"));
+        if poisoned {
+            self.rt.heal_backend_now();
+        }
+        poisoned
     }
 }
 
 /// The watchdog: every tick it fires deadlines, watches cancelled jobs
 /// unwind, escalates the ones that don't, and bounds the dedup map.
 ///
-/// The decisions live in [`JobTable::sweep`] (shared with `romp-sim`);
-/// this loop applies the production side effects: metric bumps,
-/// completion broadcasts for queued-deadline kills, and — for a job
-/// whose workers are flat past the grace — poisoning the backend so a
-/// wedged MRAPI wait flips to the native fallback at its next timeout
-/// lap, after which the job unwinds normally.
+/// The decisions live in [`crate::lifecycle::JobTable::sweep`] and the
+/// bookkeeping in [`ServeState::sweep`] (both shared with `romp-sim`);
+/// escalating a job whose workers are flat past the grace is the
+/// dispatcher's ([`Dispatch::escalate`]).  Runs outside the jobs lock:
+/// escalation takes backend-internal locks.
 fn watchdog_loop(shared: &Shared) {
     let tick = Duration::from_millis(shared.cfg.watchdog_interval_ms.max(1));
     let grace_ns = shared
@@ -771,54 +531,10 @@ fn watchdog_loop(shared: &Shared) {
         .max(1)
         .saturating_mul(1_000_000);
     while !shared.wd_stop.load(Ordering::Acquire) {
-        shared.metrics.wd_ticks.incr();
-        let report = shared.table.sweep(shared.rt.activity(), grace_ns);
-        let killed = report.deadline_killed.len() as u64;
-        if killed > 0 {
-            shared.metrics.wd_deadline_fired.add(killed);
-            shared.metrics.timed_out.add(killed);
-        }
-        if report.deadline_fired_running > 0 {
-            shared
-                .metrics
-                .wd_deadline_fired
-                .add(report.deadline_fired_running);
-        }
-        // Every fired deadline is an accepted job the shed gate (when
-        // on) predicted would make it — count the misses.
-        let misses = killed + report.deadline_fired_running;
-        if misses > 0 {
-            shared.metrics.sched_deadline_miss.add(misses);
-        }
-        shared.metrics.dedup_size.set(report.dedup_size);
-        if report.dedup_evicted > 0 {
-            shared.metrics.dedup_evictions.add(report.dedup_evicted);
-        }
-        // Outside the jobs lock: queued-deadline kills are terminal with
-        // outcomes — tell the reactors.
-        for id in &report.deadline_killed {
-            shared.complete_job(*id);
-        }
+        let report = shared.watchdog_sweep(grace_ns);
         if let Some(id) = report.escalate {
-            // Cluster mode: escalation is the remote dispatcher's (it
-            // kills the worker process running the job — the supervisor
-            // then retries survivors and respawns).
-            if let Some(remote) = &shared.remote {
-                if remote.escalate(id) {
-                    shared.metrics.wd_escalations.incr();
-                }
-            }
-            // Outside the jobs lock: poisoning takes backend-internal locks.
-            else if shared
-                .rt
-                .poison_backend(&format!("watchdog: job {id} unresponsive to cancellation"))
-            {
-                // Complete the escalation: swap the fallback in now rather
-                // than at the next region boundary, so the degradation is
-                // immediately visible and later jobs never touch the
-                // poisoned backend at all.
-                shared.rt.heal_backend_now();
-                shared.metrics.wd_escalations.incr();
+            if shared.dispatch.escalate(id) {
+                shared.state.metrics().wd_escalations.incr();
             }
         }
         std::thread::sleep(tick);

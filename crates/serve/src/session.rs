@@ -9,24 +9,24 @@
 //! logic:
 //!
 //! * [`ServeCore`] — what a connection needs from the serving stack.
-//!   The production [`Shared`](crate::server) state and the simulator's
-//!   core both implement the accessor methods; the request-routing
-//!   *policy* (admission, idempotency, fetch/await consumption, cancel,
-//!   drain) lives in this trait's provided methods so it literally
-//!   cannot diverge between production and simulation.
+//!   The production server and the simulator's core both hold one
+//!   [`ServeState`] and implement only the hooks that differ; the
+//!   request-routing *policy* (admission, idempotency, fetch/await
+//!   consumption, cancel, drain) and the job-completion and watchdog
+//!   bookkeeping live in this trait's provided methods, so they
+//!   literally cannot diverge between production and simulation.
 //! * [`Session`] — one connection's transport-independent state: the
 //!   [`RecvBuf`]/[`SendBuf`] pair plus the close/EOF/deferral flags.
 //! * [`route_frames`] — decode-and-route every buffered frame on a
 //!   session (the reactor's old `decode_conn`, verbatim policy).
 
-use crate::job::{JobLimits, JobState};
-use crate::lifecycle::{retry_after_hint, CancelOutcome, Consumed, JobTable, StageRefusal};
-use crate::metrics::Metrics;
+use crate::job::{JobOutcome, JobState};
+use crate::lifecycle::{CancelOutcome, Consumed, StageRefusal, SweepReport};
 use crate::protocol::{ErrorCode, ProtoError, Request, Response};
-use crate::queue::{lane_of, JobQueue, QueuedJob};
+use crate::queue::{lane_of, QueuedJob};
 use crate::reactor::{RecvBuf, SendBuf};
+use crate::state::ServeState;
 use crate::JobSpec;
-use mca_platform::Clock;
 
 /// Per-connection write-buffer bound: past this, the connection is not
 /// read or decoded until the peer drains responses (backpressure).
@@ -48,39 +48,22 @@ pub enum AwaitDisposition {
 /// What one connection needs from the serving stack, implemented by the
 /// production server's shared state and by the simulator's core.
 ///
-/// The provided methods are the serving *policy* — admission with
-/// idempotency, batch admission bookkeeping, fetch/await consumption,
-/// cancel semantics, drain — expressed once over the accessors.
+/// The state and its bookkeeping live once, in [`ServeState`]; the
+/// required methods are only the hooks that really differ between
+/// implementors.  The provided methods are the serving *policy* — admission
+/// with idempotency, batch admission bookkeeping, fetch/await
+/// consumption, cancel semantics, drain, job completion and the
+/// watchdog sweep — expressed once over the state and the hooks.
 pub trait ServeCore {
-    /// The job lifecycle table.
-    fn table(&self) -> &JobTable;
-    /// The bounded admission queue.
-    fn queue(&self) -> &JobQueue;
-    /// The serving metric instruments.
-    fn metrics(&self) -> &Metrics;
-    /// Per-job validation limits.
-    fn limits(&self) -> &JobLimits;
-    /// Deadline applied to jobs that do not request one (ms; 0 = none).
-    fn default_deadline_ms(&self) -> u32;
-    /// Whether a drain has begun (refuse new submissions).
-    fn draining(&self) -> bool;
-    /// Begin the drain: set the flag and close the queue.
-    fn begin_drain(&self);
-    /// Smoothed per-job execution time (ns) — the retry-after basis.
-    fn ewma_ns(&self) -> u64;
-    /// Smoothed execution time for one job class (`JobSpec::label`),
-    /// `None` until that class completes its first job.  The shed gate
-    /// falls back to the global EWMA for never-seen classes.
-    fn class_ewma_ns(&self, label: &str) -> Option<u64>;
+    /// The shared serving state.
+    fn state(&self) -> &ServeState;
     /// The runtime's activity counter (watchdog progress detection).
     fn activity(&self) -> u64;
-    /// Jobs accepted but not yet finished (the `Draining` response).
-    fn outstanding(&self) -> u64;
-    /// The live stats JSON document.
-    fn stats_json(&self) -> String;
-    /// A job reached a terminal state outside the dispatcher (cancel of
-    /// a queued job): notify whoever parks `Await`s.
+    /// A job reached a terminal state: notify whoever parks `Await`s.
     fn on_complete(&self, job: u64);
+    /// The live stats JSON document ([`ServeState::stats_json`] with
+    /// this implementor's backend label, degraded flag and registry).
+    fn stats_json(&self) -> String;
 
     /// Operator-triggered rolling restart of the worker pool.  Returns
     /// the number of workers being cycled, or `None` when there is no
@@ -90,29 +73,23 @@ pub trait ServeCore {
         None
     }
 
-    /// The clock requests are timestamped against.
-    fn clock(&self) -> &Clock {
-        self.table().clock()
+    /// Record a dispatched job's terminal state ([`ServeState::finish`])
+    /// and answer the `Await`s parked on it.  Call exactly once per job
+    /// the dispatcher began to run.
+    fn finish_job(&self, id: u64, label: &str, state: JobState, outcome: JobOutcome, exec_ns: u64) {
+        self.state().finish(id, label, state, outcome, exec_ns);
+        self.on_complete(id);
     }
 
-    /// Whether admission-time deadline shedding is enabled (off by
-    /// default: a deadline job then waits its turn and the watchdog
-    /// enforces the deadline, exactly the pre-shed behavior).
-    fn shed_enabled(&self) -> bool {
-        false
-    }
-
-    /// Lower bound on `retry_after_ms` hints (cold-start guard: before
-    /// the first completion the EWMA is 0 and an unfloored hint would
-    /// synchronize every refused client into an immediate retry wave).
-    fn retry_floor_ms(&self) -> u32 {
-        10
-    }
-
-    /// The backpressure hint for a refused client (see
-    /// [`retry_after_hint`]).
-    fn retry_after_ms(&self) -> u32 {
-        retry_after_hint(self.ewma_ns(), self.queue().len(), self.retry_floor_ms())
+    /// One watchdog pass ([`ServeState::sweep`]) that also answers the
+    /// `Await`s parked on queued jobs it deadline-killed.  Escalating
+    /// the report's stalled job is the caller's.
+    fn watchdog_sweep(&self, grace_ns: u64) -> SweepReport {
+        let report = self.state().sweep(self.activity(), grace_ns);
+        for &id in &report.deadline_killed {
+            self.on_complete(id);
+        }
+        report
     }
 
     /// Stage a submission: validate, mint the id, insert the table
@@ -132,7 +109,7 @@ pub trait ServeCore {
     /// [`Response::ShedDeadline`] *after* staging: the idempotency
     /// check must run first (a duplicate of an admitted job answers
     /// `Accepted`, never a shed), so a shed unwinds the staging via
-    /// [`JobTable::retract`] like a failed admission does.
+    /// [`JobTable::retract`](crate::JobTable::retract) like a failed admission does.
     fn prepare_submit(
         &self,
         spec: JobSpec,
@@ -141,33 +118,34 @@ pub trait ServeCore {
         affinity: u64,
         priority: u8,
     ) -> Result<QueuedJob, Response> {
-        if self.draining() {
+        let st = self.state();
+        if st.draining() {
             return Err(Response::Error {
                 code: ErrorCode::Draining,
                 msg: "server is draining".into(),
             });
         }
-        match self.table().stage(
+        match st.table().stage(
             spec,
             deadline_ms,
-            self.default_deadline_ms(),
-            self.limits(),
+            st.default_deadline_ms(),
+            st.limits(),
             idem_key,
             affinity,
             priority,
         ) {
             Ok(qjob) => {
-                if self.shed_enabled() {
+                if st.shed_enabled() {
                     if let Some(deadline_ns) = qjob.deadline_ns {
-                        let slack_ns = deadline_ns.saturating_sub(self.clock().now_ns());
-                        let wait_jobs = self.queue().predicted_wait_jobs(priority);
-                        let global_ns = self.ewma_ns();
-                        let self_ns = self.class_ewma_ns(&qjob.spec.label()).unwrap_or(global_ns);
+                        let slack_ns = deadline_ns.saturating_sub(st.clock().now_ns());
+                        let wait_jobs = st.queue().predicted_wait_jobs(priority);
+                        let global_ns = st.ewma_ns();
+                        let self_ns = st.class_ewma_ns(&qjob.spec.label()).unwrap_or(global_ns);
                         let predicted_ns =
                             wait_jobs.saturating_mul(global_ns).saturating_add(self_ns);
                         if predicted_ns > slack_ns {
-                            self.table().retract(qjob.id);
-                            self.metrics().sched_sheds[lane_of(priority)].incr();
+                            st.table().retract(qjob.id);
+                            st.metrics().sched_sheds[lane_of(priority)].incr();
                             return Err(Response::ShedDeadline {
                                 predicted_wait_ms: (predicted_ns / 1_000_000)
                                     .clamp(1, u64::from(u32::MAX))
@@ -179,21 +157,21 @@ pub trait ServeCore {
                 Ok(qjob)
             }
             Err(StageRefusal::Invalid(why)) => {
-                self.metrics().invalid.incr();
+                st.metrics().invalid.incr();
                 Err(Response::Error {
                     code: ErrorCode::BadPayload,
                     msg: why.into(),
                 })
             }
             Err(StageRefusal::IdemAdmitted(job)) => {
-                self.metrics().idem_hits.incr();
+                st.metrics().idem_hits.incr();
                 Err(Response::Accepted { job })
             }
             Err(StageRefusal::IdemPending) => {
-                self.metrics().idem_hits.incr();
-                self.metrics().rejected.incr();
+                st.metrics().idem_hits.incr();
+                st.metrics().rejected.incr();
                 Err(Response::Rejected {
-                    retry_after_ms: self.retry_after_ms(),
+                    retry_after_ms: st.retry_after_ms(),
                 })
             }
         }
@@ -208,21 +186,20 @@ pub trait ServeCore {
         if jobs.is_empty() {
             return Vec::new();
         }
+        let st = self.state();
+        let m = st.metrics();
         let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
         let lanes: Vec<usize> = jobs.iter().map(|j| lane_of(j.priority)).collect();
-        let res = self.queue().try_push_batch(jobs);
+        let res = st.queue().try_push_batch(jobs);
         if res.admitted > 0 {
-            self.metrics().accepted.add(res.admitted as u64);
-            self.metrics().queue_depth.set(res.depth as u64);
-            self.metrics().queue_peak.record_max(res.depth as u64);
+            m.accepted.add(res.admitted as u64);
+            m.queue_depth.set(res.depth as u64);
+            m.queue_peak.record_max(res.depth as u64);
             for &lane in &lanes[..res.admitted] {
-                self.metrics().sched_admits[lane].incr();
+                m.sched_admits[lane].incr();
             }
-            let depths = self.queue().lane_depths();
-            for (lane, &d) in depths.iter().enumerate() {
-                self.metrics().sched_depth[lane].set(d as u64);
-            }
-            self.table().confirm_admitted(&ids[..res.admitted]);
+            st.set_lane_depths();
+            st.table().confirm_admitted(&ids[..res.admitted]);
         }
         ids.iter()
             .enumerate()
@@ -230,16 +207,16 @@ pub trait ServeCore {
                 if i < res.admitted {
                     Response::Accepted { job: id }
                 } else {
-                    self.table().retract(id);
+                    st.table().retract(id);
                     if res.closed {
                         Response::Error {
                             code: ErrorCode::Draining,
                             msg: "server is draining".into(),
                         }
                     } else {
-                        self.metrics().rejected.incr();
+                        m.rejected.incr();
                         Response::Rejected {
-                            retry_after_ms: self.retry_after_ms(),
+                            retry_after_ms: st.retry_after_ms(),
                         }
                     }
                 }
@@ -253,7 +230,7 @@ pub trait ServeCore {
     /// parked waiter to get here consumes the outcome, later ones
     /// observe `UnknownJob`.
     fn try_complete_await(&self, job: u64) -> AwaitDisposition {
-        match self.table().consume(job) {
+        match self.state().table().consume(job) {
             Consumed::Result(_, out) => AwaitDisposition::Ready(Response::JobResult {
                 job,
                 ok: out.ok,
@@ -273,16 +250,18 @@ pub trait ServeCore {
     /// [`route_frames`] before this point (they batch and park
     /// respectively); their arms here are defensive only.
     fn sync_request(&self, req: Request) -> Response {
+        let st = self.state();
+        let m = st.metrics();
         match req {
             Request::Cancel { job } => {
-                self.metrics().req_cancel.incr();
-                match self.table().cancel(job, self.activity()) {
+                m.req_cancel.incr();
+                match st.table().cancel(job, self.activity()) {
                     CancelOutcome::Unknown => Response::Error {
                         code: ErrorCode::UnknownJob,
                         msg: format!("job {job}"),
                     },
                     CancelOutcome::KilledQueued => {
-                        self.metrics().cancelled.incr();
+                        m.cancelled.incr();
                         // Outside the jobs lock: a parked Await on this
                         // job answers now.
                         self.on_complete(job);
@@ -299,8 +278,8 @@ pub trait ServeCore {
                 }
             }
             Request::Poll { job } => {
-                self.metrics().req_poll.incr();
-                match self.table().poll(job) {
+                m.req_poll.incr();
+                match st.table().poll(job) {
                     Some(state) => Response::Status { job, state },
                     None => Response::Error {
                         code: ErrorCode::UnknownJob,
@@ -309,8 +288,8 @@ pub trait ServeCore {
                 }
             }
             Request::Fetch { job } => {
-                self.metrics().req_fetch.incr();
-                match self.table().consume(job) {
+                m.req_fetch.incr();
+                match st.table().consume(job) {
                     Consumed::Result(_, out) => Response::JobResult {
                         job,
                         ok: out.ok,
@@ -328,19 +307,19 @@ pub trait ServeCore {
                 }
             }
             Request::Stats => {
-                self.metrics().req_stats.incr();
+                m.req_stats.incr();
                 Response::Stats {
                     json: self.stats_json(),
                 }
             }
             Request::Ping => {
-                self.metrics().req_ping.incr();
+                m.req_ping.incr();
                 Response::Pong
             }
             Request::Shutdown => {
-                self.begin_drain();
+                st.begin_drain();
                 Response::Draining {
-                    outstanding: self.outstanding(),
+                    outstanding: st.outstanding(),
                 }
             }
             Request::Restart => match self.rolling_restart() {
@@ -435,7 +414,7 @@ pub fn route_frames<C: ServeCore + ?Sized>(
     batch: &mut Vec<QueuedJob>,
     parked: &mut Vec<u64>,
 ) -> Vec<PendingResp> {
-    let metrics = core.metrics();
+    let metrics = core.state().metrics();
     let mut out = Vec::new();
     // The fairness bound counts every decoded frame, not just staged
     // responses — parked `Await`s stage nothing, and a flood of them
@@ -445,7 +424,7 @@ pub fn route_frames<C: ServeCore + ?Sized>(
         match sess.rbuf.next_frame() {
             Ok(Some(body)) => {
                 decoded += 1;
-                let t0 = core.clock().now_ns();
+                let t0 = core.state().clock().now_ns();
                 let staged = match Request::decode(&body) {
                     Ok(Request::Submit {
                         spec,
@@ -489,7 +468,7 @@ pub fn route_frames<C: ServeCore + ?Sized>(
                 };
                 metrics
                     .lat_handle
-                    .record(core.clock().now_ns().saturating_sub(t0));
+                    .record(core.state().clock().now_ns().saturating_sub(t0));
                 if let Some(s) = staged {
                     out.push(s);
                 }

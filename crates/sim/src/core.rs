@@ -1,21 +1,21 @@
 //! The simulator's serving core: the production `ServeCore` policy over
 //! virtual-clock state.
 //!
-//! [`SimCore`] owns the *same* building blocks the production server
-//! does — a [`JobTable`] (on the virtual clock), the bounded
-//! [`JobQueue`], and the `serve.*` [`Metrics`] resolved from a private
-//! registry — and implements [`ServeCore`], so admission, idempotency,
-//! fetch/await consumption, cancel and drain run the production code
-//! paths verbatim.  Only the accessors differ: single-threaded `Cell`s
-//! replace atomics, and completions are collected for the event loop to
-//! deliver instead of broadcast over mailboxes.
+//! [`SimCore`] owns the *same* [`ServeState`] the production server
+//! does — job table (on the virtual clock), admission queue, `serve.*`
+//! metrics resolved from a private registry, and the service-time
+//! estimator — and implements [`ServeCore`], so admission, idempotency,
+//! fetch/await consumption, cancel, drain, job completion and the
+//! watchdog sweep run the production code paths verbatim.  Only the
+//! hooks differ: activity is a counter the event loop bumps, and
+//! completions are collected for the event loop to deliver instead of
+//! broadcast over mailboxes.
 
 use std::cell::{Cell, RefCell};
-use std::collections::HashMap;
 
 use mca_platform::Clock;
 use romp_serve::session::ServeCore;
-use romp_serve::{DedupConfig, JobLimits, JobQueue, JobTable, Metrics};
+use romp_serve::{DedupConfig, JobLimits, Metrics, ServeConfig, ServeState};
 use romp_trace::MetricsRegistry;
 
 /// Construction knobs for a [`SimCore`].
@@ -32,16 +32,8 @@ pub struct SimCoreConfig {
 
 /// The simulated serving stack's shared state (see module docs).
 pub struct SimCore {
-    table: JobTable,
-    queue: JobQueue,
-    metrics: Metrics,
+    state: ServeState,
     registry: MetricsRegistry,
-    limits: JobLimits,
-    default_deadline_ms: u32,
-    shed: bool,
-    draining: Cell<bool>,
-    ewma_ns: Cell<u64>,
-    class_ewma: RefCell<HashMap<String, u64>>,
     activity: Cell<u64>,
     completions: RefCell<Vec<u64>>,
 }
@@ -50,52 +42,21 @@ impl SimCore {
     /// A core on `clock` (the run's virtual clock).
     pub fn new(clock: Clock, cfg: SimCoreConfig) -> Self {
         let registry = MetricsRegistry::new();
-        let metrics = Metrics::new(&registry);
-        SimCore {
-            table: JobTable::new(clock, cfg.dedup),
-            queue: JobQueue::new(cfg.queue_cap),
-            metrics,
-            registry,
+        let serve = ServeConfig {
+            queue_cap: cfg.queue_cap,
             limits: JobLimits {
                 allow_diag: true,
                 ..JobLimits::default()
             },
             default_deadline_ms: cfg.default_deadline_ms,
             shed: cfg.shed,
-            draining: Cell::new(false),
-            ewma_ns: Cell::new(0),
-            class_ewma: RefCell::new(HashMap::new()),
+            ..ServeConfig::default()
+        };
+        SimCore {
+            state: ServeState::new(clock, cfg.dedup, Metrics::new(&registry), &serve),
+            registry,
             activity: Cell::new(0),
             completions: RefCell::new(Vec::new()),
-        }
-    }
-
-    /// The run's metrics registry (invariant checks read it back).
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Record one job's execution time into the retry-hint EWMA
-    /// (α = 1/8, the production dispatcher's smoothing).
-    pub fn note_exec_time(&self, exec_ns: u64) {
-        let prev = self.ewma_ns.get();
-        let next = if prev == 0 {
-            exec_ns
-        } else {
-            prev - prev / 8 + exec_ns / 8
-        };
-        self.ewma_ns.set(next);
-    }
-
-    /// Record one job's execution time into its class's EWMA (the
-    /// per-class service-time estimate the shed gate consults).
-    pub fn note_class_exec_time(&self, label: &str, exec_ns: u64) {
-        let mut map = self.class_ewma.borrow_mut();
-        match map.get_mut(label) {
-            Some(prev) => *prev = *prev - *prev / 8 + exec_ns / 8,
-            None => {
-                map.insert(label.to_string(), exec_ns);
-            }
         }
     }
 
@@ -113,80 +74,19 @@ impl SimCore {
 }
 
 impl ServeCore for SimCore {
-    fn table(&self) -> &JobTable {
-        &self.table
-    }
-
-    fn queue(&self) -> &JobQueue {
-        &self.queue
-    }
-
-    fn metrics(&self) -> &Metrics {
-        &self.metrics
-    }
-
-    fn limits(&self) -> &JobLimits {
-        &self.limits
-    }
-
-    fn default_deadline_ms(&self) -> u32 {
-        self.default_deadline_ms
-    }
-
-    fn draining(&self) -> bool {
-        self.draining.get()
-    }
-
-    fn begin_drain(&self) {
-        self.draining.set(true);
-        self.queue.close();
-    }
-
-    fn ewma_ns(&self) -> u64 {
-        self.ewma_ns.get()
-    }
-
-    fn class_ewma_ns(&self, label: &str) -> Option<u64> {
-        self.class_ewma.borrow().get(label).copied()
-    }
-
-    fn shed_enabled(&self) -> bool {
-        self.shed
+    fn state(&self) -> &ServeState {
+        &self.state
     }
 
     fn activity(&self) -> u64 {
         self.activity.get()
     }
 
-    fn outstanding(&self) -> u64 {
-        let m = &self.metrics;
-        let done = m.completed.get() + m.failed.get() + m.cancelled.get() + m.timed_out.get();
-        m.accepted.get().saturating_sub(done)
+    fn on_complete(&self, job: u64) {
+        self.completions.borrow_mut().push(job);
     }
 
     fn stats_json(&self) -> String {
-        let m = &self.metrics;
-        format!(
-            "{{\"backend\":\"sim\",\"degraded\":false,\"draining\":{},\
-             \"queue_depth\":{},\"queue_cap\":{},\"outstanding\":{},\
-             \"accepted\":{},\"rejected\":{},\"completed\":{},\"failed\":{},\
-             \"cancelled\":{},\"timed_out\":{},\
-             \"metrics\":{}}}",
-            self.draining.get(),
-            self.queue.len(),
-            self.queue.cap(),
-            self.outstanding(),
-            m.accepted.get(),
-            m.rejected.get(),
-            m.completed.get(),
-            m.failed.get(),
-            m.cancelled.get(),
-            m.timed_out.get(),
-            self.registry.snapshot().to_json(),
-        )
-    }
-
-    fn on_complete(&self, job: u64) {
-        self.completions.borrow_mut().push(job);
+        self.state.stats_json("sim", false, None, &self.registry)
     }
 }

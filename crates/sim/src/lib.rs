@@ -15,16 +15,18 @@
 //! * **Real**: the wire protocol and frame codecs, `RecvBuf`/`SendBuf`
 //!   reassembly, [`romp_serve::session`]'s `route_frames` + `ServeCore`
 //!   policy (admission, idempotency, batch admission, await parking,
-//!   cancel, drain), the [`romp_serve::lifecycle::JobTable`] (deadlines,
-//!   sweep, dedup bounds), the [`romp_serve::queue::JobQueue`], and the
-//!   `serve.*` metrics — the exact code production runs.
+//!   cancel, drain), and the one [`romp_serve::ServeState`] the
+//!   production server and the cluster router also drive: job table
+//!   (deadlines, sweep, dedup bounds), EDF queue, `serve.*` metrics,
+//!   service-time estimators, and the dispatcher's pop / finish and the
+//!   watchdog's sweep bookkeeping — the exact code production runs.
 //! * **Modelled**: threads (event sources), sockets ([`net`]: seeded
 //!   delays, ordered delivery, partitions, write windows), kernel
 //!   execution (seeded durations/outcomes, with `mca-mrapi` fault-plan
-//!   probes deciding failures), and time itself
-//!   ([`mca_platform::VirtualClock`]).
+//!   probes deciding failures), watchdog escalation (backend
+//!   poisoning), and time itself ([`mca_platform::VirtualClock`]).
 //!
-//! The [`scenario`] module defines four storm classes and the invariant
+//! The [`scenario`] module defines five storm classes and the invariant
 //! checks every seed must satisfy — no accepted job dropped, no double
 //! terminal state, duplicate submissions never yield two jobs, every
 //! parked await answered, bounded dedup map, graceful drain always

@@ -1,6 +1,6 @@
 //! Scenario definitions, the per-run report, and the sweep driver.
 //!
-//! A [`Scenario`] is a bundle of world knobs; four classes cover the
+//! A [`Scenario`] is a bundle of world knobs; five classes cover the
 //! serving stack's hazard surface:
 //!
 //! * **`fault_storm`** — a timed persistent `mca-mrapi` fault arms
@@ -23,6 +23,10 @@
 //!   the EDF/priority dispatcher and the shed gate — Hi jobs are never
 //!   shed, and no accepted job misses its deadline by more than the
 //!   watchdog's enforcement granularity.
+//!
+//! Every class also checks the bookkeeping the simulator shares with
+//! production: each fired deadline counts as a `serve.sched.deadline_miss`
+//! and every lane-depth gauge reads 0 at quiescence.
 //!
 //! [`run_scenario`] builds a [`World`], runs it to quiescence, and
 //! distils the [`SimReport`] the sweeps and CI gate on.
@@ -452,9 +456,9 @@ pub fn run_scenario(sc: Scenario, seed: u64, capture_trace: bool) -> SimReport {
     let name = sc.name;
     let mut w = World::new(sc, seed, capture_trace);
     let (violations, trace) = w.run();
-    let core = w.core();
-    let m = core.metrics();
-    let t = core.table();
+    let st = w.core().state();
+    let m = st.metrics();
+    let t = st.table();
     let stats = SimStats {
         accepted: m.accepted.get(),
         rejected: m.rejected.get(),

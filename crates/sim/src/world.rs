@@ -9,13 +9,16 @@
 //!   writer returns `WouldBlock` exactly like a full socket, so
 //!   `SendBuf` backpressure and `decode_deferred` run their production
 //!   paths);
-//! * the **dispatcher** becomes `DispatcherPop`/`JobDone` events over
-//!   the real [`JobQueue`](romp_serve::JobQueue) and [`JobTable`](romp_serve::JobTable) — execution itself is
-//!   modelled (a seeded duration and outcome, with `mca-mrapi`
-//!   [`FaultPlan`] probes deciding failures), since the simulation
-//!   tests the *serving* machinery, not the kernels;
-//! * the **watchdog** becomes a `WatchdogTick` event running the real
-//!   [`JobTable::sweep`](romp_serve::JobTable::sweep) — deadline kills, escalation, dedup bounds;
+//! * the **dispatcher** becomes `DispatcherPop`/`JobDone` events calling
+//!   the production [`ServeState::try_pop`](romp_serve::ServeState::try_pop)
+//!   and [`ServeCore::finish_job`] — queue-wait, lane gauges, latency,
+//!   estimators, counters and the table transition are production's
+//!   bookkeeping; only execution is modelled (a seeded duration and
+//!   outcome, with `mca-mrapi` [`FaultPlan`] probes deciding failures),
+//!   since the simulation tests the *serving* machinery, not the kernels;
+//! * the **watchdog** becomes a `WatchdogTick` event running the
+//!   production [`ServeCore::watchdog_sweep`] — deadline kills, sweep
+//!   metrics, dedup bounds; escalation is modelled as backend poisoning;
 //! * each **client** is a seeded state machine from [`crate::client`].
 //!
 //! Same seed ⇒ same event sequence ⇒ byte-identical trace: all state is
@@ -31,7 +34,7 @@ use mca_sync::SmallRng;
 use romp::CancelToken;
 use romp_serve::lifecycle::terminal_for;
 use romp_serve::session::{route_frames, AwaitDisposition, PendingResp, ServeCore, Session};
-use romp_serve::{JobOutcome, JobState};
+use romp_serve::{lane_name, JobOutcome, JobState};
 
 use crate::client::{ClientCmd, SimClient};
 use crate::core::SimCore;
@@ -241,8 +244,8 @@ impl World {
             if self.trace.is_some() {
                 let line = format!(
                     "t={t} seq={seq} ev={ev:?} q={} live={} running={:?}",
-                    self.core.queue().len(),
-                    self.core.table().live_jobs(),
+                    self.core.state().queue().len(),
+                    self.core.state().table().live_jobs(),
                     self.running.as_ref().map(|r| r.job),
                 );
                 self.trace_line(&line);
@@ -416,7 +419,11 @@ impl World {
                 self.parked.entry(j).or_default().push(conn_id);
             }
             if !batch.is_empty() {
-                self.core.metrics().reactor_batch.record(batch.len() as u64);
+                self.core
+                    .state()
+                    .metrics()
+                    .reactor_batch
+                    .record(batch.len() as u64);
             }
             let admitted = self.core.admit_batch(batch);
             let mut slots = admitted.into_iter();
@@ -494,7 +501,8 @@ impl World {
             self.deliver_completion(job);
         }
         self.maybe_unwind_running();
-        if self.running.is_none() && !self.dispatcher_done && !self.core.queue().is_empty() {
+        if self.running.is_none() && !self.dispatcher_done && !self.core.state().queue().is_empty()
+        {
             let now = self.now();
             self.evq.push(now, Event::DispatcherPop);
         }
@@ -532,50 +540,44 @@ impl World {
         }
     }
 
-    /// The dispatcher model: pop, gate through `begin_run`, derive the
-    /// seeded execution plan, schedule completion.
+    /// The dispatcher: the production pop, then the seeded execution
+    /// plan and its scheduled completion.
     fn dispatcher_pop(&mut self) {
-        while self.running.is_none() && !self.dispatcher_done {
-            let Some(qjob) = self.core.queue().try_pop() else {
-                if self.core.queue().is_closed() {
-                    self.dispatcher_done = true;
-                }
-                return;
-            };
-            let now = self.now();
-            let m = self.core.metrics();
-            m.lat_queue.record(now.saturating_sub(qjob.enqueued_ns));
-            m.queue_depth.set(self.core.queue().len() as u64);
-            if !self.core.table().begin_run(qjob.id) {
-                // Cancelled or deadline-killed while queued.
-                continue;
-            }
-            self.core.bump_activity();
-            let (dur_ns, ok, panics, wedged) = self.plan_exec(qjob.deadline_ns.is_some());
-            self.exec_seq += 1;
-            let exec = self.exec_seq;
-            self.trace_line(&format!(
-                "t={now} dispatch job={} dur={dur_ns} ok={ok} panic={panics} wedge={wedged}",
-                qjob.id
-            ));
-            if !wedged {
-                self.evq.push(now + dur_ns, Event::JobDone { exec, gen: 0 });
-            }
-            self.running = Some(Running {
-                job: qjob.id,
-                exec,
-                gen: 0,
-                label: qjob.spec.label(),
-                deadline_ns: qjob.deadline_ns,
-                cancel: qjob.cancel,
-                ok,
-                panics,
-                wedged,
-                unwinding: false,
-                started_ns: now,
-            });
+        if self.running.is_some() || self.dispatcher_done {
             return;
         }
+        let st = self.core.state();
+        let Some(qjob) = st.try_pop() else {
+            if st.queue().is_closed() {
+                self.dispatcher_done = true;
+            }
+            return;
+        };
+        let now = self.now();
+        self.core.bump_activity();
+        let (dur_ns, ok, panics, wedged) = self.plan_exec(qjob.deadline_ns.is_some());
+        self.exec_seq += 1;
+        let exec = self.exec_seq;
+        self.trace_line(&format!(
+            "t={now} dispatch job={} dur={dur_ns} ok={ok} panic={panics} wedge={wedged}",
+            qjob.id
+        ));
+        if !wedged {
+            self.evq.push(now + dur_ns, Event::JobDone { exec, gen: 0 });
+        }
+        self.running = Some(Running {
+            job: qjob.id,
+            exec,
+            gen: 0,
+            label: qjob.spec.label(),
+            deadline_ns: qjob.deadline_ns,
+            cancel: qjob.cancel,
+            ok,
+            panics,
+            wedged,
+            unwinding: false,
+            started_ns: now,
+        });
     }
 
     /// Seeded execution plan: duration plus one of ok / verification
@@ -616,12 +618,6 @@ impl World {
         let r = self.running.take().expect("checked above");
         let now = self.now();
         let exec_ns = now.saturating_sub(r.started_ns);
-        let m = self.core.metrics();
-        m.lat_exec.record(exec_ns);
-        self.core.note_exec_time(exec_ns);
-        if exec_ns > 0 {
-            self.core.note_class_exec_time(&r.label, exec_ns);
-        }
         let wall_us = exec_ns / 1_000;
         let (state, outcome) = if r.panics && r.cancel.reason().is_none() {
             (
@@ -646,19 +642,8 @@ impl World {
                 },
             )
         };
-        match state {
-            JobState::Done => m.completed.incr(),
-            JobState::Failed => m.failed.incr(),
-            JobState::Cancelled => m.cancelled.incr(),
-            JobState::TimedOut => m.timed_out.incr(),
-            _ => unreachable!("terminal_for returns terminal states"),
-        }
-        if let Some(stamp) = self.core.table().finish(r.job, state, outcome) {
-            m.lat_total.record(stamp.total_ns);
-            if let Some(cl) = stamp.cancel_latency_ns {
-                m.wd_cancel_latency.record(cl);
-            }
-        }
+        self.core
+            .finish_job(r.job, &r.label, state, outcome, exec_ns);
         self.core.bump_activity();
         // Overload invariant: an accepted job reaches its terminal state
         // within the deadline-enforcement granularity — a watchdog tick
@@ -680,7 +665,9 @@ impl World {
             }
         }
         self.trace_line(&format!("t={now} done job={} state={state:?}", r.job));
-        self.deliver_completion(r.job);
+        for job in self.core.take_completions() {
+            self.deliver_completion(job);
+        }
         if !self.dispatcher_done {
             self.evq.push(now, Event::DispatcherPop);
         }
@@ -700,30 +687,23 @@ impl World {
         }
     }
 
-    /// The watchdog model: the production sweep over the real table,
-    /// then escalation of a stalled cancel (backend poisoning).
+    /// The watchdog: the production sweep, then escalation of a stalled
+    /// cancel (modelled as backend poisoning).
     fn watchdog_tick(&mut self) {
         let now = self.now();
-        let m = self.core.metrics();
-        m.wd_ticks.incr();
-        let grace_ns = self.sc.escalation_grace_ms * 1_000_000;
-        let report = self.core.table().sweep(self.core.activity(), grace_ns);
-        let killed = report.deadline_killed.len() as u64;
-        m.wd_deadline_fired
-            .add(killed + report.deadline_fired_running);
-        m.timed_out.add(killed);
-        m.dedup_size.set(report.dedup_size);
-        m.dedup_evictions.add(report.dedup_evicted);
+        let report = self
+            .core
+            .watchdog_sweep(self.sc.escalation_grace_ms * 1_000_000);
         for job in &report.deadline_killed {
             self.trace_line(&format!("t={now} wd kill queued job={job}"));
         }
-        for job in report.deadline_killed.clone() {
+        for job in self.core.take_completions() {
             self.deliver_completion(job);
         }
         if let Some(stalled) = report.escalate {
             if !self.backend_poisoned {
                 self.backend_poisoned = true;
-                self.core.metrics().wd_escalations.incr();
+                self.core.state().metrics().wd_escalations.incr();
             }
             self.trace_line(&format!("t={now} wd escalate job={stalled}"));
             // Poisoning abandons the MCA wait: the wedged job's unwind
@@ -752,9 +732,10 @@ impl World {
     fn quiescent(&self) -> bool {
         // The dispatcher is done once the queue is closed and dry — it
         // may never see another `DispatcherPop` to notice it itself.
-        (self.dispatcher_done || (self.core.queue().is_closed() && self.core.queue().is_empty()))
+        let queue = self.core.state().queue();
+        (self.dispatcher_done || (queue.is_closed() && queue.is_empty()))
             && self.running.is_none()
-            && self.core.queue().is_empty()
+            && queue.is_empty()
             && self.parked.is_empty()
             && self.clients.iter().all(|c| c.quiescent())
     }
@@ -772,7 +753,8 @@ impl World {
                     .push(format!("client {i}'s shutdown was never answered"));
             }
         }
-        let m = self.core.metrics();
+        let st = self.core.state();
+        let m = st.metrics();
         let accepted = m.accepted.get();
         let resolved = m.completed.get() + m.failed.get() + m.cancelled.get() + m.timed_out.get();
         if accepted != resolved {
@@ -780,16 +762,34 @@ impl World {
                 "dropped jobs: accepted={accepted} but only {resolved} reached a terminal state"
             ));
         }
-        let dt = self.core.table().double_terminal();
+        let dt = st.table().double_terminal();
         if dt != 0 {
             self.violations
                 .push(format!("{dt} job(s) reached two terminal states"));
         }
-        if self.core.table().live_jobs() != 0 {
+        if st.table().live_jobs() != 0 {
             self.violations.push(format!(
                 "{} job(s) still live after quiescence",
-                self.core.table().live_jobs()
+                st.table().live_jobs()
             ));
+        }
+        // Every fired deadline is a miss, and the lane gauges track the
+        // queue: both hold only if the sweep and the pop ran production's
+        // bookkeeping.
+        let (missed, fired) = (m.sched_deadline_miss.get(), m.wd_deadline_fired.get());
+        if missed != fired {
+            self.violations.push(format!(
+                "serve.sched.deadline_miss={missed} but watchdog.deadline_fired={fired}"
+            ));
+        }
+        for (lane, gauge) in m.sched_depth.iter().enumerate() {
+            if gauge.get() != 0 {
+                self.violations.push(format!(
+                    "serve.sched.depth.{} reads {} after quiescence",
+                    lane_name(lane),
+                    gauge.get()
+                ));
+            }
         }
         if !self.parked.is_empty() {
             self.violations.push(format!(
@@ -797,7 +797,7 @@ impl World {
                 self.parked.values().map(Vec::len).sum::<usize>()
             ));
         }
-        let dedup = self.core.table().dedup_size();
+        let dedup = st.table().dedup_size();
         if dedup > self.sc.dedup_cap {
             self.violations.push(format!(
                 "dedup map over cap after quiescence: {dedup} > {}",

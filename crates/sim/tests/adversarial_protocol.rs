@@ -184,7 +184,7 @@ fn adversarial_link_into_real_session_stays_typed() {
         }
         sess.eof = true;
         sess.arm_close_if_quiescent();
-        total_proto_errors += core.metrics().proto_errors.get();
+        total_proto_errors += core.state().metrics().proto_errors.get();
     }
     // The sweep must both answer real requests and detect garbage.
     assert!(total_responses > 0, "no request ever got a response");

@@ -35,7 +35,7 @@ fn job() -> JobSpec {
 fn cold_start_has_no_class_estimate_and_admits_tight_deadlines() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
-    assert_eq!(core.class_ewma_ns(&job().label()), None);
+    assert_eq!(core.state().class_ewma_ns(&job().label()), None);
     // No samples anywhere: the predicted wait is zero, so even a 1ms
     // deadline admits — shedding must not refuse work it knows nothing
     // about.
@@ -47,14 +47,14 @@ fn cold_start_has_no_class_estimate_and_admits_tight_deadlines() {
 fn single_sample_seeds_the_class_ewma_exactly() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
-    core.note_class_exec_time("k", 40_000_000);
-    assert_eq!(core.class_ewma_ns("k"), Some(40_000_000));
+    core.state().note_exec("k", 40_000_000);
+    assert_eq!(core.state().class_ewma_ns("k"), Some(40_000_000));
     // The second sample smooths with alpha = 1/8 (same as the global
     // EWMA): 40 - 40/8 + 8/8 = 36.
-    core.note_class_exec_time("k", 8_000_000);
-    assert_eq!(core.class_ewma_ns("k"), Some(36_000_000));
+    core.state().note_exec("k", 8_000_000);
+    assert_eq!(core.state().class_ewma_ns("k"), Some(36_000_000));
     // Other classes stay untouched.
-    assert_eq!(core.class_ewma_ns("other"), None);
+    assert_eq!(core.state().class_ewma_ns("other"), None);
 }
 
 #[test]
@@ -62,9 +62,9 @@ fn unseen_class_falls_back_to_the_global_ewma() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
     // Global estimate says jobs take 50ms; this class has never run.
-    core.note_exec_time(50_000_000);
+    core.state().note_exec("warmup", 50_000_000);
     let spec = job();
-    assert_eq!(core.class_ewma_ns(&spec.label()), None);
+    assert_eq!(core.state().class_ewma_ns(&spec.label()), None);
 
     // A 10ms deadline cannot fit a predicted 50ms service time.
     match core.prepare_submit(spec, 10, 0, 0, 1) {
@@ -77,11 +77,11 @@ fn unseen_class_falls_back_to_the_global_ewma() {
         other => panic!("expected ShedDeadline, got {other:?}"),
     }
     // The shed is visible in the lane counter (priority 1 = Hi = lane 0).
-    assert_eq!(core.metrics().sched_sheds[0].get(), 1);
+    assert_eq!(core.state().metrics().sched_sheds[0].get(), 1);
 
     // Once the class has its own (fast) sample, the same deadline
     // admits: the specific estimate overrides the pessimistic global.
-    core.note_class_exec_time(&job().label(), 2_000_000);
+    core.state().note_exec(&job().label(), 2_000_000);
     let staged = core.prepare_submit(job(), 10, 0, 0, 1);
     assert!(staged.is_ok(), "class-specific estimate wins over global");
 }
@@ -90,12 +90,12 @@ fn unseen_class_falls_back_to_the_global_ewma() {
 fn shed_unwinds_staging_so_the_job_leaves_no_table_entry() {
     let vclock = VirtualClock::new(0);
     let core = shed_core(vclock.clock());
-    core.note_exec_time(50_000_000);
-    let before = core.table().retractions();
+    core.state().note_exec("warmup", 50_000_000);
+    let before = core.state().table().retractions();
     let shed = core.prepare_submit(job(), 10, 0, 0, 0);
     assert!(matches!(shed, Err(Response::ShedDeadline { .. })));
     assert_eq!(
-        core.table().retractions(),
+        core.state().table().retractions(),
         before + 1,
         "a shed retracts its staged table entry"
     );
