@@ -424,7 +424,8 @@ impl RegionLock for McaLock {
     fn lock(&self) {
         let tr = self.shared.trace();
         let t0 = tr.as_ref().map(|_| Instant::now());
-        let key = self.mutex.key() as u64;
+        // The key only labels trace events: disarmed, leave it unread.
+        let key = tr.as_ref().map_or(0, |_| self.mutex.key() as u64);
         // True once this acquisition has opened a LockContend span (first
         // timed-out wait); the span closes when the lock is finally taken.
         let mut contended = false;
@@ -1039,6 +1040,33 @@ mod tests {
         assert_eq!(rt.backend_kind(), BackendKind::Mca, "no fallback happened");
         assert_eq!(sys.shmem_count(OMP_DOMAIN), segments, "segment leaked");
         assert_eq!(sys.mutex_count(OMP_DOMAIN), mutexes, "mutex leaked");
+    }
+
+    #[test]
+    fn concurrent_first_use_of_a_critical_creates_one_mrapi_mutex() {
+        let sys = MrapiSystem::new_t4240();
+        let be = McaBackend::on_system(sys.clone()).unwrap();
+        let rt = crate::Runtime::with_config_and_backend(crate::Config::default(), Box::new(be))
+            .unwrap();
+        rt.parallel(4, |_| {});
+        rt.quiesce();
+        let before = sys.mutex_count(OMP_DOMAIN);
+        const NAMES: usize = 20;
+        rt.parallel(4, |w| {
+            for i in 0..NAMES {
+                // Line every member up so all four race the first use.
+                w.barrier();
+                w.critical(&format!("first-use-{i}"), || {});
+            }
+        });
+        rt.quiesce();
+        assert_eq!(rt.backend_kind(), BackendKind::Mca, "no fallback happened");
+        assert_eq!(
+            sys.mutex_count(OMP_DOMAIN),
+            before + NAMES,
+            "one MRAPI mutex per name"
+        );
+        assert_eq!(rt.stats().criticals, 4 * NAMES as u64);
     }
 
     #[test]

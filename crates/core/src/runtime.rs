@@ -4,7 +4,7 @@ use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use mca_sync::Mutex as PlMutex;
 use romp_trace::{EventKind, RunSummary, Trace, Tracer};
@@ -61,6 +61,48 @@ fn erase_region_fn<F: Fn(&Worker) + Sync>(f: &F) -> RegionFn {
     RegionFn(long as *const _)
 }
 
+/// Slots in the published `critical(name)` table.  Names beyond it still
+/// work; they take the table lock on every call.
+const CRITICAL_SLOTS: usize = 64;
+/// How many slots, from a name's home slot on, hold its published lock.
+const CRITICAL_PROBES: usize = 8;
+
+/// A `critical(name)` lock published for lookup without the table lock.
+/// Set once, never replaced or removed while the runtime lives.
+struct PublishedCritical {
+    /// FNV-1a of `name` (the tag the critical's trace span carries).
+    tag: u64,
+    name: Box<str>,
+    lock: Arc<dyn RegionLock>,
+}
+
+/// Named critical-section locks (`#pragma omp critical(name)` is
+/// program-global in OpenMP; runtime-global here).  libGOMP's split: a
+/// reader finds an existing name's lock through published, never-replaced
+/// entries; only first use takes the table lock (`create_lock_lock`) —
+/// a backend lock, so an MRAPI mutex on the MCA backend.
+struct Criticals {
+    /// Every name's lock; the creation authority.
+    table: BackendMutex<HashMap<String, Arc<dyn RegionLock>>>,
+    /// Locks of names whose first use found a free slot among the
+    /// [`CRITICAL_PROBES`] slots from the tag's home slot.
+    published: Box<[OnceLock<PublishedCritical>]>,
+}
+
+impl Criticals {
+    fn new(guard: Arc<dyn RegionLock>) -> Self {
+        Criticals {
+            table: BackendMutex::new(guard, HashMap::new()),
+            published: (0..CRITICAL_SLOTS).map(|_| OnceLock::new()).collect(),
+        }
+    }
+
+    /// The slots that may hold the lock of a name tagged `tag`.
+    fn probe(&self, tag: u64) -> impl Iterator<Item = &OnceLock<PublishedCritical>> {
+        (0..CRITICAL_PROBES).map(move |i| &self.published[(tag as usize + i) % CRITICAL_SLOTS])
+    }
+}
+
 /// A native lock, for the last-resort paths where the active backend
 /// cannot produce one (native lock creation itself cannot fail).
 fn native_lock() -> Arc<dyn RegionLock> {
@@ -86,9 +128,7 @@ pub(crate) struct RtInner {
     /// Serializes parallel regions launched from different threads; the
     /// dock slots are single-occupancy.
     region_gate: PlMutex<()>,
-    /// Named critical-section locks (`#pragma omp critical(name)` is
-    /// program-global in OpenMP; runtime-global here).
-    criticals: BackendMutex<HashMap<String, Arc<dyn RegionLock>>>,
+    criticals: Criticals,
     pub stats: RuntimeStats,
     profile: PlMutex<ProfileAccum>,
     profiling: AtomicBool,
@@ -188,18 +228,44 @@ impl RtInner {
         }
     }
 
-    /// The lock backing `critical(name)`, created through the backend on
-    /// first use (Listing 4's `mrapi_mutex_create` initialization step).
-    /// Infallible: a backend that cannot produce a lock has already
-    /// poisoned itself, and the native last resort cannot fail.
-    pub(crate) fn critical_lock(&self, name: &str) -> Arc<dyn RegionLock> {
-        self.criticals.with(|map| match map.get(name) {
-            Some(l) => Arc::clone(l),
-            None => {
-                let l = self.backend_new_lock().unwrap_or_else(|_| native_lock());
-                map.insert(name.to_string(), Arc::clone(&l));
-                l
+    /// The published lock backing `critical(name)` (`tag` = the name's
+    /// FNV-1a), read without the table lock; `None` if the name has not
+    /// been used yet or did not fit the published table.
+    #[inline]
+    pub(crate) fn published_critical(&self, name: &str, tag: u64) -> Option<&dyn RegionLock> {
+        for slot in self.criticals.probe(tag) {
+            // Entries are only ever added: an empty slot ends the name's run.
+            let entry = slot.get()?;
+            if entry.tag == tag && *entry.name == *name {
+                return Some(&*entry.lock);
             }
+        }
+        None
+    }
+
+    /// The lock backing `critical(name)` from the table, created through
+    /// the backend on first use (Listing 4's `mrapi_mutex_create`
+    /// initialization step) and then published for
+    /// [`RtInner::published_critical`] if a slot is free.  Infallible: a
+    /// backend that cannot produce a lock has already poisoned itself, and
+    /// the native last resort cannot fail.
+    pub(crate) fn critical_lock(&self, name: &str, tag: u64) -> Arc<dyn RegionLock> {
+        self.criticals.table.with(|map| {
+            if let Some(l) = map.get(name) {
+                return Arc::clone(l);
+            }
+            let l = self.backend_new_lock().unwrap_or_else(|_| native_lock());
+            map.insert(name.to_string(), Arc::clone(&l));
+            // Publishing happens only here, under the table lock, so the
+            // first free slot cannot be taken from under us.
+            if let Some(slot) = self.criticals.probe(tag).find(|s| s.get().is_none()) {
+                let _ = slot.set(PublishedCritical {
+                    tag,
+                    name: name.into(),
+                    lock: Arc::clone(&l),
+                });
+            }
+            l
         })
     }
 
@@ -207,7 +273,7 @@ impl RtInner {
     #[cfg(test)]
     pub(crate) fn for_tests() -> Arc<RtInner> {
         let backend: Arc<dyn Backend> = Arc::new(crate::backend::NativeBackend::new());
-        let criticals = BackendMutex::new(backend.new_lock().unwrap(), HashMap::new());
+        let criticals = Criticals::new(backend.new_lock().unwrap());
         Arc::new(RtInner {
             backend: PlMutex::new(backend),
             retired: PlMutex::new(Vec::new()),
@@ -437,7 +503,7 @@ impl Runtime {
         // If the backend cannot even produce the criticals guard it is
         // poisoned already; the first region boundary will swap it out.
         let guard = backend.new_lock().unwrap_or_else(|_| native_lock());
-        let criticals = BackendMutex::new(guard, HashMap::new());
+        let criticals = Criticals::new(guard);
         let profiling = cfg.profiling;
         let tracer = Arc::new(Tracer::new(cfg.trace));
         backend.attach_tracer(&tracer);
@@ -910,8 +976,8 @@ impl Runtime {
     }
 
     /// A monotonically increasing liveness signal: bumped every time a
-    /// worker *enters* a synchronization construct (barrier, worksharing
-    /// loop, critical), live from inside running regions.  A supervisor
+    /// worker enters a barrier or worksharing loop, or *acquires* a
+    /// critical's lock, live from inside running regions.  A supervisor
     /// watching a cancelled job can distinguish "still unwinding toward a
     /// checkpoint" (value advancing) from "wedged inside the backend"
     /// (value flat) and escalate only the latter.

@@ -10,14 +10,15 @@
 //! docked worker spins, then yields, on its slot's phase word for a bounded
 //! time before it parks on a condvar (libGOMP's spin-then-futex), so
 //! back-to-back regions hand over without a syscall on either side; see
-//! [`PoolSlot`].
+//! `PoolSlot`.
 //!
 //! Two lock-free structures carry the region's hot paths:
 //!
 //! * the **construct ring** (`ConstructRing`) hands out shared
-//!   per-construct state (dynamic/guided cursors, `single` arbitration,
+//!   per-construct state (dynamic/guided cursors, copyprivate and
 //!   reduction staging) without a team-global lock — see the type docs for
-//!   the claim/ready protocol;
+//!   the claim/ready protocol.  Plain `single` needs no shared state
+//!   beyond one team word (`TeamShared::single_count`);
 //! * the **sharded two-level task scheduler** gives every member a bounded
 //!   local ring ([`mca_sync::deque::RingQueue`]) and every *shard* (a
 //!   cluster-aligned member group from [`mca_platform::ShardLayout`]) its
@@ -60,14 +61,14 @@ pub(crate) const REDUCE_STRIDE: usize = 16;
 /// fast member has to wait (a lap); 64 is far beyond any real nowait chain.
 pub(crate) const CONSTRUCT_RING: usize = 64;
 
-/// Shared per-construct state (dynamic/guided loop cursors, `single`
-/// arbitration, copyprivate staging), keyed by construct sequence number.
+/// Shared per-construct state (dynamic/guided loop cursors, copyprivate
+/// `single` arbitration and staging), keyed by construct sequence number.
 pub(crate) struct ConstructState {
     /// Next unclaimed iteration (dynamic/guided/sections cursor).
     pub cursor: CachePadded<AtomicU64>,
     /// Iterations not yet handed out (guided's shrinking share).
     pub remaining: CachePadded<AtomicU64>,
-    /// `single`'s first-arriver flag.
+    /// `single_copy`'s first-arriver flag.
     pub claimed: AtomicBool,
     /// Copyprivate / generic-reduction staging slot.
     pub stage: PlMutex<Option<Box<dyn Any + Send>>>,
@@ -228,6 +229,9 @@ pub(crate) struct TeamShared {
     pub barrier: Barrier,
     /// In-flight worksharing constructs, indexed by sequence number.
     pub constructs: ConstructRing,
+    /// Plain `single` constructs claimed so far (libGOMP's
+    /// `team->single_count`): each encounter's winner moves it by one.
+    pub single_count: CachePadded<AtomicU64>,
     /// Reduction scratch: `size` value slots + one result slot, each strided
     /// to [`REDUCE_STRIDE`] words, allocated through the backend — the
     /// gomp_malloc substitution of §5B.2.
@@ -288,6 +292,7 @@ impl TeamShared {
             size,
             barrier,
             constructs: ConstructRing::new(),
+            single_count: CachePadded::new(AtomicU64::new(0)),
             reduce_words,
             task_rings: (0..size)
                 .map(|_| CachePadded::new(RingQueue::new(LOCAL_TASK_RING)))

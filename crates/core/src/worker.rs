@@ -8,11 +8,13 @@
 //! reductions, and explicit tasks with `taskwait`.
 //!
 //! Construct identity: constructs that need shared state (dynamic/guided
-//! loops, `single`, `sections`, generic reductions) draw a per-worker
-//! sequence number.  OpenMP requires every team member to encounter
-//! worksharing constructs in the same order, so equal sequence numbers on
-//! different workers name the same construct — the same invariant libGOMP's
-//! `work_share` chaining relies on.
+//! loops, copyprivate `single`, `sections`, generic reductions) draw a
+//! per-worker sequence number.  OpenMP requires every team member to
+//! encounter worksharing constructs in the same order, so equal sequence
+//! numbers on different workers name the same construct — the same
+//! invariant libGOMP's `work_share` chaining relies on.  Plain `single`
+//! uses the same invariant more cheaply: a per-worker count of singles met
+//! and one team word, as `GOMP_single_start` does.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -92,6 +94,9 @@ pub struct Worker<'a> {
     rt: &'a RtInner,
     tid: usize,
     seq: Cell<u64>,
+    /// Plain `single` constructs this member has met (see
+    /// [`Worker::single_nowait`]).
+    singles: Cell<u64>,
 }
 
 impl<'a> Worker<'a> {
@@ -101,6 +106,7 @@ impl<'a> Worker<'a> {
             rt,
             tid,
             seq: Cell::new(0),
+            singles: Cell::new(0),
         }
     }
 
@@ -389,21 +395,29 @@ impl<'a> Worker<'a> {
     }
 
     /// `#pragma omp single nowait`.
+    ///
+    /// libGOMP's `GOMP_single_start`: member-local count `mine` of singles
+    /// met, one team word counting singles claimed.  Every member meets
+    /// the singles in the same order and has passed the first `mine` of
+    /// them, so the team word is at least `mine` here; it moves
+    /// `mine → mine + 1` exactly once, and whoever moves it runs `f`.  No
+    /// construct-ring slot, no shared state to allocate or release.
     pub fn single_nowait<R>(&self, f: impl FnOnce() -> R) -> Option<R> {
-        let key = self.next_seq();
-        let state = self.construct(key, || ConstructState::new(0, 0));
-        let won = state
-            .claimed
-            .compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire)
-            .is_ok();
-        let out = if won {
+        let mine = self.singles.get();
+        self.singles.set(mine + 1);
+        let count = &self.team.single_count;
+        // The load spares losers the RMW: a member behind the winner sees
+        // the word already past `mine`.
+        let won = count.load(Ordering::Relaxed) == mine
+            && count
+                .compare_exchange(mine, mine + 1, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok();
+        if won {
             self.team.counters.singles.fetch_add(1, Ordering::Relaxed);
             Some(f())
         } else {
             None
-        };
-        self.construct_done(key, &state);
-        out
+        }
     }
 
     /// `single copyprivate`: one member computes the value, everyone
@@ -463,21 +477,33 @@ impl<'a> Worker<'a> {
     // ------------------------------------------------------------------
 
     /// `#pragma omp critical(name)` — one global lock per name, provided by
-    /// the backend (MRAPI mutexes under the MCA backend; §5B.3).
+    /// the backend (MRAPI mutexes under the MCA backend; §5B.3).  A name
+    /// in use is found through its published lock, so a call costs one
+    /// lock round trip (libGOMP's `GOMP_critical_name_start`).
     pub fn critical<R>(&self, name: &str, f: impl FnOnce() -> R) -> R {
         // Cancellation point *before* acquisition only: never unwind while
         // holding the lock, and never between acquire and release.
         self.team.cancel_checkpoint();
-        self.team.counters.criticals.fetch_add(1, Ordering::Relaxed);
-        self.rt.stats.activity.fetch_add(1, Ordering::Relaxed);
         // The span covers acquisition + body, tagged with a stable hash of
-        // the critical's name so traces can tell sections apart.
+        // the critical's name so traces can tell sections apart; the same
+        // hash keys the published-lock lookup.
         let name_tag = fnv1a(name.as_bytes());
         self.team
             .tracer
             .begin(romp_trace::EventKind::Critical, self.tid as u32, name_tag);
-        let lock = self.rt.critical_lock(name);
+        let unpublished;
+        let lock = match self.rt.published_critical(name, name_tag) {
+            Some(lock) => lock,
+            None => {
+                unpublished = self.rt.critical_lock(name, name_tag);
+                &*unpublished
+            }
+        };
         lock.lock();
+        // Counted while holding the lock, so a waiter's bumps never race
+        // the holder for these lines.
+        self.team.counters.criticals.fetch_add(1, Ordering::Relaxed);
+        self.rt.stats.activity.fetch_add(1, Ordering::Relaxed);
         let out = f();
         // The guard was held; residual unlock errors were already retried
         // inside the lock and must not unwind user code.

@@ -3,10 +3,11 @@
 //! MCA-libGOMP).  This is the same discipline as the paper's §6A validation
 //! step, applied at the runtime's own API level.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
-use romp::{BackendKind, BarrierKind, Config, ReduceOp, Runtime, Schedule};
+use romp::{BackendKind, BarrierKind, CancelToken, Config, ReduceOp, RompError, Runtime, Schedule};
 
 fn runtimes() -> Vec<Runtime> {
     BackendKind::all()
@@ -499,5 +500,235 @@ fn parallel_map_collects_by_thread() {
     for rt in runtimes() {
         let v = rt.parallel_map(5, |w| w.thread_num() * 10);
         assert_eq!(v, vec![0, 10, 20, 30, 40]);
+    }
+}
+
+/// One counter per encounter index.
+fn counters(n: usize) -> Vec<AtomicUsize> {
+    (0..n).map(|_| AtomicUsize::new(0)).collect()
+}
+
+#[test]
+fn single_nowait_chain_far_past_the_ring_has_one_winner_per_encounter() {
+    // 10 000 encounters: far more than the 64-slot construct ring, with no
+    // barrier to keep the members in step.
+    const CHAIN: usize = 10_000;
+    for rt in runtimes() {
+        let wins = counters(CHAIN);
+        rt.reset_stats();
+        rt.parallel(4, |w| {
+            for (i, win) in wins.iter().enumerate() {
+                w.single_nowait(|| win.fetch_add(1, Ordering::Relaxed));
+                // Vary who arrives first.
+                if (i + w.thread_num()) % 97 == 0 {
+                    std::thread::yield_now();
+                }
+            }
+        });
+        let kind = rt.backend_kind();
+        for (i, win) in wins.iter().enumerate() {
+            assert_eq!(win.load(Ordering::Relaxed), 1, "{kind:?}: encounter {i}");
+        }
+        assert_eq!(rt.stats().singles, CHAIN as u64, "{kind:?}");
+    }
+}
+
+#[test]
+fn singles_interleave_with_ring_constructs() {
+    const ROUNDS: usize = 50;
+    const ITERS: u64 = 97;
+    const SECTIONS: usize = 5;
+    for rt in runtimes() {
+        let singles = counters(ROUNDS);
+        let nowaits = counters(ROUNDS);
+        let iters = counters(ROUNDS * ITERS as usize);
+        let sections = counters(ROUNDS * SECTIONS);
+        let copied = AtomicU64::new(0);
+        rt.reset_stats();
+        rt.parallel(4, |w| {
+            for r in 0..ROUNDS {
+                w.single_nowait(|| nowaits[r].fetch_add(1, Ordering::Relaxed));
+                let v: u64 = w.single_copy(|| r as u64 + 1);
+                copied.fetch_add(v, Ordering::Relaxed);
+                w.for_range(0..ITERS, Schedule::Dynamic { chunk: 3 }, |i| {
+                    iters[r * ITERS as usize + i as usize].fetch_add(1, Ordering::Relaxed);
+                });
+                w.single(|| singles[r].fetch_add(1, Ordering::Relaxed));
+                w.sections(SECTIONS, |s| {
+                    sections[r * SECTIONS + s].fetch_add(1, Ordering::Relaxed);
+                });
+            }
+        });
+        let kind = rt.backend_kind();
+        for c in [&singles, &nowaits, &iters, &sections] {
+            assert!(
+                c.iter().all(|x| x.load(Ordering::Relaxed) == 1),
+                "{kind:?}: a construct ran other than once"
+            );
+        }
+        let per_member: u64 = (1..=ROUNDS as u64).sum();
+        assert_eq!(copied.load(Ordering::Relaxed), 4 * per_member, "{kind:?}");
+        // single, single nowait and single copyprivate each count once.
+        assert_eq!(rt.stats().singles, 3 * ROUNDS as u64, "{kind:?}");
+    }
+}
+
+#[test]
+fn region_after_a_cancelled_single_chain_still_runs_each_single_once() {
+    const CHAIN: usize = 1_000;
+    const CANCEL_AT: usize = 300;
+    for rt in runtimes() {
+        let kind = rt.backend_kind();
+        let token = CancelToken::new();
+        rt.set_cancel_token(Some(token.clone()));
+        let wins = counters(CHAIN);
+        let err = rt.try_parallel(4, |w| {
+            for (i, win) in wins.iter().enumerate() {
+                w.single_nowait(|| {
+                    win.fetch_add(1, Ordering::Relaxed);
+                    if i == CANCEL_AT {
+                        token.cancel();
+                    }
+                });
+                // The barrier is the chain's cancellation point.
+                if i % 64 == 63 {
+                    w.barrier();
+                }
+            }
+        });
+        assert!(
+            matches!(err, Err(RompError::Cancelled)),
+            "{kind:?}: {err:?}"
+        );
+        assert!(
+            wins.iter().all(|x| x.load(Ordering::Relaxed) <= 1),
+            "{kind:?}"
+        );
+        assert_eq!(wins[CANCEL_AT].load(Ordering::Relaxed), 1, "{kind:?}");
+        assert_eq!(wins[CHAIN - 1].load(Ordering::Relaxed), 0, "{kind:?}");
+        rt.set_cancel_token(None);
+
+        let wins = counters(CHAIN);
+        rt.reset_stats();
+        rt.parallel(4, |w| {
+            for win in &wins {
+                w.single_nowait(|| win.fetch_add(1, Ordering::Relaxed));
+            }
+        });
+        for (i, win) in wins.iter().enumerate() {
+            assert_eq!(win.load(Ordering::Relaxed), 1, "{kind:?}: encounter {i}");
+        }
+        assert_eq!(rt.stats().singles, CHAIN as u64, "{kind:?}");
+    }
+}
+
+#[test]
+fn criticals_beyond_the_published_table_stay_exclusive_and_independent() {
+    // Far more names than the published name→lock table holds, so most
+    // of them take the table path on every call.
+    const NAMES: usize = 200;
+    const ROUNDS: usize = 3;
+    let names: Vec<String> = (0..NAMES).map(|i| format!("critical-{i}")).collect();
+    for rt in runtimes() {
+        let kind = rt.backend_kind();
+        let values: Vec<AtomicU64> = (0..NAMES).map(|_| AtomicU64::new(0)).collect();
+        rt.reset_stats();
+        rt.parallel(4, |w| {
+            for _ in 0..ROUNDS {
+                for k in 0..NAMES {
+                    // Members walk the names from different offsets.
+                    let i = (k + w.thread_num() * NAMES / 4) % NAMES;
+                    w.critical(&names[i], || {
+                        // Non-atomic RMW; only the critical makes it safe.
+                        let v = values[i].load(Ordering::Relaxed);
+                        std::hint::spin_loop();
+                        values[i].store(v + 1, Ordering::Relaxed);
+                    });
+                }
+            }
+        });
+        for (i, v) in values.iter().enumerate() {
+            assert_eq!(
+                v.load(Ordering::Relaxed),
+                4 * ROUNDS as u64,
+                "{kind:?}: {i}"
+            );
+        }
+        assert_eq!(
+            rt.stats().criticals,
+            (4 * ROUNDS * NAMES) as u64,
+            "{kind:?}"
+        );
+
+        // Independence: while member 0 holds name r, the other members
+        // each get through a different name.  Aliased locks would block
+        // them until member 0 gave up waiting.
+        let holding = AtomicUsize::new(0);
+        let entered = AtomicUsize::new(0);
+        let aliased = AtomicUsize::new(0);
+        rt.parallel(4, |w| {
+            for r in 0..NAMES {
+                if w.thread_num() == 0 {
+                    w.critical(&names[r], || {
+                        holding.store(r + 1, Ordering::Release);
+                        let t0 = Instant::now();
+                        while entered.load(Ordering::Acquire) < 3 * (r + 1) {
+                            if t0.elapsed() > Duration::from_secs(5) {
+                                aliased.fetch_add(1, Ordering::Relaxed);
+                                break;
+                            }
+                            std::thread::yield_now();
+                        }
+                    });
+                } else {
+                    while holding.load(Ordering::Acquire) != r + 1 {
+                        std::thread::yield_now();
+                    }
+                    w.critical(&names[(r + w.thread_num()) % NAMES], || {
+                        entered.fetch_add(1, Ordering::AcqRel);
+                    });
+                }
+                w.barrier();
+            }
+        });
+        assert_eq!(
+            aliased.load(Ordering::Relaxed),
+            0,
+            "{kind:?}: names aliased"
+        );
+    }
+}
+
+#[test]
+fn activity_advances_while_a_team_loops_on_criticals() {
+    for rt in runtimes() {
+        let kind = rt.backend_kind();
+        let stop = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            let observer = s.spawn(|| {
+                // Samples that saw the signal advance; the team runs until
+                // the observer is done either way.
+                let mut advanced = 0;
+                let mut last = rt.activity();
+                let t0 = Instant::now();
+                while advanced < 5 && t0.elapsed() < Duration::from_secs(10) {
+                    std::thread::sleep(Duration::from_millis(1));
+                    let now = rt.activity();
+                    if now > last {
+                        advanced += 1;
+                        last = now;
+                    }
+                }
+                stop.store(true, Ordering::Release);
+                advanced
+            });
+            // Criticals only: no barrier or loop bumps the signal.
+            rt.parallel(4, |w| {
+                while !stop.load(Ordering::Acquire) {
+                    w.critical("tick", || {});
+                }
+            });
+            assert_eq!(observer.join().unwrap(), 5, "{kind:?}: activity went flat");
+        });
     }
 }

@@ -6,7 +6,9 @@
 //! count are written only by the holder, so they need no read-modify-write.
 //! Contended acquirers spin briefly, then park on a condvar, counted in
 //! `waiters`; `unlock` touches the park lock only when that count is
-//! non-zero.
+//! non-zero.  The `deleted` flag, read by every call, and the `contended`
+//! counter, bumped by every waiter, each have a cache line of their own,
+//! so neither drags the owner word's line between cores.
 
 use std::cell::Cell;
 use std::hint;
@@ -14,7 +16,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mca_sync::{Condvar, Mutex as PlMutex};
+use mca_sync::{CachePadded, Condvar, Mutex as PlMutex};
 
 use crate::fault::FaultSite;
 use crate::node::{Node, NodeId};
@@ -88,12 +90,16 @@ pub struct MutexInner {
     owner_node: AtomicU64,
     /// Holder-only: successful acquisitions.
     acquisitions: AtomicU64,
-    contended: AtomicU64,
+    /// Acquisitions that found the mutex held; bumped by the waiter at its
+    /// failed claim, off the owner's line.
+    contended: CachePadded<AtomicU64>,
     /// Threads registered to park; `unlock` skips the wake while it is 0.
     waiters: AtomicU32,
     park: PlMutex<()>,
     cv: Condvar,
-    deleted: AtomicBool,
+    /// Set once by `delete`; read by every call, so it lives on a line the
+    /// owner word's claims never invalidate.
+    deleted: CachePadded<AtomicBool>,
 }
 
 impl MutexInner {
@@ -134,11 +140,11 @@ impl Node {
             depth: AtomicU64::new(0),
             owner_node: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
-            contended: AtomicU64::new(0),
+            contended: CachePadded::new(AtomicU64::new(0)),
             waiters: AtomicU32::new(0),
             park: PlMutex::new(()),
             cv: Condvar::new(),
-            deleted: AtomicBool::new(false),
+            deleted: CachePadded::new(AtomicBool::new(false)),
         });
         let mut map = self.domain_db().mutexes.write();
         ensure(!map.contains_key(&key), MrapiStatus::ErrMutexExists)?;
@@ -810,6 +816,24 @@ mod tests {
             contended >= PER_THREAD / 2,
             "only {contended} contended acquisitions: the test no longer exercises parking"
         );
+    }
+
+    #[test]
+    fn owner_word_shares_no_line_with_deleted_or_contended() {
+        // 128 bytes: the adjacent-line pair a prefetcher pulls together.
+        const LINE: usize = 128;
+        let owner = std::mem::offset_of!(MutexInner, owner);
+        let owner_lines = owner / LINE..=(owner + 7) / LINE;
+        for (field, offset, size) in [
+            ("deleted", std::mem::offset_of!(MutexInner, deleted), 1),
+            ("contended", std::mem::offset_of!(MutexInner, contended), 8),
+        ] {
+            let lines = offset / LINE..=(offset + size - 1) / LINE;
+            assert!(
+                lines.end() < owner_lines.start() || lines.start() > owner_lines.end(),
+                "`{field}` at byte {offset} shares a {LINE}-byte line with `owner` at byte {owner}"
+            );
+        }
     }
 
     #[test]
