@@ -3,9 +3,8 @@
 //! ```text
 //! romp-serve [--addr 127.0.0.1:7171] [--backend native|mca]
 //!            [--queue-cap N] [--max-job-threads N] [--threads N]
-//!            [--deadline-ms N] [--grace-ms N] [--reactors N]
-//!            [--shards N] [--allow-diag]
-//!            [--shed] [--lane-weights HI,NORM,BATCH] [--retry-floor-ms N]
+//!            [--deadline-ms N] [--grace-ms N] [--shards N]
+//!            [--allow-diag] [--shed]
 //!            [--workers N] [--worker-threads N] [--worker-bin PATH]
 //! ```
 //!
@@ -31,9 +30,8 @@ fn usage() -> ! {
     eprintln!(
         "usage: romp-serve [--addr HOST:PORT] [--backend native|mca] \
          [--queue-cap N] [--max-job-threads N] [--threads N] \
-         [--deadline-ms N] [--grace-ms N] [--reactors N] [--shards N] \
-         [--allow-diag] [--shed] [--lane-weights HI,NORM,BATCH] \
-         [--retry-floor-ms N] [--workers N] [--worker-threads N] \
+         [--deadline-ms N] [--grace-ms N] [--shards N] \
+         [--allow-diag] [--shed] [--workers N] [--worker-threads N] \
          [--worker-bin PATH]"
     );
     std::process::exit(2);
@@ -47,12 +45,9 @@ fn main() {
     let mut num_threads: Option<usize> = None;
     let mut default_deadline_ms = 0u32;
     let mut escalation_grace_ms: Option<u64> = None;
-    let mut reactors = 1usize;
     let mut shards: Option<usize> = None;
     let mut allow_diag = false;
     let mut shed = false;
-    let mut lane_weights: Option<[u32; romp_serve::LANES]> = None;
-    let mut retry_floor_ms: Option<u32> = None;
     let mut workers = 0usize;
     let mut worker_threads: Option<usize> = None;
     let mut worker_bin: Option<std::path::PathBuf> = None;
@@ -90,10 +85,6 @@ fn main() {
                 escalation_grace_ms = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
                 i += 2;
             }
-            "--reactors" => {
-                reactors = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
             "--shards" => {
                 shards = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
                 i += 2;
@@ -105,24 +96,6 @@ fn main() {
             "--shed" => {
                 shed = true;
                 i += 1;
-            }
-            "--lane-weights" => {
-                let raw = need(i + 1);
-                let parts: Vec<u32> = raw
-                    .split(',')
-                    .map(|p| p.trim().parse().unwrap_or_else(|_| usage()))
-                    .collect();
-                if parts.len() != romp_serve::LANES {
-                    usage();
-                }
-                let mut w = [0u32; romp_serve::LANES];
-                w.copy_from_slice(&parts);
-                lane_weights = Some(w);
-                i += 2;
-            }
-            "--retry-floor-ms" => {
-                retry_floor_ms = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
-                i += 2;
             }
             "--workers" => {
                 workers = need(i + 1).parse().unwrap_or_else(|_| usage());
@@ -164,18 +137,11 @@ fn main() {
             ..JobLimits::default()
         },
         default_deadline_ms,
-        reactors,
         shed,
         ..ServeConfig::default()
     };
     if let Some(grace) = escalation_grace_ms {
         serve_cfg.escalation_grace_ms = grace;
-    }
-    if let Some(w) = lane_weights {
-        serve_cfg.lane_weights = w;
-    }
-    if let Some(floor) = retry_floor_ms {
-        serve_cfg.retry_floor_ms = floor;
     }
 
     let start = if workers > 0 {

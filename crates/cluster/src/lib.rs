@@ -4,14 +4,14 @@
 //! distributed* systems: compute spread over OS processes (or cores)
 //! that talk through the MCA standards rather than shared data
 //! structures.  This crate is that topology for the serving stack
-//! (DESIGN.md §5.12): the front-end keeps its reactors, admission
+//! (DESIGN.md §5.12): the front-end keeps its reactor, admission
 //! queue, job table and watchdog, but the dispatcher — behind the
 //! [`romp_serve::Dispatch`] seam — becomes a [`router::Router`] over N
 //! **worker processes**, each a real `std::process` child running its
 //! own `romp` runtime:
 //!
 //! ```text
-//!  clients ──TCP──▶ reactors ─▶ queue ─▶ Router ──MCAPI wire──▶ worker 0 (romp runtime)
+//!  clients ──TCP──▶ reactor ──▶ queue ─▶ Router ──MCAPI wire──▶ worker 0 (romp runtime)
 //!                                          │        (unix sockets)  worker 1
 //!                                          │                        …
 //!                                          └──▶ attach ◀── mrapi rmem (file-backed, zero-copy results)

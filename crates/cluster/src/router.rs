@@ -9,7 +9,7 @@
 //!   declares a worker dead after `heartbeat_misses` silent periods or
 //!   on the channel's typed `MCAPI_ERR_CHAN_CLOSED`;
 //! * a dead worker's in-flight jobs are **retried** on survivors (at
-//!   most `max_retries` times; jobs whose cancel token already fired
+//!   most `MAX_RETRIES` (3) times; jobs whose cancel token already fired
 //!   are completed terminal instead — the job table records exactly one
 //!   terminal state per job, so retries are idempotent from the
 //!   client's point of view);
@@ -55,12 +55,6 @@ pub struct ClusterConfig {
     pub heartbeat_ms: u64,
     /// Silent heartbeat periods before a worker is declared dead.
     pub heartbeat_misses: u64,
-    /// Dispatch window per worker (jobs in flight before the router
-    /// holds further dispatches back).
-    pub inflight_per_worker: usize,
-    /// Times a job orphaned by a worker death is retried before it is
-    /// failed.
-    pub max_retries: u32,
     /// Result slots per worker rmem segment.
     pub slots: u32,
     /// Bytes per result slot.
@@ -79,14 +73,19 @@ impl Default for ClusterConfig {
             backend: BackendKind::Native,
             heartbeat_ms: 25,
             heartbeat_misses: 40,
-            inflight_per_worker: 2,
-            max_retries: 3,
             slots: 32,
             slot_bytes: 8192,
             dir: None,
         }
     }
 }
+
+/// Dispatch window per worker: jobs in flight before the router holds
+/// further dispatches back.
+const INFLIGHT_PER_WORKER: u32 = 2;
+
+/// Times a job orphaned by a worker death is retried before it is failed.
+const MAX_RETRIES: u32 = 3;
 
 /// One worker process as the router sees it.
 struct WorkerSlot {
@@ -613,7 +612,7 @@ impl Router {
         for mut inf in orphans {
             if inf.job.cancel.is_cancelled() {
                 self.settle(&inf.job, "worker died during cancellation".into());
-            } else if inf.retries < self.cfg.max_retries && !stopping {
+            } else if inf.retries < MAX_RETRIES && !stopping {
                 inf.retries += 1;
                 self.n_retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = self.m() {
@@ -657,7 +656,7 @@ impl Router {
             }
             let target = {
                 let mut inner = self.inner.lock();
-                match pick_worker(&inner, self.cfg.inflight_per_worker, j.affinity) {
+                match pick_worker(&inner, j.affinity) {
                     Some(i) => {
                         let generation = inner.workers[i].generation;
                         let chan = inner.workers[i]
@@ -987,9 +986,9 @@ impl Dispatch for Router {
 /// [`mix64`] placement, as for runtime shards) when it is eligible (up,
 /// not draining, has window), else the least-loaded eligible worker.
 /// `None` when the pool is saturated or empty.
-fn pick_worker(inner: &Inner, window: usize, affinity: u64) -> Option<usize> {
+fn pick_worker(inner: &Inner, affinity: u64) -> Option<usize> {
     let eligible = |ws: &WorkerSlot| {
-        ws.up && !ws.draining && ws.chan.is_some() && (ws.inflight as usize) < window.max(1)
+        ws.up && !ws.draining && ws.chan.is_some() && ws.inflight < INFLIGHT_PER_WORKER
     };
     let n = inner.workers.len();
     if affinity != 0 {
@@ -1102,27 +1101,27 @@ mod tests {
             (true, false, 0),
             (false, false, 0),
         ]));
-        assert_eq!(pick_worker(&inner, 2, 0), Some(1));
+        assert_eq!(pick_worker(&inner, 0), Some(1));
     }
 
     #[test]
     fn pick_skips_draining_and_saturated() {
         let inner = with_chans(pool(&[(true, true, 0), (true, false, 2)]));
-        assert_eq!(pick_worker(&inner, 2, 0), None);
+        assert_eq!(pick_worker(&inner, 0), None);
     }
 
     #[test]
     fn affinity_is_stable_and_falls_back() {
         let inner = with_chans(pool(&[(true, false, 0), (true, false, 0)]));
         let key = 0xFEED_F00Du64;
-        let first = pick_worker(&inner, 2, key).unwrap();
+        let first = pick_worker(&inner, key).unwrap();
         for _ in 0..10 {
-            assert_eq!(pick_worker(&inner, 2, key), Some(first));
+            assert_eq!(pick_worker(&inner, key), Some(first));
         }
         // Saturate the preferred worker: the key falls back to the other.
         let mut inner = inner;
-        inner.workers[first].inflight = 2;
-        let other = pick_worker(&inner, 2, key).unwrap();
+        inner.workers[first].inflight = INFLIGHT_PER_WORKER;
+        let other = pick_worker(&inner, key).unwrap();
         assert_ne!(other, first);
     }
 }

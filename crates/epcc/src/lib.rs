@@ -25,7 +25,6 @@
 //! assert!(m.test_us > 0.0);
 //! ```
 
-pub mod arraybench;
 pub mod schedbench;
 pub mod stats;
 

@@ -16,7 +16,11 @@
 //! The paper limits its implementation work to MRAPI but describes MCAPI and
 //! plans it for the hypervisor/heterogeneous future work (§4A, §7); this
 //! crate implements it so those experiments are runnable (the
-//! `heterogeneous_offload` example and the MCAPI ablation bench).
+//! `heterogeneous_offload` example), and [`wire`] carries packet channels
+//! between processes for the `romp-cluster` worker pool.  The spec's
+//! non-blocking `_i` request handles (`mcapi_test`/`mcapi_wait`) are not
+//! implemented: nothing calls them, and `try_msg_recv` / `try_recv` cover
+//! polling.
 //!
 //! Addressing follows the spec: an endpoint is `(domain, node, port)`;
 //! endpoints are created by their owning node and looked up by address.
@@ -42,7 +46,6 @@
 
 pub mod msg;
 pub mod pktchan;
-pub mod request;
 pub mod sclchan;
 pub mod status;
 pub mod wire;
@@ -50,7 +53,6 @@ pub mod wire;
 mod registry;
 
 pub use registry::{Endpoint, EndpointAddr, McapiDomain, McapiNode};
-pub use request::RecvRequest;
 pub use status::{McapiError, McapiStatus};
 pub use wire::{WireChan, WireListener};
 

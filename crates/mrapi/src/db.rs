@@ -17,7 +17,7 @@ use crate::node::{DomainId, Node, NodeId, NodeRecord};
 use crate::rmem::RmemBuffer;
 use crate::shmem::ShmemSegment;
 use crate::status::{ensure, MrapiError, MrapiResult, MrapiStatus};
-use crate::sync::{MutexInner, RwLockInner, SemInner};
+use crate::sync::MutexInner;
 
 /// Registries for one MRAPI domain.
 pub(crate) struct DomainDb {
@@ -26,8 +26,6 @@ pub(crate) struct DomainDb {
     pub shmems: RwLock<HashMap<u32, Arc<ShmemSegment>>>,
     pub rmems: RwLock<HashMap<u32, Arc<RmemBuffer>>>,
     pub mutexes: RwLock<HashMap<u32, Arc<MutexInner>>>,
-    pub sems: RwLock<HashMap<u32, Arc<SemInner>>>,
-    pub rwlocks: RwLock<HashMap<u32, Arc<RwLockInner>>>,
 }
 
 impl DomainDb {
@@ -38,8 +36,6 @@ impl DomainDb {
             shmems: RwLock::new(HashMap::new()),
             rmems: RwLock::new(HashMap::new()),
             mutexes: RwLock::new(HashMap::new()),
-            sems: RwLock::new(HashMap::new()),
-            rwlocks: RwLock::new(HashMap::new()),
         }
     }
 }

@@ -14,8 +14,9 @@
 //!    (§5A.2) mapping allocations to the process heap for thread-level
 //!    sharing) and [`rmem`] (remote memory reached directly or via DMA);
 //! 3. **Synchronization primitives** — [`sync`]: mutexes with MRAPI lock
-//!    keys and recursion, counting semaphores, and reader/writer locks, all
-//!    with timeout support and shared-by-key lookup;
+//!    keys, recursion, timeouts and shared-by-key lookup (the one primitive
+//!    the paper's libGOMP port uses; MRAPI's semaphores and reader/writer
+//!    locks are not implemented);
 //! 4. **System resource metadata** — [`metadata`]: resource trees harvested
 //!    from the simulated platform ([`mca_platform`]), used by the OpenMP
 //!    runtime to discover online processors (§5B.4).
@@ -68,7 +69,7 @@ pub use node::{DomainId, Node, NodeAttributes, NodeId, WorkerNode};
 pub use rmem::{RmemAccess, RmemAttributes, RmemHandle};
 pub use shmem::{ShmemAttributes, ShmemHandle, ShmemKey};
 pub use status::{MrapiError, MrapiStatus};
-pub use sync::{Mutex as MrapiMutex, MutexKey, RwLock as MrapiRwLock, Semaphore as MrapiSemaphore};
+pub use sync::{Mutex as MrapiMutex, MutexKey};
 
 /// MRAPI's "wait forever" timeout sentinel.
 pub const MRAPI_TIMEOUT_INFINITE: std::time::Duration =

@@ -45,14 +45,6 @@ pub enum MrapiStatus {
     /// Recursive lock attempted on a non-recursive mutex
     /// (`MRAPI_ERR_MUTEX_LOCKED`).
     ErrMutexAlreadyLocked,
-    /// Semaphore key conflict (`MRAPI_ERR_SEM_EXISTS`).
-    ErrSemExists,
-    /// Semaphore id not found (`MRAPI_ERR_SEM_INVALID`).
-    ErrSemInvalid,
-    /// Reader/writer lock key conflict (`MRAPI_ERR_RWL_EXISTS`).
-    ErrRwlExists,
-    /// Reader/writer lock id not found (`MRAPI_ERR_RWL_INVALID`).
-    ErrRwlInvalid,
     /// A timed wait expired (`MRAPI_TIMEOUT`).
     Timeout,
     /// Resource tree filter matched nothing (`MRAPI_ERR_RSRC_INVALID_TYPE`).
@@ -82,10 +74,6 @@ impl MrapiStatus {
             MrapiStatus::ErrMutexKey => "MRAPI_ERR_MUTEX_KEY",
             MrapiStatus::ErrMutexNotLocked => "MRAPI_ERR_MUTEX_NOTLOCKED",
             MrapiStatus::ErrMutexAlreadyLocked => "MRAPI_ERR_MUTEX_LOCKED",
-            MrapiStatus::ErrSemExists => "MRAPI_ERR_SEM_EXISTS",
-            MrapiStatus::ErrSemInvalid => "MRAPI_ERR_SEM_INVALID",
-            MrapiStatus::ErrRwlExists => "MRAPI_ERR_RWL_EXISTS",
-            MrapiStatus::ErrRwlInvalid => "MRAPI_ERR_RWL_INVALID",
             MrapiStatus::Timeout => "MRAPI_TIMEOUT",
             MrapiStatus::ErrResourceInvalid => "MRAPI_ERR_RSRC_INVALID_TYPE",
             MrapiStatus::ErrMemLimit => "MRAPI_ERR_MEM_LIMIT",

@@ -1,12 +1,12 @@
 //! MRAPI synchronization primitives (paper §2B.3).
 //!
-//! MRAPI offers three primitives — **mutexes**, **semaphores** and
-//! **reader/writer locks** — that let nodes coordinate access to shared
-//! resources "to avert data race or race conditions".  All three are
-//! key-addressed like shared memory: any node in the domain can `get` a
-//! primitive created by another node.  All blocking operations accept a
-//! timeout (`MRAPI_TIMEOUT_INFINITE` to wait forever) and report
-//! `MRAPI_TIMEOUT` on expiry.
+//! MRAPI offers mutexes, semaphores and reader/writer locks that let nodes
+//! coordinate access to shared resources "to avert data race or race
+//! conditions".  The paper's libGOMP port uses only the **mutex**, so that
+//! is the one primitive implemented here.  It is key-addressed like shared
+//! memory: any node in the domain can `get` a mutex created by another
+//! node.  Locking accepts a timeout (`MRAPI_TIMEOUT_INFINITE` to wait
+//! forever) and reports `MRAPI_TIMEOUT` on expiry.
 //!
 //! The mutex is the primitive the paper maps `libGOMP`'s lock entry points
 //! onto (§5B.3, Listing 4): `gomp_mrapi_mutex_lock` calls
@@ -16,16 +16,10 @@
 //! faithfully here.
 
 mod mutex;
-mod rwlock;
-mod semaphore;
 
 pub use mutex::{Mutex, MutexAttributes, MutexKey};
-pub use rwlock::{RwLock, RwLockAttributes};
-pub use semaphore::{Semaphore, SemaphoreAttributes};
 
 pub(crate) use mutex::MutexInner;
-pub(crate) use rwlock::RwLockInner;
-pub(crate) use semaphore::SemInner;
 
 use std::time::Duration;
 

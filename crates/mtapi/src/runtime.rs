@@ -332,10 +332,6 @@ impl std::fmt::Debug for Job {
 }
 
 struct RtInner {
-    #[allow(dead_code)]
-    domain: u32,
-    #[allow(dead_code)]
-    node: u32,
     actions: RwLock<HashMap<u32, ActionFn>>,
     injectors: Vec<Injector<Arc<TaskInner>>>,
     idle_lock: PlMutex<()>,
@@ -427,11 +423,11 @@ pub struct Mtapi {
 
 impl Mtapi {
     /// `mtapi_initialize` — start a runtime with `workers` pool threads.
-    pub fn initialize(domain: u32, node: u32, workers: usize) -> MtapiResult<Self> {
+    /// `domain` and `node` identify the caller, as the spec's signature
+    /// requires; a runtime is one node's pool and does not keep them.
+    pub fn initialize(_domain: u32, _node: u32, workers: usize) -> MtapiResult<Self> {
         ensure(workers > 0, MtapiStatus::ErrParameter)?;
         let inner = Arc::new(RtInner {
-            domain,
-            node,
             actions: RwLock::new(HashMap::new()),
             injectors: (0..MTAPI_PRIORITIES).map(|_| Injector::new()).collect(),
             idle_lock: PlMutex::new(()),

@@ -21,7 +21,7 @@
 //!   every socket edge-triggered, decodes frames incrementally across
 //!   partial reads, pipelines many in-flight requests per connection, and
 //!   admits each wakeup's submissions as one batch;
-//! * [`server`] — the listener, the threads (reactors, dispatcher,
+//! * [`server`] — the listener, the threads (reactor, dispatcher,
 //!   watchdog) and the in-process dispatcher behind the [`Dispatch`]
 //!   seam; graceful drain on `shutdown` completes every accepted job,
 //!   quiesces the pool, and reports a [`DrainReport`];

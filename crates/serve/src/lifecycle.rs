@@ -643,17 +643,17 @@ pub fn terminal_for(reason: Option<CancelReason>, outcome: JobOutcome) -> (JobSt
 }
 
 /// Back-pressure hint: how long a refused client should wait before
-/// retrying, scaled by queue depth and the exec-time EWMA, never below
-/// `floor_ms`.
+/// retrying, scaled by queue depth and the exec-time EWMA, between 10 ms
+/// and 10 s.
 ///
 /// The floor covers the cold start: before the first job completes the
 /// EWMA is 0, and without a floor every early `Rejected` would tell a
 /// whole arrival wave to retry in 1 ms — a synchronized stampede at the
 /// exact moment the queue is provably full.
-pub fn retry_after_hint(ewma_ns: u64, depth: usize, floor_ms: u32) -> u32 {
+pub fn retry_after_hint(ewma_ns: u64, depth: usize) -> u32 {
+    const FLOOR_MS: u64 = 10;
     let per_job_ms = ewma_ns.max(1_000_000) / 1_000_000;
-    let floor = u64::from(floor_ms.max(1)).min(10_000);
-    ((depth as u64 + 1) * per_job_ms).clamp(floor, 10_000) as u32
+    ((depth as u64 + 1) * per_job_ms).clamp(FLOOR_MS, 10_000) as u32
 }
 
 #[cfg(test)]

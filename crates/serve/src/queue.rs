@@ -18,11 +18,12 @@
 //! sequence number), so the old FIFO behavior is exactly preserved for
 //! same-lane deadline-free traffic.
 //!
-//! Across lanes the consumer picks by **weighted credits** (default
-//! Hi:4 / Normal:2 / Batch:1): each lane starts a round with credits
-//! equal to its weight, the pop takes the highest-priority non-empty
-//! lane that still has credits (spending one), and when every non-empty
-//! lane is out of credits the round resets.  Hi traffic therefore
+//! Across lanes the consumer picks by **weighted credits**
+//! ([`DEFAULT_LANE_WEIGHTS`], Hi:4 / Normal:2 / Batch:1): each lane
+//! starts a round with credits equal to its weight, the pop takes the
+//! highest-priority non-empty lane that still has credits (spending
+//! one), and when every non-empty lane is out of credits the round
+//! resets.  Hi traffic therefore
 //! preempts the *order* but can never starve Batch: with weights
 //! `[h, n, b]` a queued Batch job is dispatched within `h + n` pops
 //! even under saturating Hi load.
@@ -43,7 +44,7 @@ use crate::job::JobSpec;
 /// Number of priority lanes (Hi / Normal / Batch).
 pub const LANES: usize = 3;
 
-/// Default lane weights for the credit-based pick: Hi / Normal / Batch.
+/// The server's lane weights for the credit-based pick: Hi / Normal / Batch.
 pub const DEFAULT_LANE_WEIGHTS: [u32; LANES] = [4, 2, 1];
 
 /// Map a submit-frame `priority` byte to a lane index.

@@ -1,19 +1,19 @@
 //! The event-driven connection front-end (DESIGN.md §5.9).
 //!
-//! One reactor thread (optionally several, round-robining accepted
-//! connections) owns every socket: a single `epoll` instance watches the
-//! listener, an eventfd wakeup, and all connections in edge-triggered
-//! mode.  Per connection, a [`RecvBuf`]/[`SendBuf`] pair turns the byte
-//! stream back into frames and absorbs short writes, so one thread
-//! multiplexes 64+ pipelined clients without a single blocking call —
-//! connection threads no longer exist to thrash the compute pool.
+//! One reactor thread owns every socket: a single `epoll` instance
+//! watches the listener, an eventfd wakeup, and all connections in
+//! edge-triggered mode.  Per connection, a [`RecvBuf`]/[`SendBuf`] pair
+//! turns the byte stream back into frames and absorbs short writes, so
+//! one thread multiplexes 64+ pipelined clients without a single
+//! blocking call — connection threads no longer exist to thrash the
+//! compute pool.
 //!
 //! The per-connection decode/route/backpressure *logic* lives in
 //! [`crate::session`] (shared with the `romp-sim` deterministic
 //! simulator, which drives the same [`Session`] state machine from
 //! virtual-time events); this module owns what is socket-specific:
-//! epoll registration, readiness edges, accept round-robin, the
-//! completion mailboxes, and the flush/close lifecycle.
+//! epoll registration, readiness edges, accepts, the completion mailbox,
+//! and the flush/close lifecycle.
 //!
 //! Three flows meet here:
 //!
@@ -23,8 +23,8 @@
 //!   Sync requests (`Poll`, `Fetch`, `Stats`, …) answer in request order;
 //!   `Await` parks until its job finishes.
 //! * **Completions** — the dispatcher/watchdog push finished job ids into
-//!   each reactor's mailbox and raise its eventfd; the reactor answers
-//!   the parked `Await`s in completion order.
+//!   the reactor's mailbox and raise its eventfd; the reactor answers the
+//!   parked `Await`s in completion order.
 //! * **Backpressure** — a connection whose write buffer exceeds the
 //!   write-buffer cap (256 KiB) is not read or decoded until it drains,
 //!   so a slow reader stalls itself, not the server.
@@ -53,12 +53,10 @@ const TOKEN_LISTENER: u64 = 0;
 const TOKEN_WAKE: u64 = 1;
 const TOKEN_FIRST_CONN: u64 = 2;
 
-/// A reactor's cross-thread inbox: new connections (from the accepting
-/// reactor) and finished job ids (from the dispatcher and watchdog), each
-/// delivery paired with an eventfd raise so a reactor parked in
-/// `epoll_wait` notices immediately.
+/// The reactor's cross-thread inbox: finished job ids (from the
+/// dispatcher and watchdog), each delivery paired with an eventfd raise so
+/// the reactor, if parked in `epoll_wait`, notices immediately.
 pub(crate) struct Mailbox {
-    inbox: Mutex<Vec<TcpStream>>,
     completions: Mutex<Vec<u64>>,
     wake: EventFd,
 }
@@ -66,7 +64,6 @@ pub(crate) struct Mailbox {
 impl Mailbox {
     pub(crate) fn new() -> io::Result<Mailbox> {
         Ok(Mailbox {
-            inbox: Mutex::new(Vec::new()),
             completions: Mutex::new(Vec::new()),
             wake: EventFd::new()?,
         })
@@ -80,11 +77,6 @@ impl Mailbox {
 
     /// Wake the reactor with nothing attached (shutdown nudge).
     pub(crate) fn wake(&self) {
-        self.wake.raise();
-    }
-
-    fn deliver(&self, stream: TcpStream) {
-        self.inbox.lock().push(stream);
         self.wake.raise();
     }
 }
@@ -101,45 +93,30 @@ struct Conn {
 
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
-    index: usize,
     ep: Epoll,
-    /// Only reactor 0 holds the listener; it round-robins accepts.
-    listener: Option<TcpListener>,
+    listener: TcpListener,
     conns: HashMap<u64, Conn>,
     /// job id → tokens of connections with a parked `Await` on it.
     parked: HashMap<u64, Vec<u64>>,
     next_token: u64,
-    rr: usize,
 }
 
 impl Reactor {
     /// Build a reactor's epoll set up-front so `Server::start` can fail
     /// loudly instead of a thread dying silently.
-    pub(crate) fn new(
-        shared: Arc<Shared>,
-        index: usize,
-        listener: Option<TcpListener>,
-    ) -> io::Result<Reactor> {
+    pub(crate) fn new(shared: Arc<Shared>, listener: TcpListener) -> io::Result<Reactor> {
+        use std::os::fd::AsRawFd;
         let ep = Epoll::new()?;
-        ep.add(
-            shared.mailboxes[index].wake.raw(),
-            TOKEN_WAKE,
-            EPOLLIN | EPOLLET,
-        )?;
-        if let Some(l) = &listener {
-            use std::os::fd::AsRawFd;
-            l.set_nonblocking(true)?;
-            ep.add(l.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLET)?;
-        }
+        ep.add(shared.mailbox.wake.raw(), TOKEN_WAKE, EPOLLIN | EPOLLET)?;
+        listener.set_nonblocking(true)?;
+        ep.add(listener.as_raw_fd(), TOKEN_LISTENER, EPOLLIN | EPOLLET)?;
         Ok(Reactor {
             shared,
-            index,
             ep,
             listener,
             conns: HashMap::new(),
             parked: HashMap::new(),
             next_token: TOKEN_FIRST_CONN,
-            rr: 0,
         })
     }
 
@@ -160,12 +137,11 @@ impl Reactor {
                     // core that serves nothing either way.
                     wait_failures += 1;
                     if wait_failures == 1 {
-                        eprintln!("romp-serve: reactor {}: epoll_wait: {e}", self.index);
+                        eprintln!("romp-serve: reactor: epoll_wait: {e}");
                     }
                     if wait_failures >= 100 {
                         eprintln!(
-                            "romp-serve: reactor {}: epoll_wait keeps failing; abandoning poll loop",
-                            self.index
+                            "romp-serve: reactor: epoll_wait keeps failing; abandoning poll loop"
                         );
                         self.wind_down();
                         return;
@@ -182,7 +158,7 @@ impl Reactor {
                 let (token, bits) = (ev.data, ev.events);
                 match token {
                     TOKEN_LISTENER => accept_ready = true,
-                    TOKEN_WAKE => self.shared.mailboxes[self.index].wake.drain(),
+                    TOKEN_WAKE => self.shared.mailbox.wake.drain(),
                     t => {
                         if let Some(c) = self.conns.get_mut(&t) {
                             if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
@@ -200,7 +176,6 @@ impl Reactor {
             // stopping iteration is guaranteed to see the full set.
             let stopping = self.shared.stopped.load(Ordering::Acquire);
             self.drain_completions();
-            self.drain_inbox();
             if accept_ready {
                 self.accept_all();
             }
@@ -241,7 +216,7 @@ impl Reactor {
     /// later waiters observe `UnknownJob`; dead connections are skipped
     /// without consuming anything.
     fn drain_completions(&mut self) {
-        let done = std::mem::take(&mut *self.shared.mailboxes[self.index].completions.lock());
+        let done = std::mem::take(&mut *self.shared.mailbox.completions.lock());
         for job in done {
             let Some(waiters) = self.parked.remove(&job) else {
                 continue;
@@ -264,13 +239,6 @@ impl Reactor {
             if !still_parked.is_empty() {
                 self.parked.insert(job, still_parked);
             }
-        }
-    }
-
-    fn drain_inbox(&mut self) {
-        let incoming = std::mem::take(&mut *self.shared.mailboxes[self.index].inbox.lock());
-        for stream in incoming {
-            self.register(stream);
         }
     }
 
@@ -315,20 +283,8 @@ impl Reactor {
 
     fn accept_all(&mut self) {
         loop {
-            let Some(listener) = &self.listener else {
-                return;
-            };
-            match listener.accept() {
-                Ok((stream, _peer)) => {
-                    let n = self.shared.mailboxes.len();
-                    let target = self.rr % n;
-                    self.rr = self.rr.wrapping_add(1);
-                    if target == self.index {
-                        self.register(stream);
-                    } else {
-                        self.shared.mailboxes[target].deliver(stream);
-                    }
-                }
+            match self.listener.accept() {
+                Ok((stream, _peer)) => self.register(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
                 Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(_) => return,

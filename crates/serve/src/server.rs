@@ -1,8 +1,8 @@
 //! The TCP front-end and its dispatcher.
 //!
-//! Architecture (DESIGN.md §5.9): connections live on one (or a few)
-//! event-driven **reactor** threads — non-blocking sockets multiplexed by
-//! `epoll` ([`crate::reactor`]) — while all **compute** funnels through
+//! Architecture (DESIGN.md §5.9): connections live on one event-driven
+//! **reactor** thread — non-blocking sockets multiplexed by `epoll`
+//! ([`crate::reactor`]) — while all **compute** funnels through
 //! one bounded queue into a single dispatcher thread that runs each job
 //! on the one persistent [`Runtime`].  Intra-job parallelism comes from
 //! the runtime's work-stealing pool; the server never spins up a team —
@@ -16,10 +16,10 @@
 //! in [`crate::lifecycle`] — all shared with the deterministic simulator
 //! `romp-sim`, which drives them on a virtual clock, and with the
 //! `romp-cluster` router.  This module keeps what is irreducibly
-//! production: the TCP listener, the real threads (reactors, dispatcher,
+//! production: the TCP listener, the real threads (reactor, dispatcher,
 //! watchdog), and the [`Runtime`] binding.  Job completions flow back to
-//! the reactors over per-reactor mailboxes ([`ServeCore::on_complete`])
-//! so parked `Await`s answer the moment a job turns terminal.
+//! the reactor over its mailbox ([`ServeCore::on_complete`]) so parked
+//! `Await`s answer the moment a job turns terminal.
 
 use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -33,7 +33,7 @@ use romp::Runtime;
 use crate::job::{execute, JobLimits, JobOutcome, JobState};
 use crate::lifecycle::{terminal_for, DedupConfig};
 use crate::metrics::Metrics;
-use crate::queue::{QueuedJob, DEFAULT_LANE_WEIGHTS, LANES};
+use crate::queue::QueuedJob;
 use crate::reactor::{Mailbox, Reactor};
 use crate::session::ServeCore;
 use crate::state::ServeState;
@@ -41,7 +41,7 @@ use crate::state::ServeState;
 /// Where the dispatcher sends admitted jobs: the in-process executor
 /// ([`Server::start`]) runs them on the server's runtime, `romp-cluster`
 /// routes them to a pool of worker processes; admission, the job table,
-/// the watchdog and the reactors are the same for both.
+/// the watchdog and the reactor are the same for both.
 ///
 /// The implementation's [`run`](Dispatch::run) pops jobs through the
 /// [`DispatchCtx`] until the queue closes and every accepted job has been
@@ -139,11 +139,6 @@ pub struct ServeConfig {
     /// watchdog escalates to poisoning the backend (forcing wedged MRAPI
     /// waits onto the native fallback).
     pub escalation_grace_ms: u64,
-    /// Reactor (event-loop) threads; connections are distributed
-    /// round-robin.  One is right for almost everything — a reactor only
-    /// parses frames and moves buffers — but a many-core host serving
-    /// hundreds of connections can add more.  `0` is treated as 1.
-    pub reactors: usize,
     /// Bound on *terminal* entries retained in the idempotency/dedup
     /// map; past it the watchdog evicts oldest-terminal-first.  Live
     /// jobs' keys are never evicted (PR 7).
@@ -156,12 +151,6 @@ pub struct ServeConfig {
     /// exceeds its slack is answered `ShedDeadline` instead of being
     /// accepted and later deadline-killed.  Off by default.
     pub shed: bool,
-    /// Hi/Normal/Batch lane weights for the dispatcher's credit-based
-    /// pick (each clamped to ≥ 1; see [`crate::queue`]).
-    pub lane_weights: [u32; LANES],
-    /// Lower bound on `retry_after_ms` backpressure hints, milliseconds
-    /// (cold-start guard — see [`crate::lifecycle::retry_after_hint`]).
-    pub retry_floor_ms: u32,
 }
 
 impl Default for ServeConfig {
@@ -172,12 +161,9 @@ impl Default for ServeConfig {
             default_deadline_ms: 0,
             watchdog_interval_ms: 5,
             escalation_grace_ms: 250,
-            reactors: 1,
             dedup_cap: 4096,
             result_ttl_ms: 60_000,
             shed: false,
-            lane_weights: DEFAULT_LANE_WEIGHTS,
-            retry_floor_ms: 10,
         }
     }
 }
@@ -201,9 +187,8 @@ pub(crate) struct Shared {
     pub(crate) stopped: AtomicBool,
     /// Tells the watchdog thread to exit (set during [`ServerHandle::join`]).
     pub(crate) wd_stop: AtomicBool,
-    /// One mailbox per reactor: completions are broadcast so whichever
-    /// reactor parked an `Await` on the job hears about it.
-    pub(crate) mailboxes: Vec<Arc<Mailbox>>,
+    /// The reactor's completion mailbox.
+    pub(crate) mailbox: Mailbox,
     /// Where admitted jobs run.
     pub(crate) dispatch: Arc<dyn Dispatch>,
 }
@@ -217,13 +202,11 @@ impl ServeCore for Shared {
         self.rt.activity()
     }
 
-    /// Broadcast "job `id` is terminal (with its outcome recorded)" to
-    /// every reactor.  Called *after* the jobs-table entry holds the
-    /// outcome, so a woken reactor always finds it consumable.
+    /// Tell the reactor "job `id` is terminal (with its outcome
+    /// recorded)".  Called *after* the jobs-table entry holds the outcome,
+    /// so the woken reactor always finds it consumable.
     fn on_complete(&self, job: u64) {
-        for mb in &self.mailboxes {
-            mb.notify_completion(job);
-        }
+        self.mailbox.notify_completion(job);
     }
 
     fn stats_json(&self) -> String {
@@ -296,7 +279,7 @@ pub struct Server;
 pub struct ServerHandle {
     addr: SocketAddr,
     shared: Arc<Shared>,
-    reactors: Vec<JoinHandle<()>>,
+    reactor: JoinHandle<()>,
     dispatcher: JoinHandle<()>,
     watchdog: JoinHandle<()>,
 }
@@ -317,7 +300,7 @@ impl Server {
     /// [`Server::start`], but jobs route to `dispatch` instead of the
     /// in-process execution loop — the cluster mode.  The runtime is
     /// still required: its tracer hosts the metrics registry and the
-    /// reactors' admission policy reads its activity counter; it just
+    /// reactor's admission policy reads its activity counter; it just
     /// never runs job kernels.
     pub fn start_with_dispatch(
         addr: &str,
@@ -328,15 +311,11 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let metrics = Metrics::new(rt.tracer().metrics());
-        let n_reactors = cfg.reactors.max(1);
-        let mailboxes = (0..n_reactors)
-            .map(|_| Mailbox::new().map(Arc::new))
-            .collect::<std::io::Result<Vec<_>>>()?;
         let shared = Arc::new(Shared {
             state: ServeState::new(Clock::real(), cfg.dedup(), metrics, &cfg),
             stopped: AtomicBool::new(false),
             wd_stop: AtomicBool::new(false),
-            mailboxes,
+            mailbox: Mailbox::new()?,
             dispatch,
             cfg,
             rt,
@@ -354,23 +333,17 @@ impl Server {
             .name("serve-watchdog".into())
             .spawn(move || watchdog_loop(&wd_shared))?;
 
-        // Reactor 0 owns the listener and round-robins accepted
-        // connections across all reactors.  Epoll sets are built here so
-        // setup failures surface to the caller, not inside a dead thread.
-        let mut listener_slot = Some(listener);
-        let mut reactors = Vec::with_capacity(n_reactors);
-        for i in 0..n_reactors {
-            let r = Reactor::new(Arc::clone(&shared), i, listener_slot.take())?;
-            let h = std::thread::Builder::new()
-                .name(format!("serve-reactor-{i}"))
-                .spawn(move || r.run())?;
-            reactors.push(h);
-        }
+        // The epoll set is built here so setup failures surface to the
+        // caller, not inside a dead thread.
+        let r = Reactor::new(Arc::clone(&shared), listener)?;
+        let reactor = std::thread::Builder::new()
+            .name("serve-reactor".into())
+            .spawn(move || r.run())?;
 
         Ok(ServerHandle {
             addr: local,
             shared,
-            reactors,
+            reactor,
             dispatcher,
             watchdog,
         })
@@ -404,7 +377,7 @@ impl ServerHandle {
     /// Blocks until a `Shutdown` request (or [`ServerHandle::request_drain`])
     /// has closed the queue **and** the dispatcher has finished every
     /// accepted job; then quiesces the runtime pool, stops the watchdog,
-    /// and wakes the reactors to flush and exit.  The reactors keep
+    /// and wakes the reactor to flush and exit.  The reactor keeps
     /// serving polls, fetches and awaits for the whole drain — clients
     /// collect every accepted job's result before the teardown.
     pub fn join(self) -> DrainReport {
@@ -415,12 +388,8 @@ impl ServerHandle {
         self.shared.wd_stop.store(true, Ordering::Release);
         let _ = self.watchdog.join();
         self.shared.stopped.store(true, Ordering::Release);
-        for mb in &self.shared.mailboxes {
-            mb.wake();
-        }
-        for h in self.reactors {
-            let _ = h.join();
-        }
+        self.shared.mailbox.wake();
+        let _ = self.reactor.join();
         let state = &self.shared.state;
         let m = state.metrics();
         DrainReport {

@@ -33,7 +33,6 @@ pub struct ServeState {
     limits: JobLimits,
     default_deadline_ms: u32,
     shed: bool,
-    retry_floor_ms: u32,
     draining: AtomicBool,
     /// EWMA of job execution time, ns — the retry-after basis and the
     /// shed gate's fallback for never-seen classes.
@@ -59,12 +58,11 @@ impl ServeState {
     pub fn new(clock: Clock, dedup: DedupConfig, metrics: Metrics, cfg: &ServeConfig) -> Self {
         ServeState {
             table: JobTable::new(clock, dedup),
-            queue: JobQueue::with_weights(cfg.queue_cap, cfg.lane_weights),
+            queue: JobQueue::new(cfg.queue_cap),
             metrics,
             limits: cfg.limits,
             default_deadline_ms: cfg.default_deadline_ms,
             shed: cfg.shed,
-            retry_floor_ms: cfg.retry_floor_ms,
             draining: AtomicBool::new(false),
             ewma_ns: AtomicU64::new(0),
             class_ewma_ns: Mutex::new(HashMap::new()),
@@ -145,7 +143,7 @@ impl ServeState {
     /// The backpressure hint for a refused client (see
     /// [`retry_after_hint`]; the floor is the cold-start guard).
     pub fn retry_after_ms(&self) -> u32 {
-        retry_after_hint(self.ewma_ns(), self.queue.len(), self.retry_floor_ms)
+        retry_after_hint(self.ewma_ns(), self.queue.len())
     }
 
     /// Jobs accepted but not yet finished.

@@ -366,13 +366,11 @@ fn await_unknown_and_consumed_jobs() {
     assert_eq!(handle.join().dropped, 0);
 }
 
-/// The `reactors: 2` configuration serves multiple connections and
-/// drains cleanly — accepts round-robin across poll loops, completions
-/// broadcast to all of them.
+/// One reactor serves several concurrent connections that submit and
+/// await, and drains cleanly.
 #[test]
 fn multi_reactor_smoke() {
     let handle = start_native(ServeConfig {
-        reactors: 2,
         queue_cap: 32,
         ..ServeConfig::default()
     });
