@@ -29,13 +29,14 @@
 //! individual lock over to a native mutex embedded in it, preserving
 //! mutual exclusion through the transition (see [`McaLock`]).
 
+use std::collections::HashMap;
 use std::mem::ManuallyDrop;
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mca_mrapi::shmem::ShmemAttributes;
-use mca_mrapi::sync::MutexAttributes;
+use mca_mrapi::sync::{MutexAttributes, MutexKey};
 use mca_mrapi::{
     DomainId, FaultSite, MrapiError, MrapiStatus, MrapiSystem, Node, NodeId, ShmemHandle,
     SiteObserver, WorkerNode,
@@ -223,6 +224,9 @@ pub struct McaBackend {
     next_node: AtomicU32,
     next_key: AtomicU32,
     shared: Arc<McaShared>,
+    /// One scratch segment per requested length (one per team width),
+    /// handed out again while no live team holds it.
+    scratch: PlMutex<HashMap<usize, Arc<ShmemWords>>>,
 }
 
 impl McaBackend {
@@ -263,6 +267,7 @@ impl McaBackend {
                 trace_armed: AtomicBool::new(false),
                 trace: PlMutex::new(None),
             }),
+            scratch: PlMutex::new(HashMap::new()),
         })
     }
 
@@ -274,44 +279,66 @@ impl McaBackend {
     fn fresh_key(&self) -> u32 {
         self.next_key.fetch_add(1, Ordering::Relaxed)
     }
+
+    /// Create a scratch segment of `words` words, and keep it for reuse if
+    /// no segment of that length is kept yet.
+    fn create_scratch(&self, words: usize) -> Result<Arc<ShmemWords>, RompError> {
+        // Listing 3: shm_attr.use_malloc = MCA_TRUE.
+        let attrs = ShmemAttributes {
+            use_malloc: true,
+            ..Default::default()
+        };
+        let bytes = (words * 8).max(8);
+        let handle = with_retries(
+            &self.shared.retry,
+            "mrapi_shmem_create",
+            Some(&self.shared),
+            || {
+                self.master
+                    .shmem_create(0x8000_0000 | self.fresh_key(), bytes, &attrs)
+            },
+        )?;
+        if let Some(tr) = self.shared.trace() {
+            tr.shmem_bytes.add(bytes as u64);
+        }
+        let seg = Arc::new(ShmemWords(ManuallyDrop::new(handle)));
+        self.scratch
+            .lock()
+            .entry(words)
+            .or_insert_with(|| Arc::clone(&seg));
+        Ok(seg)
+    }
 }
 
-/// `McaLock::state` bit: the lock has degraded to its embedded native
-/// mutex (one-way).
-const DEGRADED: u64 = 1 << 63;
-/// `McaLock::state` bit: held through the embedded native mutex.
-const NATIVE_HELD: u64 = 1 << 62;
-/// `McaLock::state` bits carrying the outstanding MRAPI lock key; 0 means
-/// no MRAPI holder is inside.
-const KEY_MASK: u64 = NATIVE_HELD - 1;
-
-/// An MRAPI-mutex-backed lock, carrying the outstanding lock key as MRAPI
-/// requires (Listing 4's `mrapi_key_t`) — plus a one-way escape hatch.
+/// An MRAPI-mutex-backed lock (Listing 4's `mrapi_mutex_lock` /
+/// `mrapi_mutex_unlock`) — plus a one-way escape hatch.
 ///
-/// When MRAPI fails persistently the lock sets [`DEGRADED`] and services
-/// all later acquisitions from the embedded [`RawMutex`].  Who is inside
-/// the critical section lives in one atomic word, `state`, so entering it
-/// is a single compare-and-swap on that word and mutual exclusion holds
-/// *through* the flip:
+/// When MRAPI fails persistently the lock *degrades*: it retires its MRAPI
+/// mutex ([`MrapiMutex::retire`](mca_mrapi::MrapiMutex::retire)) and
+/// services all later acquisitions from the embedded [`RawMutex`].  Who is
+/// inside lives in one word, the MRAPI mutex's owner word, so the MRAPI
+/// path costs one compare-and-swap in and one read-modify-write out, and
+/// mutual exclusion holds *through* the flip:
 ///
-/// * an MRAPI acquirer, once it holds the MRAPI mutex, enters by swapping
-///   `state` from exactly 0 to its key; if the flip landed first the swap
-///   fails, and it stands down (releases the MRAPI mutex) and takes the
-///   native path instead;
-/// * a native acquirer, once it holds the native mutex, enters by setting
-///   [`NATIVE_HELD`], which it only does while the key bits are 0 — it
-///   yields until an MRAPI holder that entered before the flip has left.
+/// * the retired word grants no new MRAPI hold, and wakes the acquirers
+///   parked on it, which then take the native path;
+/// * a native acquirer, once it holds the native mutex, waits until no
+///   MRAPI holder that entered before the flip is still inside.
 ///
-/// The key bits and [`NATIVE_HELD`] are never set together, so the two
-/// paths exclude each other by construction; within a path the MRAPI or
-/// the native mutex excludes.
+/// The mutex is non-recursive, so the key of every MRAPI hold is
+/// [`MutexKey::OUTERMOST`] and the lock carries no key of its own.
 ///
 /// Dropping the lock deletes its MRAPI mutex from the domain's registry.
 struct McaLock {
     shared: Arc<McaShared>,
     mutex: ManuallyDrop<mca_mrapi::MrapiMutex>,
-    /// [`DEGRADED`] | [`NATIVE_HELD`] | the MRAPI key of the current hold.
-    state: AtomicU64,
+    /// Lock-entry hint, set by [`McaLock::retire`] once the word is
+    /// retired: it shares a line with the handles every call reads and no
+    /// fast path writes, so a degraded lock goes native without crossing
+    /// into MRAPI.  A stale `false` only costs one MRAPI `lock` call that
+    /// finds the word retired; which path a hold took is read from the
+    /// word itself.
+    degraded: AtomicBool,
     native: RawMutex,
 }
 
@@ -320,20 +347,26 @@ impl McaLock {
         McaLock {
             shared,
             mutex: ManuallyDrop::new(mutex),
-            state: AtomicU64::new(0),
+            degraded: AtomicBool::new(false),
             native: RawMutex::new(),
         }
     }
 
     fn degraded(&self) -> bool {
-        self.state.load(Ordering::Acquire) & DEGRADED != 0
+        self.degraded.load(Ordering::Acquire)
+    }
+
+    /// Flip to native servicing (one-way) without poisoning the backend.
+    fn retire(&self) {
+        self.mutex.retire();
+        self.degraded.store(true, Ordering::Release);
     }
 
     /// Flip to native servicing (one-way) and poison the backend.
     #[cold]
     fn degrade(&self, err: &RompError) {
         self.shared.poison(err);
-        self.state.fetch_or(DEGRADED, Ordering::AcqRel);
+        self.retire();
         if let Some(tr) = self.shared.trace() {
             // `a` = the abandoned mutex's key; distinguishes a single-lock
             // degradation from the runtime-level backend swap (a = 0).
@@ -342,46 +375,14 @@ impl McaLock {
         }
     }
 
-    /// Enter the critical section holding MRAPI lock `k`; `false` (with
-    /// the MRAPI mutex released again) if the flip landed first.
-    fn enter_mrapi(&self, k: mca_mrapi::sync::MutexKey) -> bool {
-        if self
-            .state
-            .compare_exchange(0, k.raw(), Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return true;
-        }
-        let _ = self.mutex.unlock(&k);
-        false
-    }
-
-    /// Enter the critical section holding the native mutex, once any
-    /// MRAPI holder that entered before the flip has left.
-    fn enter_native(&self) {
-        let mut cur = self.state.load(Ordering::Relaxed);
-        loop {
-            if cur & KEY_MASK != 0 {
-                std::thread::yield_now();
-                cur = self.state.load(Ordering::Relaxed);
-                continue;
-            }
-            match self.state.compare_exchange_weak(
-                cur,
-                cur | NATIVE_HELD,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => cur = actual,
-            }
-        }
-    }
-
-    /// Acquire through the embedded native mutex.
+    /// Acquire through the embedded native mutex, once any MRAPI holder
+    /// that entered before the flip has left (the retired word admits no
+    /// new one).
     fn lock_native(&self) {
         self.native.lock();
-        self.enter_native();
+        while self.mutex.is_held() {
+            std::thread::yield_now();
+        }
     }
 
     /// Record one over-long wait; first one per backend also warns.
@@ -407,6 +408,34 @@ impl McaLock {
         if !self.shared.warned.swap(true, Ordering::Relaxed) {
             eprintln!("romp[WARN] backend=mca {report}");
         }
+    }
+
+    /// Release an MRAPI hold whose unlock failed with `first`, retrying
+    /// under the backend's policy.  If the failures persist the MRAPI mutex
+    /// is wedged: the holder abandons it, which retires it and leaves the
+    /// owner word, so the waiters on it find the native path and nobody
+    /// is left inside to wait out.
+    #[cold]
+    fn unlock_failed(&self, first: MrapiError) -> Result<(), RompError> {
+        let mut last = first;
+        let mut failures = 1u32;
+        while failures < self.shared.retry.max_attempts {
+            std::thread::sleep(self.shared.retry.backoff_delay(failures));
+            match self.mutex.unlock(&MutexKey::OUTERMOST) {
+                Ok(()) => return Ok(()),
+                Err(e) => last = e,
+            }
+            failures += 1;
+        }
+        let err = RompError::Exhausted {
+            op: "mrapi_mutex_unlock",
+            attempts: failures,
+            last,
+        };
+        // Abandon fails only if the hold is already gone.
+        let _ = self.mutex.abandon();
+        self.degrade(&err);
+        Err(err)
     }
 }
 
@@ -442,29 +471,55 @@ impl RegionLock for McaLock {
                 tr.lock_wait.record(wait_ns);
             }
         };
-        let mut waited = Duration::ZERO;
+        if self.degraded() {
+            self.lock_native();
+            return finish(contended);
+        }
+        let lock_timeout = self.shared.lock_timeout;
+        // Where the clock behind the reports' `waited` started, and what
+        // the first failed attempt is credited with: an MRAPI timeout
+        // returns only once its whole budget has passed.  Read only after
+        // a failure, so the fast path takes no clock.
+        let mut clock: Option<(Instant, Duration)> = None;
         let mut failures = 0u32;
         loop {
-            if self.degraded() {
-                self.lock_native();
-                return finish(contended);
-            }
-            match self.mutex.lock(self.shared.lock_timeout) {
+            let attempt = clock.map(|_| Instant::now());
+            match self.mutex.lock(lock_timeout) {
                 Ok(k) => {
-                    if !self.enter_mrapi(k) {
-                        // The flip landed while we were acquiring: take
-                        // the native path.
-                        self.lock_native();
-                    }
+                    debug_assert_eq!(k, MutexKey::OUTERMOST);
+                    return finish(contended);
+                }
+                // The mutex was retired under us (its waiters are woken):
+                // take the native path.
+                Err(_) if self.mutex.is_retired() => {
+                    self.lock_native();
                     return finish(contended);
                 }
                 // A timed-out wait is contention (or a wedged holder),
                 // never a reason to degrade: report and keep waiting.
-                // If the holder wedged, its own failed unlock flips the
-                // mode and the next iteration goes native.
-                Err(MrapiError(MrapiStatus::Timeout))
-                | Err(MrapiError(MrapiStatus::ErrMutexAlreadyLocked)) => {
-                    waited += self.shared.lock_timeout;
+                // If the holder wedged, its own failed unlock abandons the
+                // mutex and the next attempt goes native.  An attempt that
+                // failed before its budget passed — `AlreadyLocked`, this
+                // thread holding the lock already (a task run inside the
+                // lock section, say), or an injected timeout — blocks out
+                // the rest of it: nothing changes by retrying at once, and
+                // reports come one per `lock_timeout`, not one per spin.
+                Err(MrapiError(
+                    status @ (MrapiStatus::Timeout | MrapiStatus::ErrMutexAlreadyLocked),
+                )) => {
+                    let (origin, credit) = *clock.get_or_insert_with(|| {
+                        let credit = if status == MrapiStatus::Timeout {
+                            lock_timeout
+                        } else {
+                            Duration::ZERO
+                        };
+                        (Instant::now(), credit)
+                    });
+                    let spent = attempt.map_or(credit, |t| t.elapsed());
+                    if let Some(rest) = lock_timeout.checked_sub(spent) {
+                        std::thread::sleep(rest);
+                    }
+                    let waited = credit + origin.elapsed();
                     if let Some(tr) = tr.as_ref() {
                         if !contended {
                             tr.tracer.begin(EventKind::LockContend, u32::MAX, key);
@@ -481,12 +536,12 @@ impl RegionLock for McaLock {
                     self.note_timeout(waited);
                     // Escalation escape hatch: a supervisor that poisoned
                     // the whole backend (watchdog grace-period expiry) is
-                    // declaring the wedge permanent.  Flip this lock to
-                    // native; the next iteration takes the handover path,
-                    // which still waits out an MRAPI holder before admitting
-                    // a native acquirer, so mutual exclusion holds.
+                    // declaring the wedge permanent.  Retire this lock's
+                    // mutex; the next attempt takes the native path, which
+                    // still waits out an MRAPI holder before admitting a
+                    // native acquirer, so mutual exclusion holds.
                     if self.shared.poisoned.load(Ordering::Acquire) {
-                        self.state.fetch_or(DEGRADED, Ordering::AcqRel);
+                        self.retire();
                     }
                 }
                 Err(e) => {
@@ -508,61 +563,53 @@ impl RegionLock for McaLock {
     }
 
     fn unlock(&self) -> Result<(), RompError> {
-        // Leave the critical section: clear the holder bits, keep the mode.
-        let prev = self.state.fetch_and(DEGRADED, Ordering::Release);
-        if prev & NATIVE_HELD != 0 {
+        let not_locked = || RompError::Lock(MrapiError(MrapiStatus::ErrMutexNotLocked));
+        if self.mutex.is_retired() && !self.mutex.is_held_by_caller() {
+            // Held through the native path, which a thread takes only
+            // after it saw the word retired (any MRAPI hold left is
+            // another thread's, entered before the flip).
+            if !self.native.is_locked() {
+                return Err(not_locked());
+            }
             self.native.unlock();
             return Ok(());
         }
-        if prev & KEY_MASK == 0 {
-            return Err(RompError::Lock(MrapiError(MrapiStatus::ErrMutexNotLocked)));
-        }
-        let k = mca_mrapi::sync::MutexKey::from_raw(prev & KEY_MASK);
-        let mut failures = 0u32;
-        loop {
-            match self.mutex.unlock(&k) {
-                Ok(()) => return Ok(()),
-                Err(e) => {
-                    failures += 1;
-                    if failures < self.shared.retry.max_attempts {
-                        std::thread::sleep(self.shared.retry.backoff_delay(failures));
-                    } else {
-                        // The MRAPI mutex is wedged: abandon it.  Every
-                        // waiter that times out on it now finds the native
-                        // path, and nobody is inside to wait out.
-                        let err = RompError::Exhausted {
-                            op: "mrapi_mutex_unlock",
-                            attempts: failures,
-                            last: e,
-                        };
-                        self.degrade(&err);
-                        return Err(err);
-                    }
-                }
-            }
+        match self.mutex.unlock(&MutexKey::OUTERMOST) {
+            Ok(()) => Ok(()),
+            // Misuse — the caller holds nothing — is reported, not retried
+            // (an injected key or invalid status on a real hold is).
+            Err(_) if !self.mutex.is_held_by_caller() => Err(not_locked()),
+            Err(e) => self.unlock_failed(e),
         }
     }
 
     fn try_lock(&self) -> bool {
-        if self.degraded() {
-            if self.native.try_lock() {
-                self.enter_native();
-                return true;
+        if !self.degraded() {
+            match self.mutex.try_lock() {
+                Ok(_) => return true,
+                // The mutex was retired under us: try the native path.
+                Err(_) if self.mutex.is_retired() => {}
+                // Contention and injected statuses alike: a failed
+                // try_lock is always a legal answer.
+                Err(_) => return false,
             }
+        }
+        if !self.native.try_lock() {
             return false;
         }
-        match self.mutex.try_lock() {
-            Ok(k) => self.enter_mrapi(k),
-            // Contention and injected statuses alike: a failed try_lock
-            // is always a legal answer.
-            Err(_) => false,
+        if self.mutex.is_held() {
+            // An MRAPI holder from before the flip is still inside.
+            self.native.unlock();
+            return false;
         }
+        true
     }
 }
 
 /// Shared words carved from an MRAPI shmem segment (heap-backed via the
-/// `use_malloc` extension).  The backend creates one per region, so the
-/// segment is deleted from the domain's registry when the words drop.
+/// `use_malloc` extension).  The segment is deleted from the domain's
+/// registry when the words drop: a kept one at backend shutdown, any
+/// other with its team.
 struct ShmemWords(ManuallyDrop<ShmemHandle>);
 
 impl SharedWords for ShmemWords {
@@ -660,28 +707,28 @@ impl Backend for McaBackend {
     }
 
     fn alloc_shared_words(&self, words: usize) -> Result<Arc<dyn SharedWords>, RompError> {
-        // Listing 3: shm_attr.use_malloc = MCA_TRUE.
-        let attrs = ShmemAttributes {
-            use_malloc: true,
-            ..Default::default()
+        // A team holds its scratch until it drops, so a cached segment
+        // nobody else references is free to hand out again; a nested or
+        // concurrent team of the same width finds it taken and gets a
+        // segment of its own.
+        let idle = self
+            .scratch
+            .lock()
+            .get(&words)
+            .filter(|seg| Arc::strong_count(seg) == 1)
+            .cloned();
+        let res = match idle {
+            Some(seg) => with_retries(
+                &self.shared.retry,
+                "mrapi_shmem_create",
+                Some(&self.shared),
+                || seg.0.recycle(),
+            )
+            .map(|()| seg),
+            None => self.create_scratch(words),
         };
-        let bytes = (words * 8).max(8);
-        let res = with_retries(
-            &self.shared.retry,
-            "mrapi_shmem_create",
-            Some(&self.shared),
-            || {
-                self.master
-                    .shmem_create(0x8000_0000 | self.fresh_key(), bytes, &attrs)
-            },
-        );
         match res {
-            Ok(handle) => {
-                if let Some(tr) = self.shared.trace() {
-                    tr.shmem_bytes.add(bytes as u64);
-                }
-                Ok(Arc::new(ShmemWords(ManuallyDrop::new(handle))))
-            }
+            Ok(seg) => Ok(seg),
             Err(e) => {
                 self.shared.poison(&e);
                 Err(e)
@@ -726,6 +773,9 @@ impl Backend for McaBackend {
     }
 
     fn shutdown(&self) {
+        // Kept scratch segments leave the registry while the master can
+        // still delete them (a segment a live team holds goes with it).
+        self.scratch.lock().clear();
         // Master finalization happens on drop of the last Node clone; the
         // registry entry is removed eagerly here so repeated
         // construct/destroy cycles in one process don't collide.
@@ -1040,6 +1090,232 @@ mod tests {
         assert_eq!(rt.backend_kind(), BackendKind::Mca, "no fallback happened");
         assert_eq!(sys.shmem_count(OMP_DOMAIN), segments, "segment leaked");
         assert_eq!(sys.mutex_count(OMP_DOMAIN), mutexes, "mutex leaked");
+    }
+
+    #[test]
+    fn dropping_the_runtime_deletes_its_kept_scratch() {
+        // The system outlives the runtime: every segment the runtime kept
+        // for reuse must leave the domain's registry with it.
+        let sys = MrapiSystem::new_t4240();
+        let baseline = sys.shmem_count(OMP_DOMAIN);
+        let be = McaBackend::on_system(sys.clone()).unwrap();
+        let rt = crate::Runtime::with_config_and_backend(crate::Config::default(), Box::new(be))
+            .unwrap();
+        for width in [2, 3, 4, 2] {
+            assert_eq!(rt.parallel_reduce_sum(width, 0..100, |x| x), 4950);
+        }
+        rt.quiesce();
+        assert!(sys.shmem_count(OMP_DOMAIN) > baseline, "segments were kept");
+        drop(rt);
+        assert_eq!(sys.shmem_count(OMP_DOMAIN), baseline, "kept segment leaked");
+    }
+
+    #[test]
+    fn self_relock_blocks_and_reports_real_waits() {
+        // A thread re-locking the non-recursive lock it holds can never be
+        // served; each attempt must block out `lock_timeout` and report
+        // the time it really waited, not spin and file fictitious waits.
+        let lock_timeout = Duration::from_millis(10);
+        let be = McaBackend::with_options(
+            MrapiSystem::new_t4240(),
+            McaOptions {
+                lock_timeout,
+                retry: fast_retry(),
+            },
+        )
+        .unwrap();
+        let lock = be.new_lock().unwrap();
+        let start = Instant::now();
+        let l2 = Arc::clone(&lock);
+        // Not joined: a self-deadlock never returns (as on the native
+        // lock), so the thread is left behind, sleeping between reports.
+        std::thread::Builder::new()
+            .name("relocker".into())
+            .spawn(move || {
+                l2.lock();
+                l2.lock();
+            })
+            .unwrap();
+        std::thread::sleep(Duration::from_millis(120));
+        let reports = be.take_deadlock_reports();
+        let elapsed = start.elapsed();
+        assert!(!reports.is_empty(), "the blocked re-lock is reported");
+        let longest = reports.iter().map(|r| r.waited).max().unwrap();
+        assert!(
+            longest <= elapsed,
+            "reported a {longest:?} wait within {elapsed:?}"
+        );
+        let bound = elapsed.as_nanos() / lock_timeout.as_nanos() + 1;
+        assert!(
+            reports.len() as u128 <= bound,
+            "{} reports within {elapsed:?} at one per {lock_timeout:?}",
+            reports.len()
+        );
+        assert!(reports.iter().all(|r| r.waiter == "relocker"));
+    }
+
+    #[test]
+    fn flip_under_contention_moves_parked_waiters_to_native() {
+        // Two threads take turns on the lock, each holding it long enough
+        // that the other parks; a third flips it mid-run.  Every
+        // acquisition must finish far inside `lock_timeout` (a parked
+        // waiter the flip left asleep would sit out the whole timeout)
+        // and no update may be lost.
+        const ITERS: u64 = 300;
+        let lock_timeout = Duration::from_secs(20);
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let be = McaBackend::with_options(
+                MrapiSystem::new_t4240(),
+                McaOptions {
+                    lock_timeout,
+                    retry: fast_retry(),
+                },
+            )
+            .unwrap();
+            let mutex = be
+                .master
+                .mutex_create(0x7778, &MutexAttributes::default())
+                .unwrap();
+            let lock = Arc::new(McaLock::new(mutex, Arc::clone(&be.shared)));
+            let count = Arc::new(AtomicU64::new(0));
+            let workers: Vec<_> = (0..2)
+                .map(|_| {
+                    let (lock, count) = (Arc::clone(&lock), Arc::clone(&count));
+                    std::thread::spawn(move || {
+                        let mut slowest = Duration::ZERO;
+                        for _ in 0..ITERS {
+                            let t = Instant::now();
+                            lock.lock();
+                            slowest = slowest.max(t.elapsed());
+                            let v = count.load(Ordering::Relaxed);
+                            std::thread::sleep(Duration::from_micros(50));
+                            count.store(v + 1, Ordering::Relaxed);
+                            lock.unlock().unwrap();
+                            // Let the woken partner take its turn.
+                            std::thread::sleep(Duration::from_micros(20));
+                        }
+                        slowest
+                    })
+                })
+                .collect();
+            // Flip once the partners have met the lock held a few times
+            // (past the spin phase, a waiter parks within microseconds).
+            while lock.mutex.contended() < 4 && count.load(Ordering::Relaxed) < 2 * ITERS {
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let flipped_at = count.load(Ordering::Relaxed);
+            lock.degrade(&RompError::Mrapi(MrapiError(MrapiStatus::ErrMutexInvalid)));
+            let slowest = workers.into_iter().map(|w| w.join().unwrap()).max();
+            let _ = tx.send((
+                count.load(Ordering::Relaxed),
+                flipped_at,
+                slowest.unwrap(),
+                lock.degraded(),
+            ));
+        });
+        let (count, flipped_at, slowest, degraded) = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("lock wedged across the flip");
+        run.join().unwrap();
+        assert_eq!(count, 2 * ITERS, "a lost update");
+        assert!(flipped_at < count, "the flip landed after the run");
+        assert!(degraded, "the flip is one-way");
+        assert!(
+            slowest < Duration::from_secs(5),
+            "an acquisition took {slowest:?} (lock_timeout {lock_timeout:?})"
+        );
+    }
+
+    #[test]
+    fn native_holder_admitted_before_the_flag_is_set_unlocks_natively() {
+        // The retiring thread sets the `degraded` hint only after it
+        // retired the word; a thread that meets the retired word first
+        // takes the native path, and its unlock, which reads the word, not
+        // the hint, must release the native mutex.
+        let be = McaBackend::new().unwrap();
+        let mutex = be
+            .master
+            .mutex_create(0x7779, &MutexAttributes::default())
+            .unwrap();
+        let lock = McaLock::new(mutex, Arc::clone(&be.shared));
+        lock.mutex.retire();
+        lock.lock();
+        lock.unlock().unwrap();
+        assert!(lock.try_lock(), "the native mutex was released");
+        lock.unlock().unwrap();
+        assert!(!lock.degraded(), "only `retire` sets the hint");
+    }
+
+    #[test]
+    fn reduction_scratch_is_reused_per_team_width() {
+        /// Counts the `ShmemCreate` decisions and lets every crossing pass.
+        struct CountCreates(AtomicU64);
+        impl FaultProbe for CountCreates {
+            fn decide(&self, site: FaultSite) -> mca_mrapi::FaultDecision {
+                if site == FaultSite::ShmemCreate {
+                    self.0.fetch_add(1, Ordering::Relaxed);
+                }
+                mca_mrapi::FaultDecision::PASS
+            }
+        }
+        let sys = MrapiSystem::new_t4240();
+        let probe = Arc::new(CountCreates(AtomicU64::new(0)));
+        sys.set_fault_probe(Some(Arc::clone(&probe) as Arc<dyn FaultProbe>));
+        let be = McaBackend::on_system(sys.clone()).unwrap();
+        let rt = crate::Runtime::with_config_and_backend(crate::Config::default(), Box::new(be))
+            .unwrap();
+        let segments = sys.shmem_count(OMP_DOMAIN);
+        let mut regions = 0u64;
+        for round in 0..12u64 {
+            for width in [2, 4, 2, 3] {
+                let n = 100 + round;
+                assert_eq!(rt.parallel_reduce_sum(width, 0..n, |x| x), n * (n - 1) / 2);
+                regions += 1;
+            }
+        }
+        // Each member of a width-2 region runs a nested (team-of-one)
+        // region between two reductions of its own, and the two nested
+        // teams meet while both are live: every live team, nested ones
+        // included, needs scratch of its own.
+        let kept = sys.shmem_count(OMP_DOMAIN);
+        let meet = std::sync::Barrier::new(2);
+        let live = AtomicU64::new(0);
+        let nested_ok = AtomicU64::new(0);
+        rt.parallel(2, |w| {
+            let me = w.thread_num() as u64;
+            assert_eq!(w.reduce_u64(me + 1, crate::ReduceOp::Sum), 3);
+            rt.parallel(2, |inner| {
+                meet.wait();
+                live.fetch_max(sys.shmem_count(OMP_DOMAIN) as u64, Ordering::Relaxed);
+                if inner.reduce_u64(me + 10, crate::ReduceOp::Sum) == me + 10 {
+                    nested_ok.fetch_add(1, Ordering::Relaxed);
+                }
+                meet.wait();
+            });
+            assert_eq!(w.reduce_u64(me + 5, crate::ReduceOp::Sum), 11);
+        });
+        regions += 3;
+        assert_eq!(nested_ok.load(Ordering::Relaxed), 2);
+        assert_eq!(
+            live.load(Ordering::Relaxed),
+            kept as u64 + 2,
+            "two live nested teams, two fresh segments"
+        );
+        assert_eq!(
+            probe.0.load(Ordering::Relaxed),
+            regions,
+            "one ShmemCreate decision per region"
+        );
+        rt.quiesce();
+        assert_eq!(rt.backend_kind(), BackendKind::Mca, "no fallback happened");
+        // Widths 1 (nested), 2, 3 and 4: one kept segment each.
+        assert!(
+            sys.shmem_count(OMP_DOMAIN) <= segments + 4,
+            "{} segments kept for 4 widths",
+            sys.shmem_count(OMP_DOMAIN) - segments
+        );
+        sys.set_fault_probe(None);
     }
 
     #[test]

@@ -120,6 +120,11 @@ impl RawMutex {
             .is_ok()
     }
 
+    /// Whether some thread holds the lock.
+    pub fn is_locked(&self) -> bool {
+        self.state.load(Ordering::Relaxed) != FREE
+    }
+
     /// Release the lock.  Must only be called by the current holder.
     #[inline]
     pub fn unlock(&self) {

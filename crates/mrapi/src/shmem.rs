@@ -153,6 +153,22 @@ impl Node {
 }
 
 impl ShmemHandle {
+    /// Hand this segment out again in place of a fresh `shmem_create`
+    /// (runtime extension, for a scratch pool that recycles segments).
+    /// The contents are left as the last user left them.  Consults the
+    /// [`FaultSite::ShmemCreate`] probe once, as the create it replaces
+    /// would, so a seeded fault schedule sees the same crossings with
+    /// recycling as without.  Fails with `MRAPI_ERR_SHM_INVALID` once the
+    /// segment is deleted.
+    pub fn recycle(&self) -> MrapiResult<()> {
+        self.node.check_alive()?;
+        ensure(
+            !self.seg.deleted.load(Ordering::Acquire),
+            MrapiStatus::ErrShmInvalid,
+        )?;
+        self.node.system().fault_check(FaultSite::ShmemCreate)
+    }
+
     /// The segment's key.
     pub fn key(&self) -> ShmemKey {
         ShmemKey(self.seg.key)

@@ -2,13 +2,20 @@
 //!
 //! The lock is one atomic owner word holding the holder's per-thread token
 //! (0 = free).  Uncontended, `lock` is one compare-and-swap and `unlock`
-//! one store; the recursion depth, the owning node and the acquisition
-//! count are written only by the holder, so they need no read-modify-write.
-//! Contended acquirers spin briefly, then park on a condvar, counted in
-//! `waiters`; `unlock` touches the park lock only when that count is
-//! non-zero.  The `deleted` flag, read by every call, and the `contended`
-//! counter, bumped by every waiter, each have a cache line of their own,
-//! so neither drags the owner word's line between cores.
+//! one read-modify-write on that word; the recursion depth, the owning
+//! node and the acquisition count are written only by the holder, so they
+//! need no read-modify-write of their own.
+//!
+//! The word's two high bits are flags (Drepper's free/locked/contended
+//! futex word, "Futexes Are Tricky"): [`CONTENDED`] marks a held word some
+//! waiter may be parked on, so the releasing `unlock` wakes only when it
+//! clears that bit; [`RETIRED`] is the runtime's one-way "this mutex grants
+//! no more holds" flag (see [`Mutex::retire`]).  A retired word is never
+//! 0, so no claim — all of which expect exactly 0 — can succeed on it.
+//! Contended acquirers spin briefly, then park on a condvar.  The `deleted`
+//! flag, read by every call, and the `contended` counter, bumped by every
+//! waiter, each have a cache line of their own, so neither drags the owner
+//! word's line between cores.
 
 use std::cell::Cell;
 use std::hint;
@@ -40,6 +47,10 @@ pub struct MutexAttributes {
 pub struct MutexKey(pub(crate) u64);
 
 impl MutexKey {
+    /// The key of an outermost (depth-1) hold — the only key a
+    /// non-recursive mutex ever hands out.
+    pub const OUTERMOST: MutexKey = MutexKey(1);
+
     /// The key's integer value, as `mrapi_key_t` carries it.
     pub fn raw(&self) -> u64 {
         self.0
@@ -54,6 +65,15 @@ impl MutexKey {
 /// Pause-loop iterations a contended `lock` burns before parking.
 const SPIN_LIMIT: u32 = 64;
 
+/// Owner-word flag: retired by [`Mutex::retire`] (one-way); the word
+/// grants no further holds.
+const RETIRED: u64 = 1 << 63;
+/// Owner-word flag: the word is held and a waiter may be parked on it, so
+/// the releasing `unlock` must wake one.
+const CONTENDED: u64 = 1 << 62;
+/// Owner-word bits carrying the holder's [`token`]; 0 when free.
+const TOKEN_MASK: u64 = CONTENDED - 1;
+
 /// This thread's owner token: unique per thread for the process lifetime,
 /// never 0 (0 marks a free mutex).
 #[inline]
@@ -64,7 +84,7 @@ fn token() -> u64 {
     }
     TOKEN.with(|t| match t.get() {
         0 => {
-            let fresh = NEXT.fetch_add(1, Ordering::Relaxed);
+            let fresh = mint_token(&NEXT);
             t.set(fresh);
             fresh
         }
@@ -72,15 +92,36 @@ fn token() -> u64 {
     })
 }
 
+/// Take the next token from `next`, refusing (loudly) one that would reach
+/// the owner word's flag bits.
+fn mint_token(next: &AtomicU64) -> u64 {
+    let fresh = next.fetch_add(1, Ordering::Relaxed);
+    assert!(
+        fresh <= TOKEN_MASK,
+        "MRAPI mutex owner tokens exhausted: {fresh:#x} would overlap the owner word's flag bits"
+    );
+    fresh
+}
+
+/// What a parked acquirer's claim attempt found.
+enum Claim {
+    /// The word was free and is now the caller's.
+    Taken,
+    /// The word is held (and flagged [`CONTENDED`] if that was asked for).
+    Held,
+    /// The word is retired: no hold will ever be granted.
+    Retired,
+}
+
 /// Registry entry shared by every handle to one mutex.
 ///
 /// The holder-only fields are `Relaxed`: each holder's writes reach the
-/// next holder through the owner word (the `unlock` store releases, the
-/// claiming compare-and-swap acquires).
+/// next holder through the owner word (the releasing read-modify-write in
+/// `unlock`, the acquiring compare-and-swap in every claim).
 pub struct MutexInner {
     key: u32,
     recursive: bool,
-    /// The holder's [`token`], 0 when free.
+    /// [`RETIRED`] | [`CONTENDED`] | the holder's [`token`]; 0 when free.
     owner: AtomicU64,
     /// Holder-only: recursion depth of the current hold.
     depth: AtomicU64,
@@ -93,7 +134,8 @@ pub struct MutexInner {
     /// Acquisitions that found the mutex held; bumped by the waiter at its
     /// failed claim, off the owner's line.
     contended: CachePadded<AtomicU64>,
-    /// Threads registered to park; `unlock` skips the wake while it is 0.
+    /// Threads registered to park, changed only under `park`; `delete`
+    /// skips its wake while it is 0.
     waiters: AtomicU32,
     park: PlMutex<()>,
     cv: Condvar,
@@ -103,13 +145,55 @@ pub struct MutexInner {
 }
 
 impl MutexInner {
-    /// Take the free mutex for `me`; `false` if it is held.  SeqCst: the
-    /// claim half of the parked-waiter handshake with `unlock`.
+    /// Take the free mutex for `me`; `false` if it is held or retired.
     #[inline]
     fn try_claim(&self, me: u64) -> bool {
         self.owner
-            .compare_exchange(0, me, Ordering::SeqCst, Ordering::SeqCst)
+            .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
             .is_ok()
+    }
+
+    /// A parked acquirer's claim, made under `park`: take the free word —
+    /// flagged [`CONTENDED`] when `others` are registered to park, so this
+    /// hold's `unlock` wakes one of them — or, when `flag`, mark the held
+    /// word [`CONTENDED`] so its holder's `unlock` wakes a parked waiter.
+    /// Every flag is set under `park`, and `unlock` wakes under `park`, so
+    /// a waiter that flagged the word is asleep before the wake is sent.
+    fn claim_or_flag(&self, me: u64, others: bool, flag: bool) -> Claim {
+        let mut cur = self.owner.load(Ordering::Relaxed);
+        loop {
+            let next = if cur & RETIRED != 0 {
+                return Claim::Retired;
+            } else if cur == 0 {
+                me | if others { CONTENDED } else { 0 }
+            } else if !flag || cur & CONTENDED != 0 {
+                return Claim::Held;
+            } else {
+                cur | CONTENDED
+            };
+            match self
+                .owner
+                .compare_exchange(cur, next, Ordering::Acquire, Ordering::Relaxed)
+            {
+                Ok(_) if cur == 0 => return Claim::Taken,
+                Ok(_) => return Claim::Held,
+                Err(actual) => cur = actual,
+            }
+        }
+    }
+
+    /// Wake parked waiters after clearing or retiring a [`CONTENDED`]
+    /// word: one to take the freed word, or all of them once it is retired
+    /// (a waiter that finds the word retired leaves without passing the
+    /// wake on).
+    #[cold]
+    fn wake(&self, all: bool) {
+        let _park = self.park.lock();
+        if all {
+            self.cv.notify_all();
+        } else {
+            self.cv.notify_one();
+        }
     }
 
     /// Bump a holder-only counter (no other thread writes it).
@@ -201,7 +285,7 @@ impl Mutex {
             .owner_node
             .store(u64::from(self.node.node_id().0) + 1, Ordering::Relaxed);
         MutexInner::bump(&inner.acquisitions);
-        MutexKey(1)
+        MutexKey::OUTERMOST
     }
 
     /// A re-lock by the holder: a deeper key if recursive,
@@ -219,7 +303,8 @@ impl Mutex {
     ///
     /// Re-locking while holding: allowed for recursive mutexes (a deeper
     /// key is returned), `MRAPI_ERR_MUTEX_LOCKED` otherwise.  A waiter
-    /// whose mutex is deleted under it fails with `MRAPI_ERR_MUTEX_INVALID`.
+    /// whose mutex is deleted or retired under it fails with
+    /// `MRAPI_ERR_MUTEX_INVALID`.
     pub fn lock(&self, timeout: Duration) -> MrapiResult<MutexKey> {
         self.check_live()?;
         self.node.system().fault_check(FaultSite::MutexLock)?;
@@ -230,7 +315,8 @@ impl Mutex {
             .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
         {
             Ok(_) => Ok(self.acquired()),
-            Err(cur) if cur == me => self.relock(),
+            Err(cur) if cur & RETIRED != 0 => Err(MrapiStatus::ErrMutexInvalid.into()),
+            Err(cur) if cur & TOKEN_MASK == me => self.relock(),
             Err(_) => {
                 self.inner.contended.fetch_add(1, Ordering::Relaxed);
                 self.lock_contended(me, timeout)
@@ -242,28 +328,34 @@ impl Mutex {
     fn lock_contended(&self, me: u64, timeout: Duration) -> MrapiResult<MutexKey> {
         let inner = &*self.inner;
         for _ in 0..SPIN_LIMIT {
-            if inner.owner.load(Ordering::Relaxed) == 0 && inner.try_claim(me) {
-                return Ok(self.acquired());
+            match inner.owner.load(Ordering::Relaxed) {
+                0 if inner.try_claim(me) => return Ok(self.acquired()),
+                cur if cur & RETIRED != 0 => return Err(MrapiStatus::ErrMutexInvalid.into()),
+                _ => hint::spin_loop(),
             }
-            hint::spin_loop();
         }
         let deadline = finite_timeout(timeout).map(|budget| Instant::now() + budget);
         let mut park = inner.park.lock();
         loop {
-            // Register before the final claim attempt: an `unlock` whose
-            // release store precedes our claim in the SeqCst order lets the
-            // claim succeed, and one that follows it sees `waiters > 0` and
-            // notifies under `park`, which we hold until we sleep.
+            // Registered before the `deleted` check: `delete` stores its
+            // flag before it loads `waiters`, so a deletion after this
+            // check still sees us and wakes us.
             inner.waiters.fetch_add(1, Ordering::SeqCst);
-            // Same handshake against `delete`: its flag store precedes its
-            // `waiters` load, so a deletion after this check still wakes us.
             if inner.deleted.load(Ordering::SeqCst) {
                 inner.waiters.fetch_sub(1, Ordering::Relaxed);
                 return Err(MrapiStatus::ErrMutexInvalid.into());
             }
-            if inner.try_claim(me) {
-                inner.waiters.fetch_sub(1, Ordering::Relaxed);
-                return Ok(self.acquired());
+            let others = inner.waiters.load(Ordering::Relaxed) > 1;
+            match inner.claim_or_flag(me, others, true) {
+                Claim::Taken => {
+                    inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                    return Ok(self.acquired());
+                }
+                Claim::Retired => {
+                    inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                    return Err(MrapiStatus::ErrMutexInvalid.into());
+                }
+                Claim::Held => {}
             }
             let timed_out = match deadline {
                 None => {
@@ -274,8 +366,15 @@ impl Mutex {
             };
             inner.waiters.fetch_sub(1, Ordering::Relaxed);
             if timed_out {
-                ensure(inner.try_claim(me), MrapiStatus::Timeout)?;
-                return Ok(self.acquired());
+                // A last claim; failing that, leave.  A wake this thread
+                // absorbed must not strand the others: if any are still
+                // registered, the held word is flagged for its holder.
+                let others = inner.waiters.load(Ordering::Relaxed) > 0;
+                return match inner.claim_or_flag(me, others, others) {
+                    Claim::Taken => Ok(self.acquired()),
+                    Claim::Held => Err(MrapiStatus::Timeout.into()),
+                    Claim::Retired => Err(MrapiStatus::ErrMutexInvalid.into()),
+                };
             }
         }
     }
@@ -292,7 +391,8 @@ impl Mutex {
             .compare_exchange(0, me, Ordering::Acquire, Ordering::Relaxed)
         {
             Ok(_) => Ok(self.acquired()),
-            Err(cur) if cur == me && self.inner.recursive => self.relock(),
+            Err(cur) if cur & RETIRED != 0 => Err(MrapiStatus::ErrMutexInvalid.into()),
+            Err(cur) if cur & TOKEN_MASK == me && self.inner.recursive => self.relock(),
             Err(_) => Err(MrapiStatus::ErrMutexAlreadyLocked.into()),
         }
     }
@@ -306,22 +406,66 @@ impl Mutex {
         // scenario recovery code must handle (waiters time out and degrade).
         self.node.system().fault_check(FaultSite::MutexUnlock)?;
         let inner = &*self.inner;
-        ensure(
-            inner.owner.load(Ordering::Relaxed) == token(),
-            MrapiStatus::ErrMutexNotLocked,
-        )?;
+        ensure(self.is_held_by_caller(), MrapiStatus::ErrMutexNotLocked)?;
         let depth = inner.depth.load(Ordering::Relaxed);
         ensure(key.0 == depth, MrapiStatus::ErrMutexKey)?;
         inner.depth.store(depth - 1, Ordering::Relaxed);
         if depth == 1 {
             inner.owner_node.store(0, Ordering::Relaxed);
-            // SeqCst store then load: the store-load edge against a
-            // parking waiter's register-then-claim (see `lock_contended`).
-            inner.owner.store(0, Ordering::SeqCst);
-            if inner.waiters.load(Ordering::SeqCst) != 0 {
-                let _park = inner.park.lock();
-                inner.cv.notify_one();
+            // One read-modify-write leaves the word: the token and the
+            // contended flag go, the retired flag stays.
+            let prev = inner.owner.fetch_and(RETIRED, Ordering::Release);
+            if prev & CONTENDED != 0 {
+                inner.wake(prev & RETIRED != 0);
             }
+        }
+        Ok(())
+    }
+
+    /// Whether the calling thread holds the mutex.
+    pub fn is_held_by_caller(&self) -> bool {
+        self.inner.owner.load(Ordering::Relaxed) & TOKEN_MASK == token()
+    }
+
+    /// Whether any thread holds the mutex.  Acquire: a caller that sees it
+    /// free sees everything the last holder wrote under it.
+    pub fn is_held(&self) -> bool {
+        self.inner.owner.load(Ordering::Acquire) & TOKEN_MASK != 0
+    }
+
+    /// Retire the mutex (runtime extension, not part of the C API): from
+    /// now on it grants no hold, and every `lock` or `try_lock` — parked
+    /// waiters included, which this wakes — fails with
+    /// `MRAPI_ERR_MUTEX_INVALID`.  One-way.  A current holder keeps its
+    /// hold until it unlocks, so a caller that sees the retired mutex no
+    /// longer [held](Mutex::is_held) knows no MRAPI holder is inside or
+    /// ever will be again — the basis for handing the lock's duty to
+    /// another mutex without a second shared word.
+    pub fn retire(&self) {
+        let prev = self.inner.owner.fetch_or(RETIRED, Ordering::AcqRel);
+        if prev & CONTENDED != 0 {
+            self.inner.wake(true);
+        }
+    }
+
+    /// Whether [`Mutex::retire`] has run.
+    pub fn is_retired(&self) -> bool {
+        self.inner.owner.load(Ordering::Acquire) & RETIRED != 0
+    }
+
+    /// Retire the mutex and walk away from the caller's hold without the
+    /// unlock protocol (runtime extension): the recovery for a holder
+    /// whose unlocks keep failing, so the mutex is left neither held nor
+    /// usable.  Drops every recursion level; consults no fault probe.
+    /// `MRAPI_ERR_MUTEX_NOTLOCKED` if the caller does not hold it.
+    pub fn abandon(&self) -> MrapiResult<()> {
+        ensure(self.is_held_by_caller(), MrapiStatus::ErrMutexNotLocked)?;
+        let inner = &*self.inner;
+        inner.depth.store(0, Ordering::Relaxed);
+        inner.owner_node.store(0, Ordering::Relaxed);
+        let prev = inner.owner.swap(RETIRED, Ordering::AcqRel);
+        if prev & CONTENDED != 0 {
+            inner.wake(true);
         }
         Ok(())
     }
@@ -834,6 +978,88 @@ mod tests {
                 "`{field}` at byte {offset} shares a {LINE}-byte line with `owner` at byte {owner}"
             );
         }
+    }
+
+    #[test]
+    fn owner_word_layout_keeps_tokens_out_of_the_flag_bits() {
+        assert_eq!(RETIRED, 1 << 63);
+        assert_eq!(CONTENDED, 1 << 62);
+        assert_eq!(TOKEN_MASK, (1 << 62) - 1);
+        assert_eq!(RETIRED & CONTENDED, 0);
+        assert_eq!((RETIRED | CONTENDED) & TOKEN_MASK, 0);
+        assert_eq!(RETIRED | CONTENDED | TOKEN_MASK, u64::MAX);
+        // The largest token still fits; the next one is refused.
+        let next = AtomicU64::new(TOKEN_MASK);
+        assert_eq!(mint_token(&next), TOKEN_MASK);
+        let refused = std::panic::catch_unwind(|| mint_token(&next));
+        assert!(
+            refused.is_err(),
+            "a token reaching the flag bits must panic"
+        );
+    }
+
+    #[test]
+    fn retire_wakes_parked_waiters_and_refuses_new_holds() {
+        within(Duration::from_secs(30), || {
+            let sys = MrapiSystem::new_t4240();
+            let master = sys.initialize(DomainId(1), NodeId(0)).unwrap();
+            let m = master.mutex_create(1, &MutexAttributes::default()).unwrap();
+            let probe = master.mutex_get(1).unwrap();
+            let k = m.lock(MRAPI_TIMEOUT_INFINITE).unwrap();
+            let waiters: Vec<_> = (0..2)
+                .map(|i| {
+                    master
+                        .thread_create(NodeId(1 + i), |me| {
+                            let m = me.mutex_get(1).unwrap();
+                            m.lock(MRAPI_TIMEOUT_INFINITE).map(|_| ())
+                        })
+                        .unwrap()
+                })
+                .collect();
+            while probe.inner.waiters.load(Ordering::SeqCst) < 2 {
+                std::thread::yield_now();
+            }
+            m.retire();
+            // Both parked waiters leave while the holder still holds.
+            for w in waiters {
+                assert_eq!(
+                    w.join().unwrap().unwrap_err().0,
+                    MrapiStatus::ErrMutexInvalid
+                );
+            }
+            assert!(m.is_retired() && m.is_held() && m.is_held_by_caller());
+            m.unlock(&k).unwrap();
+            assert!(m.is_retired(), "unlock keeps the flag");
+            assert!(!m.is_held());
+            assert_eq!(m.try_lock().unwrap_err().0, MrapiStatus::ErrMutexInvalid);
+            assert_eq!(
+                m.lock(MRAPI_TIMEOUT_INFINITE).unwrap_err().0,
+                MrapiStatus::ErrMutexInvalid
+            );
+        });
+    }
+
+    #[test]
+    fn abandon_frees_a_wedged_hold_and_retires() {
+        use crate::fault::FaultPlan;
+        let sys = MrapiSystem::new_t4240();
+        let master = sys.initialize(DomainId(1), NodeId(0)).unwrap();
+        let m = master.mutex_create(1, &MutexAttributes::default()).unwrap();
+        assert_eq!(m.abandon().unwrap_err().0, MrapiStatus::ErrMutexNotLocked);
+        let k = m.lock(MRAPI_TIMEOUT_INFINITE).unwrap();
+        assert_eq!(k, MutexKey::OUTERMOST);
+        sys.set_fault_probe(Some(Arc::new(FaultPlan::new(0).with_persistent(
+            FaultSite::MutexUnlock,
+            MrapiStatus::ErrMutexInvalid,
+            0,
+        ))));
+        assert!(m.unlock(&k).is_err());
+        m.abandon().unwrap();
+        sys.set_fault_probe(None);
+        assert!(m.is_retired());
+        assert!(!m.is_held(), "the abandoned hold left the word");
+        assert_eq!(m.holder_node(), None);
+        assert_eq!(m.unlock(&k).unwrap_err().0, MrapiStatus::ErrMutexNotLocked);
     }
 
     #[test]
