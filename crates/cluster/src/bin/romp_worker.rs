@@ -5,9 +5,11 @@
 //!
 //! ```text
 //! romp-worker --socket PATH --worker-id N --rmem-path PATH
-//!             [--threads N] [--backend native|mca]
-//!             [--slots N] [--slot-bytes N] [--heartbeat-ms N]
+//!             [--threads N] [--backend native|mca] [--heartbeat-ms N]
 //! ```
+//!
+//! The rmem result segment always holds `proto::SLOTS` slots of
+//! `proto::SLOT_BYTES` bytes; the router reads it with the same constants.
 
 use romp::BackendKind;
 use romp_cluster::{run_worker, WorkerConfig};
@@ -15,8 +17,7 @@ use romp_cluster::{run_worker, WorkerConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: romp-worker --socket PATH --worker-id N --rmem-path PATH \
-         [--threads N] [--backend native|mca] [--slots N] \
-         [--slot-bytes N] [--heartbeat-ms N]"
+         [--threads N] [--backend native|mca] [--heartbeat-ms N]"
     );
     std::process::exit(2);
 }
@@ -46,14 +47,6 @@ fn main() {
             }
             "--rmem-path" => {
                 cfg.rmem_path = need(i + 1).into();
-                i += 2;
-            }
-            "--slots" => {
-                cfg.slots = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--slot-bytes" => {
-                cfg.slot_bytes = need(i + 1).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
             "--heartbeat-ms" => {

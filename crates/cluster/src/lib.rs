@@ -20,12 +20,13 @@
 //! The MCA crates supply the substance, not just the vocabulary:
 //!
 //! * **mca-mcapi** carries dispatch and control — each router↔worker
-//!   link is an [`mca_mcapi::WireChan`] (genuine packet channels pumped
-//!   over a Unix socket), so worker death surfaces as the channel's
-//!   typed `MCAPI_ERR_CHAN_CLOSED`;
+//!   link is an [`mca_mcapi::WireChan`] (packets framed straight onto a
+//!   Unix socket, no relay threads), so worker death surfaces as the
+//!   channel's typed `MCAPI_ERR_CHAN_CLOSED`;
 //! * **mca-mtapi** is the remote-dispatch vocabulary — inside each
-//!   worker the job arrives as an MTAPI task on the worker's `Mtapi`
-//!   runtime (`job 1` = "run a romp job spec");
+//!   worker the `Dispatch` packet becomes the input of an MTAPI task on
+//!   the worker's `Mtapi` runtime (`job 1` = "run a romp job spec"),
+//!   whose action runs the job and sends `Done` itself;
 //! * **mca-mrapi** provides the zero-copy result path — each worker
 //!   creates a file-backed `rmem` segment (`rmem_create_file`), the
 //!   router attaches it (`rmem_attach_file`), and result payloads come

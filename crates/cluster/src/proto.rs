@@ -18,6 +18,14 @@ use romp_serve::{JobSpec, JobState};
 /// in an rmem slot".
 pub const SLOT_INLINE: u32 = u32::MAX;
 
+/// Result slots in each worker's rmem segment (the worker creates the
+/// segment with this many slots; the router reads slot `i` at
+/// `i * SLOT_BYTES`).
+pub const SLOTS: u32 = 32;
+
+/// Bytes per rmem result slot; a longer detail rides inline.
+pub const SLOT_BYTES: u32 = 8192;
+
 const OP_DISPATCH: u8 = 0x01;
 const OP_CANCEL: u8 = 0x02;
 const OP_RELEASE: u8 = 0x03;
@@ -67,17 +75,11 @@ pub enum ToRouter {
         pid: u32,
         /// Id of the file-backed rmem segment the worker created.
         rmem_id: u32,
-        /// Number of result slots in the segment.
-        slots: u32,
-        /// Bytes per slot.
-        slot_bytes: u32,
     },
     /// Periodic liveness beacon.
     Heartbeat {
         /// Monotonic per-worker sequence number.
         seq: u64,
-        /// Jobs currently executing or queued on the worker.
-        inflight: u32,
         /// MTAPI tasks executed since start (progress signal).
         executed: u64,
     },
@@ -159,24 +161,15 @@ impl ToRouter {
                 worker,
                 pid,
                 rmem_id,
-                slots,
-                slot_bytes,
             } => {
                 out.push(OP_HELLO);
                 out.extend_from_slice(&worker.to_be_bytes());
                 out.extend_from_slice(&pid.to_be_bytes());
                 out.extend_from_slice(&rmem_id.to_be_bytes());
-                out.extend_from_slice(&slots.to_be_bytes());
-                out.extend_from_slice(&slot_bytes.to_be_bytes());
             }
-            ToRouter::Heartbeat {
-                seq,
-                inflight,
-                executed,
-            } => {
+            ToRouter::Heartbeat { seq, executed } => {
                 out.push(OP_HEARTBEAT);
                 out.extend_from_slice(&seq.to_be_bytes());
-                out.extend_from_slice(&inflight.to_be_bytes());
                 out.extend_from_slice(&executed.to_be_bytes());
             }
             ToRouter::Done {
@@ -209,12 +202,9 @@ impl ToRouter {
                 worker: cur.u32()?,
                 pid: cur.u32()?,
                 rmem_id: cur.u32()?,
-                slots: cur.u32()?,
-                slot_bytes: cur.u32()?,
             },
             OP_HEARTBEAT => ToRouter::Heartbeat {
                 seq: cur.u64()?,
-                inflight: cur.u32()?,
                 executed: cur.u64()?,
             },
             OP_DONE => {
@@ -293,12 +283,9 @@ mod tests {
                     worker: rng.next_u64() as u32,
                     pid: rng.next_u64() as u32,
                     rmem_id: rng.next_u64() as u32,
-                    slots: rng.next_u64() as u32,
-                    slot_bytes: rng.next_u64() as u32,
                 },
                 1 => ToRouter::Heartbeat {
                     seq: rng.next_u64(),
-                    inflight: rng.next_u64() as u32,
                     executed: rng.next_u64(),
                 },
                 _ => ToRouter::Done {

@@ -36,7 +36,7 @@ use romp_serve::lifecycle::terminal_for;
 use romp_serve::{Dispatch, DispatchCtx, JobOutcome, JobState, QueuedJob};
 use romp_trace::{json_escape, Counter, Gauge};
 
-use crate::proto::{ToRouter, ToWorker, SLOT_INLINE};
+use crate::proto::{ToRouter, ToWorker, SLOT_BYTES, SLOT_INLINE};
 use crate::worker::CLUSTER_DOMAIN;
 
 /// How the pool is built and supervised.
@@ -55,10 +55,6 @@ pub struct ClusterConfig {
     pub heartbeat_ms: u64,
     /// Silent heartbeat periods before a worker is declared dead.
     pub heartbeat_misses: u64,
-    /// Result slots per worker rmem segment.
-    pub slots: u32,
-    /// Bytes per result slot.
-    pub slot_bytes: u32,
     /// Directory for sockets and rmem backing files; `None` = a fresh
     /// per-router directory under the system temp dir.
     pub dir: Option<PathBuf>,
@@ -73,8 +69,6 @@ impl Default for ClusterConfig {
             backend: BackendKind::Native,
             heartbeat_ms: 25,
             heartbeat_misses: 40,
-            slots: 32,
-            slot_bytes: 8192,
             dir: None,
         }
     }
@@ -96,7 +90,6 @@ struct WorkerSlot {
     child: Option<Child>,
     chan: Option<Arc<WireChan>>,
     rmem: Option<Arc<RmemHandle>>,
-    slot_bytes: u32,
     up: bool,
     /// Excluded from dispatch targeting (rolling restart).
     draining: bool,
@@ -117,7 +110,6 @@ impl WorkerSlot {
             child: None,
             chan: None,
             rmem: None,
-            slot_bytes: 0,
             up: false,
             draining: false,
             respawning: false,
@@ -176,13 +168,6 @@ pub struct Router {
     me: OnceLock<Weak<Router>>,
     stop: AtomicBool,
     restart_requested: AtomicBool,
-    // Truth counters (metrics handles mirror these once `run` begins).
-    n_dispatched: AtomicU64,
-    n_retries: AtomicU64,
-    n_restarts: AtomicU64,
-    n_escalations: AtomicU64,
-    n_inline: AtomicU64,
-    n_rmem_fetched: AtomicU64,
     /// rmem slots received in `Done` and not yet released back — the
     /// drain report's leak detector.
     slots_outstanding: AtomicI64,
@@ -224,12 +209,6 @@ impl Router {
             me: OnceLock::new(),
             stop: AtomicBool::new(false),
             restart_requested: AtomicBool::new(false),
-            n_dispatched: AtomicU64::new(0),
-            n_retries: AtomicU64::new(0),
-            n_restarts: AtomicU64::new(0),
-            n_escalations: AtomicU64::new(0),
-            n_inline: AtomicU64::new(0),
-            n_rmem_fetched: AtomicU64::new(0),
             slots_outstanding: AtomicI64::new(0),
         });
         router
@@ -257,12 +236,20 @@ impl Router {
 
     /// Total worker (re)spawns after the initial launch (test hook).
     pub fn restarts(&self) -> u64 {
-        self.n_restarts.load(Ordering::Relaxed)
+        self.count("cluster.restarts")
     }
 
     /// Total orphaned-job retries (test hook).
     pub fn retries(&self) -> u64 {
-        self.n_retries.load(Ordering::Relaxed)
+        self.count("cluster.retries")
+    }
+
+    /// A `cluster.*` counter from the metrics registry — the one copy of
+    /// the router's counts; 0 until [`Dispatch::run`] registers them.
+    fn count(&self, name: &str) -> u64 {
+        self.ctx.get().map_or(0, |ctx| {
+            ctx.runtime().tracer().metrics().counter(name).get()
+        })
     }
 
     fn me(&self) -> Arc<Router> {
@@ -330,10 +317,6 @@ impl Router {
             .arg(self.cfg.backend.label())
             .arg("--rmem-path")
             .arg(&rmem_path)
-            .arg("--slots")
-            .arg(self.cfg.slots.to_string())
-            .arg("--slot-bytes")
-            .arg(self.cfg.slot_bytes.to_string())
             .arg("--heartbeat-ms")
             .arg(self.cfg.heartbeat_ms.to_string())
             .stdin(Stdio::null())
@@ -342,7 +325,7 @@ impl Router {
             .spawn()
             .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
         let pid = child.id();
-        let setup = (|| -> Result<(WireChan, u32, u32), String> {
+        let setup = (|| -> Result<WireChan, String> {
             let chan = listener
                 .accept(Duration::from_secs(10))
                 .map_err(|e| format!("worker {id} never connected: {e}"))?;
@@ -354,15 +337,13 @@ impl Router {
                     .recv_timeout(left)
                     .map_err(|e| format!("worker {id} hello: {e}"))?;
                 match ToRouter::decode(&pkt) {
-                    Ok(ToRouter::Hello {
-                        slot_bytes, slots, ..
-                    }) => return Ok((chan, slots, slot_bytes)),
+                    Ok(ToRouter::Hello { .. }) => return Ok(chan),
                     Ok(_) => continue,
                     Err(e) => return Err(format!("worker {id} bad hello: {e}")),
                 }
             }
         })();
-        let (chan, _slots, slot_bytes) = match setup {
+        let chan = match setup {
             Ok(v) => v,
             Err(e) => {
                 let _ = child.kill();
@@ -390,7 +371,6 @@ impl Router {
             ws.child = Some(child);
             ws.chan = Some(Arc::clone(&chan));
             ws.rmem = Some(rmem);
-            ws.slot_bytes = slot_bytes;
             ws.up = true;
             ws.draining = false;
             ws.respawning = false;
@@ -413,15 +393,12 @@ impl Router {
         loop {
             match chan.recv_timeout(poll) {
                 Ok(pkt) => match ToRouter::decode(&pkt) {
-                    Ok(ToRouter::Heartbeat {
-                        inflight, executed, ..
-                    }) => {
+                    Ok(ToRouter::Heartbeat { executed, .. }) => {
                         let mut inner = self.inner.lock();
                         let ws = &mut inner.workers[id];
                         if ws.generation == generation {
                             ws.last_hb = Some(Instant::now());
                             ws.executed = executed;
-                            let _ = inflight;
                         }
                     }
                     Ok(ToRouter::Done {
@@ -479,7 +456,7 @@ impl Router {
         len: u32,
         inline: Vec<u8>,
     ) {
-        let (entry, rmem, slot_bytes) = {
+        let (entry, rmem) = {
             let mut inner = self.inner.lock();
             let entry = match inner.inflight.get(&job) {
                 Some(inf) if inf.worker == id && inf.generation == generation => {
@@ -489,18 +466,16 @@ impl Router {
             };
             let ws = &mut inner.workers[id];
             let rmem = ws.rmem.clone();
-            let slot_bytes = ws.slot_bytes;
             if entry.is_some() {
                 ws.inflight = ws.inflight.saturating_sub(1);
             }
             self.set_pool_gauges(&inner);
-            (entry, rmem, slot_bytes)
+            (entry, rmem)
         };
         // Fetch the detail and release the slot even when the job entry
         // is stale (a retry completed elsewhere first) — the slot is
         // real either way.
         let detail = if slot == SLOT_INLINE {
-            self.n_inline.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.m() {
                 m.inline_results.incr();
             }
@@ -511,13 +486,12 @@ impl Router {
             let read_ok = rmem
                 .as_ref()
                 .map(|r| {
-                    r.read((slot as usize) * (slot_bytes as usize), &mut buf)
+                    r.read((slot as usize) * (SLOT_BYTES as usize), &mut buf)
                         .is_ok()
                 })
                 .unwrap_or(false);
             let _ = chan.send(&ToWorker::Release { slot }.encode());
             let held = self.slots_outstanding.fetch_sub(1, Ordering::AcqRel) - 1;
-            self.n_rmem_fetched.fetch_add(len as u64, Ordering::Relaxed);
             if let Some(m) = self.m() {
                 m.rmem_fetched.add(len as u64);
                 m.slots_held.set(held.max(0) as u64);
@@ -600,7 +574,6 @@ impl Router {
         // have somewhere for the retries to land.
         let stopping = self.stop.load(Ordering::Acquire);
         if !stopping {
-            self.n_restarts.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.m() {
                 m.restarts.incr();
             }
@@ -614,7 +587,6 @@ impl Router {
                 self.settle(&inf.job, "worker died during cancellation".into());
             } else if inf.retries < MAX_RETRIES && !stopping {
                 inf.retries += 1;
-                self.n_retries.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = self.m() {
                     m.retries.incr();
                 }
@@ -696,7 +668,6 @@ impl Router {
             match target {
                 Some((i, generation, chan, pkt)) => {
                     if chan.send(&pkt).is_ok() {
-                        self.n_dispatched.fetch_add(1, Ordering::Relaxed);
                         if let Some(m) = self.m() {
                             m.dispatched.incr();
                         }
@@ -828,7 +799,6 @@ impl Router {
             if let Some(mut c) = child {
                 reap_with_timeout(&mut c, Duration::from_secs(5));
             }
-            self.n_restarts.fetch_add(1, Ordering::Relaxed);
             if let Some(m) = self.m() {
                 m.restarts.incr();
             }
@@ -931,7 +901,6 @@ impl Dispatch for Router {
         };
         match target {
             Some((w, generation)) => {
-                self.n_escalations.fetch_add(1, Ordering::Relaxed);
                 if let Some(m) = self.m() {
                     m.escalations.incr();
                 }
@@ -967,12 +936,12 @@ impl Dispatch for Router {
         Some(format!(
             "{{\"workers\":[{}],\"dispatched\":{},\"retries\":{},\"restarts\":{},\"escalations\":{},\"inline_results\":{},\"rmem_fetched_bytes\":{},\"dir\":\"{}\"}}",
             workers.join(","),
-            self.n_dispatched.load(Ordering::Relaxed),
-            self.n_retries.load(Ordering::Relaxed),
-            self.n_restarts.load(Ordering::Relaxed),
-            self.n_escalations.load(Ordering::Relaxed),
-            self.n_inline.load(Ordering::Relaxed),
-            self.n_rmem_fetched.load(Ordering::Relaxed),
+            self.count("cluster.dispatched"),
+            self.count("cluster.retries"),
+            self.count("cluster.restarts"),
+            self.count("cluster.escalations"),
+            self.count("cluster.rmem.inline"),
+            self.count("cluster.rmem.bytes_fetched"),
             json_escape(&self.dir.display().to_string()),
         ))
     }

@@ -9,27 +9,24 @@
 //!
 //! Inside the process the dispatch vocabulary is MTAPI: the romp job is
 //! action `JOB_RUN_SPEC` on the worker's [`Mtapi`] runtime, started as
-//! one task per `Dispatch` and awaited by a completion thread that
-//! writes the result detail into an rmem slot (or inline when no slot
-//! fits) and answers `Done`.
+//! one task per `Dispatch` with the packet itself as the task's input.
+//! The action decodes it, runs the job, writes the result detail into an
+//! rmem slot (or inline when no slot fits) and answers `Done` itself.
 
 use std::collections::HashMap;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU32, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mca_mcapi::WireChan;
-use mca_mrapi::{DomainId, MrapiSystem, NodeId, RmemAttributes};
-use mca_mtapi::{Mtapi, MtapiStatus, Task};
+use mca_mrapi::{DomainId, MrapiSystem, NodeId, RmemAttributes, RmemHandle};
+use mca_mtapi::Mtapi;
 use mca_sync::Mutex;
 use romp::{BackendKind, CancelToken, Config, Runtime};
-use romp_serve::job::execute;
-use romp_serve::lifecycle::terminal_for;
-use romp_serve::protocol::{spec_from_bytes, spec_to_bytes};
+use romp_serve::job::run_guarded;
 use romp_serve::{JobOutcome, JobState};
 
-use crate::proto::{ToRouter, ToWorker, SLOT_INLINE};
+use crate::proto::{ToRouter, ToWorker, SLOTS, SLOT_BYTES, SLOT_INLINE};
 
 /// The MTAPI job id carrying "run a romp job spec".
 pub const JOB_RUN_SPEC: u32 = 1;
@@ -50,10 +47,6 @@ pub struct WorkerConfig {
     pub backend: BackendKind,
     /// Path of the file backing the rmem result segment.
     pub rmem_path: PathBuf,
-    /// Result slots in the segment.
-    pub slots: u32,
-    /// Bytes per result slot.
-    pub slot_bytes: u32,
     /// Heartbeat period, milliseconds.
     pub heartbeat_ms: u64,
 }
@@ -66,18 +59,87 @@ impl Default for WorkerConfig {
             threads: 2,
             backend: BackendKind::Native,
             rmem_path: PathBuf::new(),
-            slots: 32,
-            slot_bytes: 8192,
             heartbeat_ms: 25,
         }
     }
 }
 
-/// One finished task queued for the completion thread.
-struct Finished {
-    job: u64,
-    task: Task,
-    started: Instant,
+/// What the MTAPI action needs to run a job and answer for it; shared
+/// with the control loop, which registers and cancels jobs and returns
+/// released slots.
+struct Exec {
+    rt: Runtime,
+    chan: Arc<WireChan>,
+    rmem: RmemHandle,
+    /// In-flight jobs: each one's cancel token and the instant its
+    /// `Dispatch` arrived (the start of the `Done.wall_us` span).
+    jobs: Mutex<HashMap<u64, (CancelToken, Instant)>>,
+    /// Free result slots (indices into the rmem segment).
+    free_slots: Mutex<Vec<u32>>,
+}
+
+impl Exec {
+    /// The MTAPI action body: run the job of one `Dispatch` packet and
+    /// answer `Done`.  The action's own output is unused.
+    fn run(&self, dispatch: &[u8]) -> Vec<u8> {
+        // The control loop starts a task only for a packet it decoded
+        // as a `Dispatch` and registered.
+        let Ok(ToWorker::Dispatch { job, spec }) = ToWorker::decode(dispatch) else {
+            return Vec::new();
+        };
+        let (token, received) = self.jobs.lock()[&job].clone();
+        let (state, outcome) = run_guarded(&self.rt, &spec, &token, 0);
+        self.send_done(job, state, outcome, received);
+        Vec::new()
+    }
+
+    /// Answer `Done` for `job` — the detail in an rmem slot when one
+    /// fits, else inline — and retire the job.  A send error means the
+    /// router is gone: nothing left to serve.
+    fn send_done(&self, job: u64, state: JobState, outcome: JobOutcome, received: Instant) {
+        let detail = outcome.detail.into_bytes();
+        let slot = place_detail(&self.rmem, &self.free_slots, &detail);
+        let msg = ToRouter::Done {
+            job,
+            state,
+            ok: outcome.ok,
+            wall_us: received.elapsed().as_micros() as u64,
+            slot,
+            len: detail.len() as u32,
+            inline: if slot == SLOT_INLINE {
+                detail
+            } else {
+                Vec::new()
+            },
+        };
+        let sent = self.chan.send(&msg.encode());
+        self.jobs.lock().remove(&job);
+        if sent.is_err() {
+            std::process::exit(3);
+        }
+    }
+}
+
+/// Put a job's result detail in a free rmem slot (the zero-copy path)
+/// and return the slot; [`SLOT_INLINE`] when the detail outgrows a slot,
+/// no slot is free, or the write fails — a failed write returns its slot
+/// to the free list.
+fn place_detail(rmem: &RmemHandle, free_slots: &Mutex<Vec<u32>>, detail: &[u8]) -> u32 {
+    if detail.len() > SLOT_BYTES as usize {
+        return SLOT_INLINE;
+    }
+    let Some(slot) = free_slots.lock().pop() else {
+        return SLOT_INLINE;
+    };
+    if rmem
+        .write(slot as usize * SLOT_BYTES as usize, detail)
+        .is_ok()
+    {
+        slot
+    } else {
+        free_slots.lock().push(slot);
+        SLOT_INLINE
+    }
 }
 
 /// Worker process body.  Returns the process exit code: `0` after a
@@ -100,11 +162,10 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
             return 2;
         }
     };
-    let seg_bytes = (cfg.slots as usize) * (cfg.slot_bytes as usize);
     let rmem = match node.rmem_create_file(
         cfg.worker_id,
         &cfg.rmem_path,
-        seg_bytes.max(1),
+        SLOTS as usize * SLOT_BYTES as usize,
         &RmemAttributes::default(),
     ) {
         Ok(r) => r,
@@ -129,8 +190,9 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
 
     // MTAPI: the remote-dispatch vocabulary.  One action — "run a romp
     // job spec" — executed by the MTAPI pool (1 worker: jobs already
-    // parallelize internally through the romp pool; a second MTAPI
-    // thread would just contend for it).
+    // parallelize internally through the romp pool, and the runtime
+    // holds one armed cancel token at a time, so jobs run one after
+    // another).
     let mtapi = match Mtapi::initialize(CLUSTER_DOMAIN, cfg.worker_id, 1) {
         Ok(m) => Arc::new(m),
         Err(e) => {
@@ -138,19 +200,18 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
             return 2;
         }
     };
-    let tokens: Arc<Mutex<HashMap<u64, CancelToken>>> = Arc::new(Mutex::new(HashMap::new()));
-    let action_rt = rt.clone();
-    let action_tokens = Arc::clone(&tokens);
+    let exec = Arc::new(Exec {
+        rt,
+        chan: Arc::clone(&chan),
+        rmem: node.rmem_get(cfg.worker_id).expect("own segment"),
+        jobs: Mutex::new(HashMap::new()),
+        free_slots: Mutex::new((0..SLOTS).rev().collect()),
+    });
+    let action_exec = Arc::clone(&exec);
     mtapi
-        .create_action(JOB_RUN_SPEC, move |input| {
-            run_spec_action(&action_rt, &action_tokens, input)
-        })
+        .create_action(JOB_RUN_SPEC, move |input| action_exec.run(input))
         .expect("fresh action table");
     let job_handle = mtapi.job(JOB_RUN_SPEC).expect("action registered");
-
-    // Free result slots (indices into the rmem segment).
-    let free_slots: Arc<Mutex<Vec<u32>>> = Arc::new(Mutex::new((0..cfg.slots).rev().collect()));
-    let inflight = Arc::new(AtomicU32::new(0));
 
     // Hello must be the first packet on the wire (the router's accept
     // path waits for it), so send it before the heartbeat starts.
@@ -158,8 +219,6 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
         worker: cfg.worker_id,
         pid: std::process::id(),
         rmem_id: cfg.worker_id,
-        slots: cfg.slots,
-        slot_bytes: cfg.slot_bytes,
     };
     if chan.send(&hello.encode()).is_err() {
         return 3;
@@ -169,7 +228,6 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
     // is gone — nothing left to serve.
     {
         let chan = Arc::clone(&chan);
-        let inflight = Arc::clone(&inflight);
         let period = Duration::from_millis(cfg.heartbeat_ms.max(1));
         let mtapi = Arc::clone(&mtapi);
         std::thread::Builder::new()
@@ -180,7 +238,6 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
                     seq += 1;
                     let msg = ToRouter::Heartbeat {
                         seq,
-                        inflight: inflight.load(Ordering::Relaxed),
                         executed: mtapi.tasks_executed() as u64,
                     };
                     if chan.send(&msg.encode()).is_err() {
@@ -192,69 +249,6 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
             .expect("spawn heartbeat");
     }
 
-    // Completion thread: awaits finished MTAPI tasks in dispatch order,
-    // moves the detail into an rmem slot (zero-copy fetch) or inline,
-    // answers Done.
-    let (done_tx, done_rx) = mpsc::channel::<Finished>();
-    let completion = {
-        let chan = Arc::clone(&chan);
-        let tokens = Arc::clone(&tokens);
-        let free_slots = Arc::clone(&free_slots);
-        let inflight = Arc::clone(&inflight);
-        let slot_bytes = cfg.slot_bytes;
-        let rmem = node.rmem_get(cfg.worker_id).expect("own segment");
-        std::thread::Builder::new()
-            .name("worker-completion".into())
-            .spawn(move || {
-                while let Ok(fin) = done_rx.recv() {
-                    let wall_us = fin.started.elapsed().as_micros() as u64;
-                    let (state, ok, detail) = match fin.task.wait(None) {
-                        Ok(bytes) => decode_outcome(&bytes),
-                        Err(e) if e.0 == MtapiStatus::ErrTaskCancelled => (
-                            JobState::Cancelled,
-                            false,
-                            b"cancelled before start".to_vec(),
-                        ),
-                        Err(e) => (JobState::Failed, false, format!("mtapi: {e}").into_bytes()),
-                    };
-                    tokens.lock().remove(&fin.job);
-                    inflight.fetch_sub(1, Ordering::Relaxed);
-                    // Prefer the shared-memory path; fall back inline
-                    // when the detail outgrows a slot or none is free.
-                    let mut slot = SLOT_INLINE;
-                    if detail.len() <= slot_bytes as usize {
-                        if let Some(s) = free_slots.lock().pop() {
-                            if rmem
-                                .write((s as usize) * (slot_bytes as usize), &detail)
-                                .is_ok()
-                            {
-                                slot = s;
-                            } else {
-                                free_slots.lock().push(s);
-                            }
-                        }
-                    }
-                    let msg = ToRouter::Done {
-                        job: fin.job,
-                        state,
-                        ok,
-                        wall_us,
-                        slot,
-                        len: detail.len() as u32,
-                        inline: if slot == SLOT_INLINE {
-                            detail
-                        } else {
-                            Vec::new()
-                        },
-                    };
-                    if chan.send(&msg.encode()).is_err() {
-                        std::process::exit(3);
-                    }
-                }
-            })
-            .expect("spawn completion")
-    };
-
     // Main loop: control messages until Exit or channel death.
     loop {
         let pkt = match chan.recv() {
@@ -265,41 +259,21 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
             Err(_) => return 3,
         };
         match ToWorker::decode(&pkt) {
-            Ok(ToWorker::Dispatch { job, spec }) => {
-                let token = CancelToken::new();
-                tokens.lock().insert(job, token.clone());
-                inflight.fetch_add(1, Ordering::Relaxed);
-                let mut input = Vec::with_capacity(16);
-                input.extend_from_slice(&job.to_be_bytes());
-                input.extend_from_slice(&spec_to_bytes(&spec));
-                match job_handle.start(input) {
-                    Ok(task) => {
-                        let _ = done_tx.send(Finished {
-                            job,
-                            task,
-                            started: Instant::now(),
-                        });
-                    }
-                    Err(e) => {
-                        tokens.lock().remove(&job);
-                        inflight.fetch_sub(1, Ordering::Relaxed);
-                        let msg = ToRouter::Done {
-                            job,
-                            state: JobState::Failed,
-                            ok: false,
-                            wall_us: 0,
-                            slot: SLOT_INLINE,
-                            len: 0,
-                            inline: format!("task start: {e}").into_bytes(),
-                        };
-                        if chan.send(&msg.encode()).is_err() {
-                            return 3;
-                        }
-                    }
+            Ok(ToWorker::Dispatch { job, .. }) => {
+                let received = Instant::now();
+                exec.jobs.lock().insert(job, (CancelToken::new(), received));
+                // The packet itself is the task's input.
+                if let Err(e) = job_handle.start(pkt) {
+                    let outcome = JobOutcome {
+                        ok: false,
+                        wall_us: 0,
+                        detail: format!("task start: {e}"),
+                    };
+                    exec.send_done(job, JobState::Failed, outcome, received);
                 }
             }
             Ok(ToWorker::Cancel { job, deadline }) => {
-                if let Some(token) = tokens.lock().get(&job) {
+                if let Some((token, _)) = exec.jobs.lock().get(&job) {
                     if deadline {
                         token.cancel_deadline();
                     } else {
@@ -308,8 +282,8 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
                 }
             }
             Ok(ToWorker::Release { slot }) => {
-                if slot < cfg.slots {
-                    let mut free = free_slots.lock();
+                if slot < SLOTS {
+                    let mut free = exec.free_slots.lock();
                     if !free.contains(&slot) {
                         free.push(slot);
                     }
@@ -325,113 +299,14 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
         }
     }
 
-    // Graceful exit: let in-flight jobs finish (the completion thread
-    // drains them through Done), then tear down.
-    while inflight.load(Ordering::Relaxed) > 0 {
+    // Graceful exit: let in-flight jobs finish (each action answers its
+    // own Done before leaving the job map), then tear down.
+    while !exec.jobs.lock().is_empty() {
         std::thread::sleep(Duration::from_millis(2));
     }
-    drop(done_tx);
-    let _ = completion.join();
     let _ = rmem.delete();
     let _ = std::fs::remove_file(&cfg.rmem_path);
     0
-}
-
-/// The MTAPI action body: decode `[job u64][spec]`, arm the runtime with
-/// the job's token, execute under `catch_unwind`, encode the outcome.
-fn run_spec_action(
-    rt: &Runtime,
-    tokens: &Mutex<HashMap<u64, CancelToken>>,
-    input: &[u8],
-) -> Vec<u8> {
-    let Some(job_bytes) = input.get(..8) else {
-        return encode_outcome(
-            JobState::Failed,
-            &JobOutcome {
-                ok: false,
-                wall_us: 0,
-                detail: "truncated dispatch input".into(),
-            },
-        );
-    };
-    let job = u64::from_be_bytes(job_bytes.try_into().unwrap());
-    let spec = match spec_from_bytes(&input[8..]) {
-        Ok(s) => s,
-        Err(e) => {
-            return encode_outcome(
-                JobState::Failed,
-                &JobOutcome {
-                    ok: false,
-                    wall_us: 0,
-                    detail: format!("bad spec: {e}"),
-                },
-            )
-        }
-    };
-    let token = tokens.lock().get(&job).cloned().unwrap_or_default();
-    // Cancelled while queued behind other tasks: skip execution.
-    if let Some(reason) = token.reason() {
-        let (state, outcome) = terminal_for(
-            Some(reason),
-            JobOutcome {
-                ok: false,
-                wall_us: 0,
-                detail: "cancelled while queued on worker".into(),
-            },
-        );
-        return encode_outcome(state, &outcome);
-    }
-    rt.set_cancel_token(Some(token.clone()));
-    let started = Instant::now();
-    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, &spec)));
-    rt.set_cancel_token(None);
-    let wall_us = started.elapsed().as_micros() as u64;
-    let (state, outcome) = match result {
-        Err(payload) => {
-            rt.quiesce();
-            (
-                JobState::Failed,
-                JobOutcome {
-                    ok: false,
-                    wall_us,
-                    detail: format!("panicked: {}", panic_message(payload.as_ref())),
-                },
-            )
-        }
-        Ok(out) => terminal_for(token.reason(), out),
-    };
-    encode_outcome(state, &outcome)
-}
-
-/// `[state u8][ok u8][wall_us u64][detail…]` — the action's output bytes.
-fn encode_outcome(state: JobState, outcome: &JobOutcome) -> Vec<u8> {
-    let mut out = Vec::with_capacity(10 + outcome.detail.len());
-    out.push(state.to_u8());
-    out.push(u8::from(outcome.ok));
-    out.extend_from_slice(&outcome.wall_us.to_be_bytes());
-    out.extend_from_slice(outcome.detail.as_bytes());
-    out
-}
-
-/// Inverse of [`encode_outcome`]; lossy on hostile bytes (a worker's own
-/// action produced them, so malformation means a worker bug).
-fn decode_outcome(bytes: &[u8]) -> (JobState, bool, Vec<u8>) {
-    if bytes.len() < 10 {
-        return (JobState::Failed, false, b"short outcome".to_vec());
-    }
-    let state = JobState::from_u8(bytes[0]).unwrap_or(JobState::Failed);
-    (state, bytes[1] != 0, bytes[10..].to_vec())
-}
-
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
 }
 
 #[cfg(test)]
@@ -439,23 +314,28 @@ mod tests {
     use super::*;
 
     #[test]
-    fn outcome_codec_roundtrips() {
-        let out = JobOutcome {
-            ok: true,
-            wall_us: 12345,
-            detail: "verified: sum matches".into(),
-        };
-        let enc = encode_outcome(JobState::Done, &out);
-        let (state, ok, detail) = decode_outcome(&enc);
-        assert_eq!(state, JobState::Done);
-        assert!(ok);
-        assert_eq!(detail, out.detail.as_bytes());
-    }
+    fn failed_rmem_write_returns_the_slot_and_goes_inline() {
+        let sys = MrapiSystem::new_t4240();
+        let node = sys.initialize(DomainId(CLUSTER_DOMAIN), NodeId(0)).unwrap();
+        let seg = node
+            .rmem_create(
+                1,
+                SLOTS as usize * SLOT_BYTES as usize,
+                &RmemAttributes::default(),
+            )
+            .unwrap();
+        let view = node.rmem_get(1).unwrap();
+        let free = Mutex::new(vec![0, 1]);
+        assert_eq!(place_detail(&view, &free, b"fits"), 1);
+        let mut back = [0u8; 4];
+        view.read(SLOT_BYTES as usize, &mut back).unwrap();
+        assert_eq!(&back, b"fits");
+        let too_big = vec![0u8; SLOT_BYTES as usize + 1];
+        assert_eq!(place_detail(&view, &free, &too_big), SLOT_INLINE);
+        assert_eq!(*free.lock(), vec![0]);
 
-    #[test]
-    fn short_outcome_fails_closed() {
-        let (state, ok, _) = decode_outcome(&[1, 2, 3]);
-        assert_eq!(state, JobState::Failed);
-        assert!(!ok);
+        seg.delete().unwrap();
+        assert_eq!(place_detail(&view, &free, b"detail"), SLOT_INLINE);
+        assert_eq!(*free.lock(), vec![0], "the slot went back to the free list");
     }
 }

@@ -16,11 +16,12 @@
 //! The paper limits its implementation work to MRAPI but describes MCAPI and
 //! plans it for the hypervisor/heterogeneous future work (§4A, §7); this
 //! crate implements it so those experiments are runnable (the
-//! `heterogeneous_offload` example), and [`wire`] carries packet channels
-//! between processes for the `romp-cluster` worker pool.  The spec's
-//! non-blocking `_i` request handles (`mcapi_test`/`mcapi_wait`) are not
-//! implemented: nothing calls them, and `try_msg_recv` / `try_recv` cover
-//! polling.
+//! `heterogeneous_offload` example), and [`wire`] frames packets straight
+//! onto a Unix socket between processes for the `romp-cluster` worker
+//! pool (no relay thread; the in-process [`pktchan`] is not under it).
+//! The spec's non-blocking `_i` request handles (`mcapi_test` /
+//! `mcapi_wait`) are not implemented: nothing calls them, and
+//! `try_msg_recv` / `PktRx::try_recv` cover polling.
 //!
 //! Addressing follows the spec: an endpoint is `(domain, node, port)`;
 //! endpoints are created by their owning node and looked up by address.

@@ -115,8 +115,7 @@ impl PktTx {
     /// `MCAPI_ERR_CHAN_CLOSED`.
     pub fn close(self) {
         *self.ep.inner.chan.lock() = None;
-        self.peer.inner.peer_closed.store(true, Ordering::Release);
-        self.peer.inner.cv.notify_all();
+        self.peer.inner.raise(&self.peer.inner.peer_closed);
     }
 }
 
@@ -289,6 +288,22 @@ mod tests {
         }
         assert_eq!(next, 200);
         producer.join().unwrap();
+    }
+
+    #[test]
+    fn close_racing_a_blocked_receiver_always_wakes_it() {
+        // The close's flag store and the receiver's empty-queue check
+        // race; a store outside the queue lock could land between that
+        // check and the wait, stranding the receiver until its timeout.
+        for _ in 0..5000 {
+            let (tx, rx) = channel();
+            let closer = std::thread::spawn(move || tx.close());
+            let t0 = std::time::Instant::now();
+            let err = rx.recv_timeout(Duration::from_secs(2)).unwrap_err();
+            assert_eq!(err.0, McapiStatus::ErrChanClosed);
+            assert!(t0.elapsed() < Duration::from_secs(1), "stranded receiver");
+            closer.join().unwrap();
+        }
     }
 
     #[test]

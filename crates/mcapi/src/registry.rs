@@ -111,6 +111,19 @@ pub(crate) struct EpInner {
     pub deleted: AtomicBool,
 }
 
+impl EpInner {
+    /// Set one of this endpoint's flags (`peer_closed`, `deleted`) and
+    /// wake its waiters.  The store happens under the queue lock, so a
+    /// waiter that found the flag clear under that lock is already
+    /// waiting when the notify lands, not about to start.
+    pub(crate) fn raise(&self, flag: &AtomicBool) {
+        let q = self.queue.lock();
+        flag.store(true, Ordering::Release);
+        drop(q);
+        self.cv.notify_all();
+    }
+}
+
 struct DomainInner {
     id: u32,
     nodes: RwLock<HashMap<u32, ()>>,
@@ -253,8 +266,7 @@ impl McapiNode {
         let mut eps = self.domain.inner.endpoints.write();
         eps.retain(|(node, _), ep| {
             if *node == self.id {
-                ep.deleted.store(true, Ordering::Release);
-                ep.cv.notify_all();
+                ep.raise(&ep.deleted);
                 false
             } else {
                 true
@@ -306,13 +318,12 @@ impl Endpoint {
     /// `mcapi_endpoint_delete`.  Pending deliveries are dropped; blocked
     /// peers wake with `MCAPI_ERR_ENDP_INVALID`.
     pub fn delete(self) {
-        self.inner.deleted.store(true, Ordering::Release);
+        self.inner.raise(&self.inner.deleted);
         self.domain
             .inner
             .endpoints
             .write()
             .remove(&(self.inner.addr.node, self.inner.addr.port));
-        self.inner.cv.notify_all();
     }
 
     pub(crate) fn check_live(&self) -> McapiResult<()> {

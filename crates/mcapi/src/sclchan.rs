@@ -122,8 +122,7 @@ impl SclTx {
     /// Close the sending half.
     pub fn close(self) {
         *self.ep.inner.chan.lock() = None;
-        self.peer.inner.peer_closed.store(true, Ordering::Release);
-        self.peer.inner.cv.notify_all();
+        self.peer.inner.raise(&self.peer.inner.peer_closed);
     }
 }
 

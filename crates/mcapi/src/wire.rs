@@ -3,52 +3,47 @@
 //! MCAPI is specified for *closely distributed* systems — cores and OS
 //! processes that do not share one address space.  The in-process
 //! registry (`crate::registry`) models one interconnect inside a
-//! single process; this module extends a packet channel across a real
-//! process boundary by pumping packets over a Unix-domain socket, the
-//! way a production MCAPI implementation pumps them over a mailbox or
-//! RapidIO driver.
+//! single process; this module carries packet-channel semantics across a
+//! real process boundary over a Unix-domain socket, the way a production
+//! MCAPI implementation frames packets onto a mailbox or RapidIO driver.
 //!
-//! A [`WireChan`] is one *duplex* link.  Each direction is a genuine
-//! MCAPI packet channel ([`crate::pktchan`]) between two private
-//! endpoints, with a pump thread moving packets between the channel and
-//! the socket:
+//! A [`WireChan`] is one *duplex* link.  Packets are framed straight
+//! onto the socket — a `u32` big-endian length prefix (bounded by
+//! [`MAX_WIRE_PKT`]) followed by the body — with no relay thread or
+//! intermediate queue on either side:
 //!
 //! ```text
-//!   app ──PktTx──▶ [ep queue] ──pump──▶ socket ──▶ peer pump ──PktTx──▶ [ep queue] ──PktRx──▶ peer app
+//!   app ──send──▶ socket ──▶ peer recv ──▶ peer app
 //! ```
 //!
-//! The MCAPI semantics therefore hold end-to-end: sends observe the
-//! bounded endpoint queue (packets ahead of a slow socket exert
-//! backpressure), receives drain in FIFO order, and when the process on
-//! the other side dies — or closes — the receiver drains what was
-//! delivered and then observes `MCAPI_ERR_CHAN_CLOSED`, exactly the
-//! failure a [`crate::pktchan::PktRx`] reports for an in-process close.
-//! That typed close is what a supervisor keys its failure detection on.
-//!
-//! On-socket framing is a `u32` big-endian length prefix per packet
-//! (bounded by [`MAX_WIRE_PKT`]); packet boundaries are preserved.
+//! The socket supplies what a packet channel promises: packets arrive
+//! whole and in FIFO order, a sender blocks while the peer's receive
+//! buffer is full (backpressure), and when the process on the other side
+//! dies — or closes — the receiver drains what was delivered and then
+//! observes `MCAPI_ERR_CHAN_CLOSED`, exactly the failure a
+//! [`crate::pktchan::PktRx`] reports for an in-process close.  That typed
+//! close is what a supervisor keys its failure detection on.
 
-use std::io::{Read, Write};
+use std::io::{IoSlice, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::{Duration, Instant};
 
-use crate::pktchan::{self, PktRx, PktTx};
-use crate::registry::{Endpoint, McapiDomain};
+use mca_sync::Mutex;
+
 use crate::status::{McapiResult, McapiStatus};
+use crate::McapiError;
 
 /// Upper bound on one wire packet's payload, protecting either side from
 /// hostile or corrupt length prefixes.
 pub const MAX_WIRE_PKT: usize = 1 << 20;
 
-/// Receive-queue bound of the wire endpoints (packets buffered between
-/// the application and the socket before sends block).
-pub const WIRE_QUEUE_CAPACITY: usize = 64;
+/// Bytes of the length prefix in front of every packet.
+const PREFIX: usize = 4;
 
-/// Distinguishes the private domains minted for wire links (diagnostic
-/// only; each link owns a fresh registry, so ids never collide).
-static WIRE_DOMAIN_SEQ: AtomicU32 = AtomicU32::new(0x5731_0000);
+/// Least a receive asks the socket for, so small packets sent back to
+/// back arrive in one read.
+const READ_CHUNK: usize = 4096;
 
 /// Listening side of a wire: accepts peer processes connecting to a
 /// Unix-socket path and hands each back as a [`WireChan`].
@@ -73,15 +68,15 @@ impl WireListener {
             match self.listener.accept() {
                 Ok((stream, _)) => {
                     return WireChan::from_stream(stream)
-                        .map_err(|_| crate::McapiError(McapiStatus::ErrTransmission));
+                        .map_err(|_| McapiError(McapiStatus::ErrTransmission));
                 }
                 Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        return Err(crate::McapiError(McapiStatus::Timeout));
+                        return Err(McapiError(McapiStatus::Timeout));
                     }
                     std::thread::sleep(Duration::from_millis(2));
                 }
-                Err(_) => return Err(crate::McapiError(McapiStatus::ErrTransmission)),
+                Err(_) => return Err(McapiError(McapiStatus::ErrTransmission)),
             }
         }
     }
@@ -89,19 +84,78 @@ impl WireListener {
 
 /// One duplex cross-process packet link (see module docs).
 ///
-/// `send` and `recv*` may be called from different threads concurrently
-/// (the underlying endpoints synchronise internally); sharing one
-/// `WireChan` behind an `Arc` between a dispatcher and a supervisor is
-/// the intended shape.
+/// `send` and `recv*` may be called from different threads concurrently;
+/// sharing one `WireChan` behind an `Arc` between a dispatcher and a
+/// supervisor is the intended shape.  Sends are serialized by a lock, so
+/// frames from concurrent senders never interleave; receives are
+/// serialized too (one frame per call).
 pub struct WireChan {
-    /// `Some` until [`WireChan::close`] consumes it for a graceful
-    /// flush-then-FIN.
-    tx: Option<PktTx>,
-    rx: PktRx,
-    /// The pump-side receive endpoint of the outbound channel; deleted
-    /// on socket failure so blocked senders fail instead of hanging.
-    out_pump_ep: Endpoint,
     stream: UnixStream,
+    send_lock: Mutex<()>,
+    inbox: Mutex<Inbox>,
+}
+
+/// Receive-side state: bytes read off the socket but not yet returned.
+/// A frame cut short by a timeout stays here for the next call.
+struct Inbox {
+    buf: Vec<u8>,
+    /// The read timeout currently set on the socket (set only on change).
+    timeout: Option<Duration>,
+}
+
+impl Inbox {
+    /// Length of the frame at the head of `buf`, once its prefix is in.
+    fn frame_len(&self) -> McapiResult<Option<usize>> {
+        let Some(prefix) = self.buf.get(..PREFIX) else {
+            return Ok(None);
+        };
+        let len = u32::from_be_bytes(prefix.try_into().expect("prefix is 4 bytes")) as usize;
+        if len > MAX_WIRE_PKT {
+            return Err(McapiError(McapiStatus::ErrChanClosed));
+        }
+        Ok(Some(len))
+    }
+
+    /// Remove and return the head frame's body if it is complete.
+    fn take_frame(&mut self) -> McapiResult<Option<Vec<u8>>> {
+        match self.frame_len()? {
+            Some(len) if self.buf.len() >= PREFIX + len => {
+                let pkt = self.buf[PREFIX..PREFIX + len].to_vec();
+                self.buf.drain(..PREFIX + len);
+                Ok(Some(pkt))
+            }
+            _ => Ok(None),
+        }
+    }
+
+    /// One read from `stream`, waiting at most `timeout` (`None` =
+    /// forever); EOF is the typed channel close.
+    fn fill(&mut self, mut stream: &UnixStream, timeout: Option<Duration>) -> McapiResult<()> {
+        let closed = McapiError(McapiStatus::ErrChanClosed);
+        if self.timeout != timeout {
+            stream.set_read_timeout(timeout).map_err(|_| closed)?;
+            self.timeout = timeout;
+        }
+        let missing = match self.frame_len()? {
+            Some(len) => PREFIX + len - self.buf.len(),
+            None => PREFIX - self.buf.len(),
+        };
+        let old = self.buf.len();
+        self.buf.resize(old + missing.max(READ_CHUNK), 0);
+        let read = stream.read(&mut self.buf[old..]);
+        self.buf.truncate(old + *read.as_ref().unwrap_or(&0));
+        match read {
+            Ok(0) => Err(closed),
+            Ok(_) => Ok(()),
+            Err(e) => match e.kind() {
+                std::io::ErrorKind::Interrupted => Ok(()),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                    Err(McapiError(McapiStatus::Timeout))
+                }
+                _ => Err(closed),
+            },
+        }
+    }
 }
 
 impl WireChan {
@@ -114,12 +168,12 @@ impl WireChan {
             match UnixStream::connect(path) {
                 Ok(stream) => {
                     return WireChan::from_stream(stream)
-                        .map_err(|_| crate::McapiError(McapiStatus::ErrTransmission));
+                        .map_err(|_| McapiError(McapiStatus::ErrTransmission));
                 }
                 Err(_) if Instant::now() < deadline => {
                     std::thread::sleep(Duration::from_millis(5));
                 }
-                Err(_) => return Err(crate::McapiError(McapiStatus::Timeout)),
+                Err(_) => return Err(McapiError(McapiStatus::Timeout)),
             }
         }
     }
@@ -128,146 +182,77 @@ impl WireChan {
     /// `UnixStream::pair()` works too — useful in tests).
     pub fn from_stream(stream: UnixStream) -> std::io::Result<WireChan> {
         stream.set_nonblocking(false)?;
-        let dom = McapiDomain::new(WIRE_DOMAIN_SEQ.fetch_add(1, Ordering::Relaxed));
-        let out_node = dom.initialize(0).expect("fresh domain");
-        let in_node = dom.initialize(1).expect("fresh domain");
-        let mk = |node: &crate::registry::McapiNode, port| {
-            node.create_endpoint_with_capacity(port, WIRE_QUEUE_CAPACITY)
-                .expect("fresh endpoint")
-        };
-        // Outbound: app sends into a channel whose receiver is the pump.
-        let out_app_ep = mk(&out_node, 0);
-        let out_pump_ep = mk(&out_node, 1);
-        let (tx, out_pump_rx) = pktchan::connect(&out_app_ep, &out_pump_ep).expect("fresh pair");
-        // Inbound: the pump sends into a channel whose receiver is the app.
-        let in_pump_ep = mk(&in_node, 0);
-        let in_app_ep = mk(&in_node, 1);
-        let (in_pump_tx, rx) = pktchan::connect(&in_pump_ep, &in_app_ep).expect("fresh pair");
-
-        let out_stream = stream.try_clone()?;
-        let kill_ep = out_pump_ep.clone();
-        std::thread::Builder::new()
-            .name("mcapi-wire-out".into())
-            .spawn(move || outbound_pump(out_pump_rx, out_stream, kill_ep))?;
-        let in_stream = stream.try_clone()?;
-        std::thread::Builder::new()
-            .name("mcapi-wire-in".into())
-            .spawn(move || inbound_pump(in_pump_tx, in_stream))?;
-
         Ok(WireChan {
-            tx: Some(tx),
-            rx,
-            out_pump_ep,
             stream,
+            send_lock: Mutex::new(()),
+            inbox: Mutex::new(Inbox {
+                buf: Vec::new(),
+                timeout: None,
+            }),
         })
     }
 
-    /// Send one packet (blocking while the outbound endpoint queue is
-    /// full).  `MCAPI_ERR_CHAN_CLOSED` / `MCAPI_ERR_ENDP_INVALID` mean
-    /// the peer — or the socket under it — is gone.
+    /// Send one packet, blocking while the peer's socket buffer is full.
+    /// `MCAPI_ERR_CHAN_CLOSED` means the peer — or the socket under it —
+    /// is gone.
     pub fn send(&self, pkt: &[u8]) -> McapiResult<()> {
         if pkt.len() > MAX_WIRE_PKT {
-            return Err(crate::McapiError(McapiStatus::ErrPktLimit));
+            return Err(McapiError(McapiStatus::ErrPktLimit));
         }
-        match &self.tx {
-            Some(tx) => tx.send(pkt),
-            None => Err(crate::McapiError(McapiStatus::ErrChanClosed)),
+        let prefix = (pkt.len() as u32).to_be_bytes();
+        let mut frame = [IoSlice::new(&prefix), IoSlice::new(pkt)];
+        let mut rest = &mut frame[..];
+        let _g = self.send_lock.lock();
+        while !rest.is_empty() {
+            match (&self.stream).write_vectored(rest) {
+                Ok(0) => return Err(McapiError(McapiStatus::ErrChanClosed)),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => return Err(McapiError(McapiStatus::ErrChanClosed)),
+            }
         }
+        Ok(())
     }
 
     /// Receive the next packet, blocking.
     pub fn recv(&self) -> McapiResult<Vec<u8>> {
-        self.rx.recv()
+        self.recv_within(None)
     }
 
-    /// Receive with a bound; `MCAPI_TIMEOUT` if nothing arrives in time,
-    /// `MCAPI_ERR_CHAN_CLOSED` once the peer is gone and the queue is
-    /// drained.
+    /// Receive with a bound; `MCAPI_TIMEOUT` if no whole packet arrives
+    /// in time (a partly received one is kept for the next call),
+    /// `MCAPI_ERR_CHAN_CLOSED` once the peer is gone and every delivered
+    /// packet has been received.
     pub fn recv_timeout(&self, timeout: Duration) -> McapiResult<Vec<u8>> {
-        self.rx.recv_timeout(timeout)
+        self.recv_within(Some(timeout))
     }
 
-    /// Non-blocking receive (`MCAPI_ERR_QUEUE_EMPTY` when idle).
-    pub fn try_recv(&self) -> McapiResult<Vec<u8>> {
-        self.rx.try_recv()
-    }
-
-    /// Tear the link down: packets already queued outbound are still
-    /// flushed to the socket, then the write side closes so the peer
-    /// drains and observes `MCAPI_ERR_CHAN_CLOSED`.
-    pub fn close(mut self) {
-        // Closing the app's sender lets the outbound pump drain the
-        // queue, then observe the close and FIN the socket.
-        if let Some(tx) = self.tx.take() {
-            tx.close();
+    fn recv_within(&self, timeout: Option<Duration>) -> McapiResult<Vec<u8>> {
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let mut wait = timeout;
+        let mut inbox = self.inbox.lock();
+        loop {
+            if let Some(pkt) = inbox.take_frame()? {
+                return Ok(pkt);
+            }
+            if wait.is_some_and(|w| w.is_zero()) {
+                return Err(McapiError(McapiStatus::Timeout));
+            }
+            inbox.fill(&self.stream, wait)?;
+            wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         }
-        let _ = self.stream.shutdown(std::net::Shutdown::Read);
+    }
+
+    /// Tear the link down: everything already sent is delivered, then
+    /// the peer drains and observes `MCAPI_ERR_CHAN_CLOSED`.
+    pub fn close(self) {
+        let _ = self.stream.shutdown(std::net::Shutdown::Write);
     }
 }
 
 impl Drop for WireChan {
     fn drop(&mut self) {
-        // A graceful `close` already handed teardown to the pumps (the
-        // outbound pump flushes then FINs); don't race it.
-        if self.tx.is_none() {
-            return;
-        }
-        // Unblock both pumps; queued-but-unsent packets are dropped
-        // (callers wanting flush-then-close use `close`).
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
-        self.out_pump_ep.clone().delete();
-    }
-}
-
-/// Move packets from the outbound channel onto the socket.
-fn outbound_pump(rx: PktRx, mut stream: UnixStream, kill_ep: Endpoint) {
-    loop {
-        match rx.recv() {
-            Ok(pkt) => {
-                let len = (pkt.len() as u32).to_be_bytes();
-                if stream.write_all(&len).is_err() || stream.write_all(&pkt).is_err() {
-                    // Socket dead: delete the pump endpoint so blocked
-                    // and future sends fail typed instead of hanging.
-                    kill_ep.delete();
-                    return;
-                }
-            }
-            // App closed its sender (graceful) or the endpoint was
-            // deleted: flush is done either way; FIN the write side.
-            Err(_) => {
-                let _ = stream.shutdown(std::net::Shutdown::Write);
-                return;
-            }
-        }
-    }
-}
-
-/// Move packets from the socket into the inbound channel.
-fn inbound_pump(tx: PktTx, mut stream: UnixStream) {
-    loop {
-        let mut len_buf = [0u8; 4];
-        if stream.read_exact(&mut len_buf).is_err() {
-            // Peer closed or died: the app drains, then sees the typed
-            // channel close.
-            tx.close();
-            return;
-        }
-        let len = u32::from_be_bytes(len_buf) as usize;
-        if len > MAX_WIRE_PKT {
-            tx.close();
-            return;
-        }
-        let mut pkt = vec![0u8; len];
-        if stream.read_exact(&mut pkt).is_err() {
-            tx.close();
-            return;
-        }
-        if tx.send(&pkt).is_err() {
-            // App dropped its receiver; stop reading so the peer blocks
-            // on socket backpressure rather than a black hole.
-            let _ = stream.shutdown(std::net::Shutdown::Read);
-            return;
-        }
     }
 }
 
@@ -330,6 +315,64 @@ mod tests {
             a.send(&vec![0u8; MAX_WIRE_PKT + 1]).unwrap_err().0,
             McapiStatus::ErrPktLimit
         );
+    }
+
+    #[test]
+    fn timeout_mid_frame_keeps_the_partial_bytes() {
+        let (mut raw, b) = UnixStream::pair().unwrap();
+        let b = WireChan::from_stream(b).unwrap();
+        let body: Vec<u8> = (0..1000u32).map(|i| i as u8).collect();
+        raw.write_all(&(body.len() as u32).to_be_bytes()).unwrap();
+        raw.write_all(&body[..300]).unwrap();
+        let err = b.recv_timeout(Duration::from_millis(50)).unwrap_err();
+        assert_eq!(err.0, McapiStatus::Timeout);
+        raw.write_all(&body[300..]).unwrap();
+        assert_eq!(b.recv().unwrap(), body);
+    }
+
+    #[test]
+    fn oversized_prefix_reports_chan_closed() {
+        let (mut raw, b) = UnixStream::pair().unwrap();
+        let b = WireChan::from_stream(b).unwrap();
+        raw.write_all(&((MAX_WIRE_PKT + 1) as u32).to_be_bytes())
+            .unwrap();
+        let err = b.recv_timeout(Duration::from_secs(5)).unwrap_err();
+        assert_eq!(err.0, McapiStatus::ErrChanClosed);
+    }
+
+    #[test]
+    fn concurrent_senders_never_interleave_frames() {
+        const SENDERS: u32 = 4;
+        const PER_SENDER: u32 = 1000;
+        let (a, b) = pair();
+        let a = std::sync::Arc::new(a);
+        let senders: Vec<_> = (0..SENDERS)
+            .map(|t| {
+                let a = std::sync::Arc::clone(&a);
+                std::thread::spawn(move || {
+                    for seq in 0..PER_SENDER {
+                        // Varying lengths so a torn frame cannot line up.
+                        let mut pkt = vec![t as u8; 8 + (seq as usize * 7) % 300];
+                        pkt[..4].copy_from_slice(&seq.to_be_bytes());
+                        a.send(&pkt).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u32; SENDERS as usize];
+        for _ in 0..SENDERS * PER_SENDER {
+            let pkt = b.recv_timeout(Duration::from_secs(10)).unwrap();
+            let t = pkt[4];
+            let seq = u32::from_be_bytes(pkt[..4].try_into().unwrap());
+            assert_eq!(pkt.len(), 8 + (seq as usize * 7) % 300);
+            assert!(pkt[4..].iter().all(|&x| x == t), "torn frame");
+            assert_eq!(seq, next[t as usize], "per-sender FIFO");
+            next[t as usize] += 1;
+        }
+        for s in senders {
+            s.join().unwrap();
+        }
+        assert_eq!(next, [PER_SENDER; SENDERS as usize]);
     }
 
     #[test]

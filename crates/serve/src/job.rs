@@ -8,9 +8,11 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use romp::{Runtime, Schedule, Worker};
+use romp::{CancelToken, Runtime, Schedule, Worker};
 use romp_epcc::{delay, Construct};
 use romp_npb::{Class, NpbKernel};
+
+use crate::lifecycle::terminal_for;
 
 /// A supervision-diagnostic workload: misbehaves on purpose so the kill
 /// paths (deadline, cancel, panic isolation, watchdog escalation) can be
@@ -306,6 +308,64 @@ pub fn execute(rt: &Runtime, spec: &JobSpec) -> JobOutcome {
                 detail: format!("diag {diag:?} on {n} threads"),
             }
         }
+    }
+}
+
+/// Run one supervised job on `rt` and decide its terminal state — the
+/// one job runner behind both executors (the in-process dispatcher and
+/// the cluster worker's MTAPI action).
+///
+/// Arms the runtime with the job's `cancel` token, and with its
+/// `affinity` key when non-zero, so every region the job forks —
+/// including ones nested inside kernels — checks the token and keeps its
+/// tasks on the key's home shard.  A job whose token fired before it
+/// started is not run.  A panicking kernel becomes a `Failed` job
+/// carrying the panic message, never a dead executor: the pool has
+/// already contained the unwind (each member runs under its own net),
+/// and the runner quiesces it so trailing region epilogues finish before
+/// the next job.  Otherwise a fired token outranks whatever
+/// [`execute`] returned ([`terminal_for`]).
+pub fn run_guarded(
+    rt: &Runtime,
+    spec: &JobSpec,
+    cancel: &CancelToken,
+    affinity: u64,
+) -> (JobState, JobOutcome) {
+    if let Some(reason) = cancel.reason() {
+        let unrun = JobOutcome {
+            ok: false,
+            wall_us: 0,
+            detail: String::new(),
+        };
+        return terminal_for(Some(reason), unrun);
+    }
+    rt.set_cancel_token(Some(cancel.clone()));
+    if affinity != 0 {
+        rt.set_affinity(Some(affinity));
+    }
+    let t0 = Instant::now();
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, spec)));
+    let wall_us = t0.elapsed().as_micros() as u64;
+    rt.set_affinity(None);
+    rt.set_cancel_token(None);
+    match result {
+        Err(payload) => {
+            rt.quiesce();
+            let msg = if let Some(s) = payload.downcast_ref::<&str>() {
+                s
+            } else if let Some(s) = payload.downcast_ref::<String>() {
+                s.as_str()
+            } else {
+                "non-string panic payload"
+            };
+            let outcome = JobOutcome {
+                ok: false,
+                wall_us,
+                detail: format!("panicked: {msg}"),
+            };
+            (JobState::Failed, outcome)
+        }
+        Ok(out) => terminal_for(cancel.reason(), out),
     }
 }
 

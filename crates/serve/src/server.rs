@@ -30,8 +30,8 @@ use std::time::Duration;
 use mca_platform::Clock;
 use romp::Runtime;
 
-use crate::job::{execute, JobLimits, JobOutcome, JobState};
-use crate::lifecycle::{terminal_for, DedupConfig};
+use crate::job::{run_guarded, JobLimits, JobOutcome, JobState};
+use crate::lifecycle::DedupConfig;
 use crate::metrics::Metrics;
 use crate::queue::QueuedJob;
 use crate::reactor::{Mailbox, Reactor};
@@ -406,23 +406,12 @@ impl ServerHandle {
     }
 }
 
-/// Extract a human-readable message from a panic payload.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
-    }
-}
-
 /// The in-process dispatcher: the queue's single consumer, running every
 /// job on the shared runtime's persistent pool.  Exits only when the
 /// queue is closed *and* empty — i.e. after the graceful drain has
 /// finished every accepted job (to completion or to a supervised kill).
 ///
-/// Every job runs under `catch_unwind`: a panicking kernel becomes a
+/// Every job runs through [`run_guarded`]: a panicking kernel becomes a
 /// `Failed` job carrying the panic message, never a dead dispatcher.
 struct InProcess {
     rt: Runtime,
@@ -430,41 +419,10 @@ struct InProcess {
 
 impl Dispatch for InProcess {
     fn run(&self, ctx: DispatchCtx) {
-        let rt = &self.rt;
         while let Some(qjob) = ctx.pop() {
             let started = ctx.now_ns();
-            // Arm the runtime with this job's token so every region the job
-            // forks — including ones nested inside kernels — checks it, and
-            // with its affinity key (when non-zero) so those regions' tasks
-            // stay on the key's home shard.
-            rt.set_cancel_token(Some(qjob.cancel.clone()));
-            if qjob.affinity != 0 {
-                rt.set_affinity(Some(qjob.affinity));
-            }
-            let result =
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(rt, &qjob.spec)));
-            rt.set_affinity(None);
-            rt.set_cancel_token(None);
+            let (state, outcome) = run_guarded(&self.rt, &qjob.spec, &qjob.cancel, qjob.affinity);
             let exec_ns = ctx.now_ns().saturating_sub(started);
-            let (state, outcome) = match result {
-                Err(payload) => {
-                    // The pool has already contained the unwind (each member
-                    // runs under its own net); quiesce so trailing region
-                    // epilogues finish before the next job is dispatched.
-                    rt.quiesce();
-                    (
-                        JobState::Failed,
-                        JobOutcome {
-                            ok: false,
-                            wall_us: exec_ns / 1_000,
-                            detail: format!("panicked: {}", panic_message(payload.as_ref())),
-                        },
-                    )
-                }
-                // A fired token outranks the outcome `execute` assembled: the
-                // job's regions unwound, so whatever it returned is partial.
-                Ok(out) => terminal_for(qjob.cancel.reason(), out),
-            };
             ctx.complete(qjob.id, &qjob.spec.label(), state, outcome, exec_ns);
         }
     }
