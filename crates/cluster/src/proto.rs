@@ -80,8 +80,11 @@ pub enum ToRouter {
     Heartbeat {
         /// Monotonic per-worker sequence number.
         seq: u64,
-        /// MTAPI tasks executed since start (progress signal).
+        /// MTAPI tasks executed since start.
         executed: u64,
+        /// The worker runtime's activity counter: the watchdog's
+        /// progress signal for the jobs running on this worker.
+        activity: u64,
     },
     /// A dispatched job reached a terminal state on the worker.
     Done {
@@ -167,10 +170,15 @@ impl ToRouter {
                 out.extend_from_slice(&pid.to_be_bytes());
                 out.extend_from_slice(&rmem_id.to_be_bytes());
             }
-            ToRouter::Heartbeat { seq, executed } => {
+            ToRouter::Heartbeat {
+                seq,
+                executed,
+                activity,
+            } => {
                 out.push(OP_HEARTBEAT);
                 out.extend_from_slice(&seq.to_be_bytes());
                 out.extend_from_slice(&executed.to_be_bytes());
+                out.extend_from_slice(&activity.to_be_bytes());
             }
             ToRouter::Done {
                 job,
@@ -206,6 +214,7 @@ impl ToRouter {
             OP_HEARTBEAT => ToRouter::Heartbeat {
                 seq: cur.u64()?,
                 executed: cur.u64()?,
+                activity: cur.u64()?,
             },
             OP_DONE => {
                 // Read the whole fixed part before judging the state
@@ -287,6 +296,7 @@ mod tests {
                 1 => ToRouter::Heartbeat {
                     seq: rng.next_u64(),
                     executed: rng.next_u64(),
+                    activity: rng.next_u64(),
                 },
                 _ => ToRouter::Done {
                     job: rng.next_u64(),

@@ -5,9 +5,14 @@
 //!
 //! Supervision model (DESIGN.md §5.12):
 //!
-//! * every worker heartbeats on its wire channel; the supervisor
-//!   declares a worker dead after `heartbeat_misses` silent periods or
-//!   on the channel's typed `MCAPI_ERR_CHAN_CLOSED`;
+//! * every worker heartbeats on its wire channel, carrying its
+//!   runtime's activity counter — the watchdog's progress signal for the
+//!   jobs on that worker;
+//! * a worker dies when its channel reports the typed
+//!   `MCAPI_ERR_CHAN_CLOSED`, and its receive thread handles the death.
+//!   The supervisor (after `heartbeat_misses` silent periods) and the
+//!   watchdog's escalation only SIGKILL the process, so neither stalls
+//!   on a respawn;
 //! * a dead worker's in-flight jobs are **retried** on survivors (at
 //!   most `MAX_RETRIES` (3) times; jobs whose cancel token already fired
 //!   are completed terminal instead — the job table records exactly one
@@ -99,6 +104,8 @@ struct WorkerSlot {
     inflight: u32,
     /// MTAPI tasks executed, from the last heartbeat.
     executed: u64,
+    /// The worker runtime's activity counter, from the last heartbeat.
+    activity: u64,
     restarts: u64,
 }
 
@@ -116,6 +123,7 @@ impl WorkerSlot {
             last_hb: None,
             inflight: 0,
             executed: 0,
+            activity: 0,
             restarts: 0,
         }
     }
@@ -393,12 +401,15 @@ impl Router {
         loop {
             match chan.recv_timeout(poll) {
                 Ok(pkt) => match ToRouter::decode(&pkt) {
-                    Ok(ToRouter::Heartbeat { executed, .. }) => {
+                    Ok(ToRouter::Heartbeat {
+                        executed, activity, ..
+                    }) => {
                         let mut inner = self.inner.lock();
                         let ws = &mut inner.workers[id];
                         if ws.generation == generation {
                             ws.last_hb = Some(Instant::now());
                             ws.executed = executed;
+                            ws.activity = activity;
                         }
                     }
                     Ok(ToRouter::Done {
@@ -528,10 +539,27 @@ impl Router {
         self.cv.notify_all();
     }
 
-    /// A worker is gone (channel closed, heartbeat silence, or
-    /// escalation kill): reap it, settle its orphaned jobs (terminal if
-    /// their token fired, retried on a survivor otherwise), respawn.
-    /// Generation-guarded — stale callers return immediately.
+    /// SIGKILL worker `id` if it is still generation `generation`.  The
+    /// death itself is handled on the worker's receive thread, which sees
+    /// the channel close: the watchdog and the supervisor that call this
+    /// must not stall on a respawn or on re-dispatching orphans.
+    fn kill_worker(&self, id: usize, generation: u64) -> bool {
+        let mut inner = self.inner.lock();
+        let ws = &mut inner.workers[id];
+        match ws.child.as_mut() {
+            Some(c) if ws.generation == generation => {
+                let _ = c.kill();
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// A worker is gone (channel closed — its crash, or a kill for
+    /// heartbeat silence or escalation): reap it, settle its orphaned
+    /// jobs (terminal if their token fired, retried on a survivor
+    /// otherwise), respawn.  Generation-guarded — stale callers return
+    /// immediately.
     fn handle_worker_death(&self, id: usize, generation: u64) {
         let (child, chan, orphans) = {
             let mut inner = self.inner.lock();
@@ -732,8 +760,9 @@ impl Router {
                 let _ = chan.send(&ToWorker::Cancel { job: jid, deadline }.encode());
             }
             for (i, generation) in deaths {
-                eprintln!("romp-cluster: worker {i} heartbeat lost; restarting it");
-                self.handle_worker_death(i, generation);
+                if self.kill_worker(i, generation) {
+                    eprintln!("romp-cluster: worker {i} heartbeat lost; killing it");
+                }
             }
             for i in respawns {
                 if self.stop.load(Ordering::Acquire) {
@@ -887,31 +916,33 @@ impl Dispatch for Router {
 
     fn escalate(&self, job: u64) -> bool {
         let target = {
-            let mut inner = self.inner.lock();
-            let t = inner
+            let inner = self.inner.lock();
+            inner
                 .inflight
                 .get(&job)
-                .map(|inf| (inf.worker, inf.generation));
-            if let Some((w, _)) = t {
-                if let Some(c) = inner.workers[w].child.as_mut() {
-                    let _ = c.kill();
-                }
-            }
-            t
+                .map(|inf| (inf.worker, inf.generation))
         };
-        match target {
-            Some((w, generation)) => {
-                if let Some(m) = self.m() {
-                    m.escalations.incr();
-                }
-                eprintln!(
-                    "romp-cluster: job {job} unresponsive to cancellation; killing worker {w}"
-                );
-                self.handle_worker_death(w, generation);
-                true
-            }
-            None => false,
+        let Some((w, generation)) = target else {
+            return false;
+        };
+        if !self.kill_worker(w, generation) {
+            return false;
         }
+        if let Some(m) = self.m() {
+            m.escalations.incr();
+        }
+        eprintln!("romp-cluster: job {job} unresponsive to cancellation; killing worker {w}");
+        true
+    }
+
+    /// Each in-flight job with its worker's last reported activity.
+    fn job_activity(&self) -> Vec<(u64, u64)> {
+        let inner = self.inner.lock();
+        inner
+            .inflight
+            .iter()
+            .map(|(&job, inf)| (job, inner.workers[inf.worker].activity))
+            .collect()
     }
 
     fn rolling_restart(&self) -> Option<u64> {

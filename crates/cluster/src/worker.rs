@@ -230,6 +230,7 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
         let chan = Arc::clone(&chan);
         let period = Duration::from_millis(cfg.heartbeat_ms.max(1));
         let mtapi = Arc::clone(&mtapi);
+        let rt = exec.rt.clone();
         std::thread::Builder::new()
             .name("worker-heartbeat".into())
             .spawn(move || {
@@ -239,6 +240,7 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
                     let msg = ToRouter::Heartbeat {
                         seq,
                         executed: mtapi.tasks_executed() as u64,
+                        activity: rt.activity(),
                     };
                     if chan.send(&msg.encode()).is_err() {
                         std::process::exit(3);

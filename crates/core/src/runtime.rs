@@ -410,21 +410,7 @@ impl Runtime {
     /// degrades to the native backend with a warning instead of failing
     /// construction.
     pub fn with_config(cfg: Config) -> Result<Self, RompError> {
-        let mut started_degraded = false;
-        let backend: Arc<dyn Backend> = match make_backend(&cfg) {
-            Ok(be) => Arc::from(be),
-            Err(e) if cfg.backend != BackendKind::Native => {
-                eprintln!(
-                    "romp[WARN] backend={} failed to initialize ({e}); \
-                     falling back to backend=native",
-                    cfg.backend.label()
-                );
-                started_degraded = true;
-                Arc::new(NativeBackend::new())
-            }
-            Err(e) => return Err(e),
-        };
-        Self::assemble(cfg, backend, started_degraded, None)
+        Self::with_fallback(cfg, None)
     }
 
     /// Environment-configured runtime placed on a [`Topology`]: every
@@ -467,6 +453,13 @@ impl Runtime {
     /// assert_eq!(rt.shard_layout(8).num_shards(), 2);
     /// ```
     pub fn with_config_and_topology(cfg: Config, topo: Topology) -> Result<Self, RompError> {
+        Self::with_fallback(cfg, Some(Arc::new(topo)))
+    }
+
+    /// Build `cfg`'s backend, degrading a non-native one that fails to
+    /// initialize to the native backend with a warning, and assemble the
+    /// runtime on it.
+    fn with_fallback(cfg: Config, topo: Option<Arc<Topology>>) -> Result<Self, RompError> {
         let mut started_degraded = false;
         let backend: Arc<dyn Backend> = match make_backend(&cfg) {
             Ok(be) => Arc::from(be),
@@ -481,7 +474,7 @@ impl Runtime {
             }
             Err(e) => return Err(e),
         };
-        Self::assemble(cfg, backend, started_degraded, Some(Arc::new(topo)))
+        Self::assemble(cfg, backend, started_degraded, topo)
     }
 
     /// Construction on a caller-built backend (targeted fault tests,

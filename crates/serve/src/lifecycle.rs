@@ -456,10 +456,14 @@ impl JobTable {
     /// transition; the caller applies side effects (completion
     /// broadcasts, metrics, backend poisoning).
     ///
+    /// `activity(job)` is the progress counter of whatever runs `job`:
+    /// a `Cancelling` job escalates once that counter has stayed flat
+    /// for `grace_ns`.
+    ///
     /// Deterministic by construction: map iteration feeds sorted
     /// collections, so the report is identical for identical state
     /// regardless of `HashMap` iteration order.
-    pub fn sweep(&self, activity: u64, grace_ns: u64) -> SweepReport {
+    pub fn sweep(&self, activity: impl Fn(u64) -> u64, grace_ns: u64) -> SweepReport {
         let now = self.clock.now_ns();
         let mut report = SweepReport::default();
         let mut escalate: Option<u64> = None;
@@ -489,10 +493,11 @@ impl JobTable {
                         entry.state = JobState::Cancelling;
                         entry.cancel_requested_ns = Some(now);
                         entry.stalled_since_ns = Some(now);
-                        entry.activity_at_check = Some(activity);
+                        entry.activity_at_check = Some(activity(id));
                         report.deadline_fired_running += 1;
                     }
                     JobState::Cancelling if !entry.escalated => {
+                        let activity = activity(id);
                         if entry.activity_at_check != Some(activity) {
                             // The runtime made progress since we last
                             // looked: the job may yet unwind on its own.
@@ -723,12 +728,12 @@ mod tests {
             },
         );
         // Before TTL: key still dedups, result still fetchable.
-        let r0 = t.sweep(0, 1_000_000_000);
+        let r0 = t.sweep(|_| 0, 1_000_000_000);
         assert_eq!(r0.dedup_evicted, 0);
         assert_eq!(t.dedup_size(), 1);
         // After TTL: both the key and the unfetched result are gone.
         vc.advance_to(2_000_000);
-        let r1 = t.sweep(0, 1_000_000_000);
+        let r1 = t.sweep(|_| 0, 1_000_000_000);
         assert_eq!(r1.dedup_evicted, 1);
         assert_eq!(t.dedup_size(), 0);
         assert!(matches!(t.consume(job.id), Consumed::Unknown));
@@ -762,7 +767,7 @@ mod tests {
             .stage(spec(), 0, 0, &limits, 99, 0, 0)
             .expect("stage live");
         t.confirm_admitted(&[live.id]);
-        let report = t.sweep(0, 1_000_000_000);
+        let report = t.sweep(|_| 0, 1_000_000_000);
         // 4 keys, cap 2 -> evict 2 oldest-terminal (keys 1 and 2).
         assert_eq!(report.dedup_evicted, 2);
         assert_eq!(t.dedup_size(), 2);
@@ -792,14 +797,14 @@ mod tests {
         assert_eq!(t.cancel(run_b.id, 5), CancelOutcome::Cancelling);
         // Deadline (1 ms) passes; activity counter unchanged at 5.
         vc.advance_to(2_000_000);
-        let r = t.sweep(5, 1_000_000);
+        let r = t.sweep(|_| 5, 1_000_000);
         assert_eq!(r.deadline_killed, vec![queued.id]);
         assert!(queued.cancel.is_cancelled());
         // Both cancelling jobs stalled the full grace: lowest id wins.
         assert_eq!(r.escalate, Some(run_a.id.min(run_b.id)));
         // Next sweep: the escalated job is not re-picked.
         vc.advance_to(4_000_000);
-        let r2 = t.sweep(5, 1_000_000);
+        let r2 = t.sweep(|_| 5, 1_000_000);
         assert_eq!(r2.escalate, Some(run_a.id.max(run_b.id)));
     }
 }

@@ -8,12 +8,13 @@
 //! blocking call — connection threads no longer exist to thrash the
 //! compute pool.
 //!
-//! The per-connection decode/route/backpressure *logic* lives in
-//! [`crate::session`] (shared with the `romp-sim` deterministic
-//! simulator, which drives the same [`Session`] state machine from
-//! virtual-time events); this module owns what is socket-specific:
-//! epoll registration, readiness edges, accepts, the completion mailbox,
-//! and the flush/close lifecycle.
+//! Everything a connection *does* — read, route, park, batch-admit,
+//! answer completions, flush, close — is the sans-IO
+//! [`Engine`] in [`crate::session`], which the
+//! `romp-sim` deterministic simulator drives too; this module owns what
+//! is socket-specific: epoll registration, readiness edges, accepts,
+//! the completion mailbox and its eventfd, sweeping closed sockets out
+//! of the epoll set, and the bounded flush retries at shutdown.
 //!
 //! Three flows meet here:
 //!
@@ -34,7 +35,6 @@ mod sys;
 
 pub use conn::{Fill, Flush, RecvBuf, SendBuf};
 
-use std::collections::HashMap;
 use std::io;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::Ordering;
@@ -43,10 +43,8 @@ use std::time::Duration;
 
 use mca_sync::Mutex;
 
-use crate::protocol::{ErrorCode, Response};
-use crate::queue::QueuedJob;
 use crate::server::Shared;
-use crate::session::{route_frames, AwaitDisposition, PendingResp, ServeCore, Session, WBUF_LIMIT};
+use crate::session::Engine;
 use sys::{Epoll, EpollEvent, EventFd, EPOLLERR, EPOLLET, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 const TOKEN_LISTENER: u64 = 0;
@@ -81,23 +79,12 @@ impl Mailbox {
     }
 }
 
-/// One connection's reactor-side state: the socket, its epoll readiness
-/// edges, and the transport-independent [`Session`].
-struct Conn {
-    stream: TcpStream,
-    sess: Session,
-    /// Readiness flags: set by epoll edges, cleared on `WouldBlock`.
-    readable: bool,
-    writable: bool,
-}
-
 pub(crate) struct Reactor {
     shared: Arc<Shared>,
     ep: Epoll,
     listener: TcpListener,
-    conns: HashMap<u64, Conn>,
-    /// job id → tokens of connections with a parked `Await` on it.
-    parked: HashMap<u64, Vec<u64>>,
+    /// Every connection's serving state; see [`Engine`].
+    engine: Engine<TcpStream>,
     next_token: u64,
 }
 
@@ -114,8 +101,7 @@ impl Reactor {
             shared,
             ep,
             listener,
-            conns: HashMap::new(),
-            parked: HashMap::new(),
+            engine: Engine::new(),
             next_token: TOKEN_FIRST_CONN,
         })
     }
@@ -160,7 +146,7 @@ impl Reactor {
                     TOKEN_LISTENER => accept_ready = true,
                     TOKEN_WAKE => self.shared.mailbox.wake.drain(),
                     t => {
-                        if let Some(c) = self.conns.get_mut(&t) {
+                        if let Some(c) = self.engine.conn_mut(t) {
                             if bits & (EPOLLIN | EPOLLRDHUP | EPOLLERR | EPOLLHUP) != 0 {
                                 c.readable = true;
                             }
@@ -175,19 +161,22 @@ impl Reactor {
             // completion is notified before `join` sets the flag, so a
             // stopping iteration is guaranteed to see the full set.
             let stopping = self.shared.stopped.load(Ordering::Acquire);
-            self.drain_completions();
+            let done = std::mem::take(&mut *self.shared.mailbox.completions.lock());
+            for job in done {
+                self.engine.deliver(&*self.shared, job);
+            }
             if accept_ready {
                 self.accept_all();
             }
             loop {
-                let worked = self.service_pass();
-                self.flush_conns();
+                let worked = self.engine.service(&*self.shared, None);
+                self.engine.flush(None);
                 // Flushing can lift a backpressure deferral, and under
                 // edge triggering no event will ever re-announce the
                 // bytes already sitting in that connection's rbuf — so
                 // keep passing while any deferred connection can now
                 // make progress, not merely while the last pass worked.
-                if !worked && !self.deferral_serviceable() {
+                if !worked && !self.engine.repass_ready(None) {
                     break;
                 }
             }
@@ -195,49 +184,6 @@ impl Reactor {
             if stopping {
                 self.wind_down();
                 return;
-            }
-        }
-    }
-
-    /// A deferred connection whose write buffer has drained below the
-    /// cap can decode buffered frames without any further epoll event;
-    /// `run` must re-pass for it rather than park in `epoll_wait`.
-    fn deferral_serviceable(&self) -> bool {
-        self.conns.values().any(|c| {
-            c.sess.decode_deferred
-                && !c.sess.closed
-                && !c.sess.close_after_flush
-                && c.sess.wbuf.pending() < WBUF_LIMIT
-        })
-    }
-
-    /// Answer parked `Await`s for jobs the dispatcher reported finished.
-    /// The first live waiter consumes the outcome exactly like a `Fetch`;
-    /// later waiters observe `UnknownJob`; dead connections are skipped
-    /// without consuming anything.
-    fn drain_completions(&mut self) {
-        let done = std::mem::take(&mut *self.shared.mailbox.completions.lock());
-        for job in done {
-            let Some(waiters) = self.parked.remove(&job) else {
-                continue;
-            };
-            let mut still_parked = Vec::new();
-            for token in waiters {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                if conn.sess.closed {
-                    continue;
-                }
-                match self.shared.try_complete_await(job) {
-                    AwaitDisposition::Ready(resp) => conn.sess.wbuf.queue(&resp.encode()),
-                    // Raced a re-submit of the same id? Impossible (ids are
-                    // unique), but a spurious notification re-parks safely.
-                    AwaitDisposition::Pending => still_parked.push(token),
-                }
-            }
-            if !still_parked.is_empty() {
-                self.parked.insert(job, still_parked);
             }
         }
     }
@@ -263,22 +209,12 @@ impl Reactor {
         {
             return;
         }
-        self.conns.insert(
-            token,
-            Conn {
-                stream,
-                sess: Session::new(),
-                // Optimistic: data may predate registration; the first
-                // service pass finds out via WouldBlock.
-                readable: true,
-                writable: true,
-            },
-        );
+        self.engine.insert(token, stream);
         self.shared
             .state
             .metrics()
             .reactor_conns
-            .set(self.conns.len() as u64);
+            .set(self.engine.len() as u64);
     }
 
     fn accept_all(&mut self) {
@@ -292,162 +228,33 @@ impl Reactor {
         }
     }
 
-    /// One pass over every serviceable connection: read to `WouldBlock`,
-    /// decode every complete frame, stage responses, admit all `Submit`s
-    /// as one batch.  Returns whether any connection was serviced (the
-    /// caller re-passes until quiescent, since flushing can lift the
-    /// backpressure deferral).
-    fn service_pass(&mut self) -> bool {
-        let shared = &self.shared;
-        let conns = &mut self.conns;
-        let parked = &mut self.parked;
-        let mut batch: Vec<QueuedJob> = Vec::new();
-        let mut staged: Vec<(u64, Vec<PendingResp>)> = Vec::new();
-        let mut worked = false;
-        for (&token, conn) in conns.iter_mut() {
-            if conn.sess.closed || conn.sess.close_after_flush {
-                continue;
-            }
-            if conn.sess.backpressured() {
-                // Backpressure: leave the socket unread; revisit when the
-                // peer drains responses.
-                if conn.readable || conn.sess.rbuf.pending() > 0 {
-                    conn.sess.decode_deferred = true;
-                }
-                continue;
-            }
-            if !conn.readable && !conn.sess.decode_deferred {
-                continue;
-            }
-            worked = true;
-            conn.sess.decode_deferred = false;
-            if conn.readable {
-                match conn.sess.rbuf.fill_from(&mut conn.stream) {
-                    Ok(Fill::WouldBlock) => conn.readable = false,
-                    Ok(Fill::Eof) => {
-                        conn.readable = false;
-                        conn.sess.eof = true;
-                    }
-                    Err(_) => {
-                        conn.sess.closed = true;
-                        continue;
-                    }
-                }
-            }
-            let mut parked_jobs = Vec::new();
-            let out = route_frames(&**shared, &mut conn.sess, &mut batch, &mut parked_jobs);
-            for job in parked_jobs {
-                parked.entry(job).or_default().push(token);
-            }
-            // Clean close on EOF (or truncated tail, dropped silently,
-            // same as the blocking reader's mid-frame-EOF contract) —
-            // only once decoding is quiescent; see `Session`.
-            conn.sess.arm_close_if_quiescent();
-            if !out.is_empty() {
-                staged.push((token, out));
-            }
-        }
-        if !batch.is_empty() {
-            shared
-                .state
-                .metrics()
-                .reactor_batch
-                .record(batch.len() as u64);
-        }
-        let mut slots: Vec<Option<Response>> =
-            shared.admit_batch(batch).into_iter().map(Some).collect();
-        for (token, pending) in staged {
-            let Some(conn) = conns.get_mut(&token) else {
-                continue;
-            };
-            for p in pending {
-                let resp = match p {
-                    PendingResp::Ready(r) => r,
-                    PendingResp::Submit(i) => slots[i].take().expect("submit slot filled once"),
-                };
-                conn.sess.wbuf.queue(&resp.encode());
-            }
-        }
-        worked
-    }
-
-    fn flush_conns(&mut self) {
-        for conn in self.conns.values_mut() {
-            if conn.sess.closed {
-                continue;
-            }
-            if conn.writable && !conn.sess.wbuf.is_empty() {
-                match conn.sess.wbuf.flush_to(&mut conn.stream) {
-                    Ok(Flush::Drained) => {}
-                    Ok(Flush::Blocked) => conn.writable = false,
-                    Err(_) => conn.sess.closed = true,
-                }
-            }
-            if conn.sess.close_after_flush && conn.sess.wbuf.is_empty() {
-                conn.sess.closed = true;
-            }
-        }
-    }
-
     fn sweep_closed(&mut self) {
         use std::os::fd::AsRawFd;
-        let dead: Vec<u64> = self
-            .conns
-            .iter()
-            .filter(|(_, c)| c.sess.closed)
-            .map(|(&t, _)| t)
-            .collect();
-        if dead.is_empty() {
-            return;
+        let ep = &self.ep;
+        if self
+            .engine
+            .sweep_closed(|stream| ep.del(stream.as_raw_fd()))
+        {
+            self.shared
+                .state
+                .metrics()
+                .reactor_conns
+                .set(self.engine.len() as u64);
         }
-        for token in dead {
-            if let Some(conn) = self.conns.remove(&token) {
-                self.ep.del(conn.stream.as_raw_fd());
-            }
-        }
-        self.shared
-            .state
-            .metrics()
-            .reactor_conns
-            .set(self.conns.len() as u64);
     }
 
-    /// Shutdown: every job is terminal and every completion has been
-    /// drained (see the flag-read ordering in `run`), so any still-parked
-    /// `Await` lost a race to a `Fetch` on another connection — answer it
-    /// rather than leave the client hanging, then flush what we can
-    /// (bounded: sockets are non-blocking and peers may be gone).
+    /// Shutdown: answer the `Await`s still parked (see
+    /// [`Engine::answer_parked`]), then flush what we can — bounded:
+    /// sockets are non-blocking and peers may be gone.
     fn wind_down(&mut self) {
-        let parked = std::mem::take(&mut self.parked);
-        for (job, waiters) in parked {
-            for token in waiters {
-                let Some(conn) = self.conns.get_mut(&token) else {
-                    continue;
-                };
-                if conn.sess.closed {
-                    continue;
-                }
-                let resp = match self.shared.try_complete_await(job) {
-                    AwaitDisposition::Ready(r) => r,
-                    AwaitDisposition::Pending => Response::Error {
-                        code: ErrorCode::UnknownJob,
-                        msg: format!("job {job}: server stopped"),
-                    },
-                };
-                conn.sess.wbuf.queue(&resp.encode());
-            }
-        }
+        self.engine.answer_parked(&*self.shared);
         for _ in 0..100 {
-            self.flush_conns();
-            if self
-                .conns
-                .values()
-                .all(|c| c.sess.closed || c.sess.wbuf.is_empty())
-            {
+            self.engine.flush(None);
+            if self.engine.flushed() {
                 break;
             }
             // Writability may need a moment; we are off the epoll loop.
-            for c in self.conns.values_mut() {
+            for c in self.engine.conns_mut() {
                 c.writable = true;
             }
             std::thread::sleep(Duration::from_millis(1));

@@ -59,6 +59,15 @@ pub trait Dispatch: Send + Sync + 'static {
     /// process running it).
     fn escalate(&self, job: u64) -> bool;
 
+    /// `(job, counter)` for each job in flight on a runtime other than
+    /// the server's (a worker process), with that runtime's activity
+    /// counter: the watchdog judges those jobs' progress by it.  Must not
+    /// call back into the serving state.  Empty (the default) when every
+    /// job runs on the server's runtime.
+    fn job_activity(&self) -> Vec<(u64, u64)> {
+        Vec::new()
+    }
+
     /// Operator-triggered rolling restart; `Some(n)` = scheduled across
     /// `n` workers.  `None` = unsupported.
     fn rolling_restart(&self) -> Option<u64> {
@@ -220,6 +229,10 @@ impl ServeCore for Shared {
 
     fn rolling_restart(&self) -> Option<u64> {
         self.dispatch.rolling_restart()
+    }
+
+    fn job_activity(&self) -> Vec<(u64, u64)> {
+        self.dispatch.job_activity()
     }
 }
 

@@ -1,30 +1,39 @@
-//! The transport seam between connection byte streams and the serving
-//! core (PR 7).
+//! The serving engine between connection byte streams and the serving
+//! core: one sans-IO state machine that the epoll reactor and the
+//! deterministic simulator (`romp-sim`) both drive.
 //!
-//! The epoll reactor and the deterministic simulator (`romp-sim`) both
-//! need the *same* per-connection logic — incremental frame decode,
-//! request routing, submit batching, await parking, write backpressure,
-//! EOF arming — but drive it from different event sources (socket
-//! readiness vs. virtual-time events).  This module holds that shared
-//! logic:
+//! The two drivers differ only in where events come from (socket
+//! readiness vs. virtual-time deliveries) and what a transport is (a
+//! `TcpStream` vs. a simulated link); everything a connection *does*
+//! lives here, once:
 //!
 //! * [`ServeCore`] — what a connection needs from the serving stack.
 //!   The production server and the simulator's core both hold one
 //!   [`ServeState`] and implement only the hooks that differ; the
 //!   request-routing *policy* (admission, idempotency, fetch/await
 //!   consumption, cancel, drain) and the job-completion and watchdog
-//!   bookkeeping live in this trait's provided methods, so they
-//!   literally cannot diverge between production and simulation.
+//!   bookkeeping live in this trait's provided methods.
 //! * [`Session`] — one connection's transport-independent state: the
 //!   [`RecvBuf`]/[`SendBuf`] pair plus the close/EOF/deferral flags.
 //! * [`route_frames`] — decode-and-route every buffered frame on a
-//!   session (the reactor's old `decode_conn`, verbatim policy).
+//!   session.
+//! * [`Engine`] — the connection table and the parked `Await`s, and the
+//!   lifecycle over them: the service pass (read, route, park, arm the
+//!   EOF close, admit the pass's submits as one batch, stage responses
+//!   in request order), completion delivery, flush with close-after-flush,
+//!   the backpressure re-pass test and the shutdown answer.  It holds
+//!   plain maps — no threads, locks or sockets — and is generic over the
+//!   transport it reads and writes.
+
+use std::collections::BTreeMap;
+use std::io::{Read, Write};
+use std::ops::Bound;
 
 use crate::job::{JobOutcome, JobState};
 use crate::lifecycle::{CancelOutcome, Consumed, StageRefusal, SweepReport};
 use crate::protocol::{ErrorCode, ProtoError, Request, Response};
 use crate::queue::{lane_of, QueuedJob};
-use crate::reactor::{RecvBuf, SendBuf};
+use crate::reactor::{Fill, Flush, RecvBuf, SendBuf};
 use crate::state::ServeState;
 use crate::JobSpec;
 
@@ -57,7 +66,8 @@ pub enum AwaitDisposition {
 pub trait ServeCore {
     /// The shared serving state.
     fn state(&self) -> &ServeState;
-    /// The runtime's activity counter (watchdog progress detection).
+    /// The serving runtime's activity counter (watchdog progress
+    /// detection for the jobs it runs).
     fn activity(&self) -> u64;
     /// A job reached a terminal state: notify whoever parks `Await`s.
     fn on_complete(&self, job: u64);
@@ -73,6 +83,14 @@ pub trait ServeCore {
         None
     }
 
+    /// `(job, counter)` for each job running on another runtime (a
+    /// cluster worker), whose activity counter stands in for
+    /// [`ServeCore::activity`] when the watchdog judges that job's
+    /// progress.  Empty when every job runs on the serving runtime.
+    fn job_activity(&self) -> Vec<(u64, u64)> {
+        Vec::new()
+    }
+
     /// Record a dispatched job's terminal state ([`ServeState::finish`])
     /// and answer the `Await`s parked on it.  Call exactly once per job
     /// the dispatcher began to run.
@@ -82,10 +100,17 @@ pub trait ServeCore {
     }
 
     /// One watchdog pass ([`ServeState::sweep`]) that also answers the
-    /// `Await`s parked on queued jobs it deadline-killed.  Escalating
-    /// the report's stalled job is the caller's.
+    /// `Await`s parked on queued jobs it deadline-killed.  A job's
+    /// progress is its own runtime's counter ([`ServeCore::job_activity`],
+    /// else [`ServeCore::activity`]).  Escalating the report's stalled
+    /// job is the caller's.
     fn watchdog_sweep(&self, grace_ns: u64) -> SweepReport {
-        let report = self.state().sweep(self.activity(), grace_ns);
+        let local = self.activity();
+        // Read before the sweep takes the jobs lock: the remote counters
+        // sit behind the dispatcher's own lock.
+        let remote = self.job_activity();
+        let activity = |job| remote.iter().find(|r| r.0 == job).map_or(local, |r| r.1);
+        let report = self.state().sweep(activity, grace_ns);
         for &id in &report.deadline_killed {
             self.on_complete(id);
         }
@@ -491,4 +516,460 @@ pub fn route_frames<C: ServeCore + ?Sized>(
         sess.decode_deferred = true;
     }
     out
+}
+
+/// One connection in an [`Engine`]: its transport, the readiness the
+/// driver last saw on it, and its [`Session`].
+pub struct Conn<T> {
+    /// The byte transport: a non-blocking socket, or a simulated link.
+    pub io: T,
+    /// Frame reassembly, response buffer and lifecycle flags.
+    pub sess: Session,
+    /// Inbound bytes or EOF may be waiting.  The driver sets it (an
+    /// epoll edge, a delivery); the service pass clears it once the
+    /// transport reports `WouldBlock` or EOF.
+    pub readable: bool,
+    /// The transport may accept writes.  The driver sets it; a flush
+    /// clears it when the transport reports `WouldBlock`.
+    pub writable: bool,
+}
+
+/// The connection table and the `Await`s parked on it (see the module
+/// docs).  Tokens are the driver's connection ids; every walk over the
+/// table goes in token order, so a driver that feeds the same events
+/// gets the same responses in the same order.
+///
+/// Passing `only: Some(token)` restricts a pass to one connection (the
+/// simulator services the connection an event arrived on); `None` walks
+/// them all (the reactor, once per wakeup).
+pub struct Engine<T> {
+    conns: BTreeMap<u64, Conn<T>>,
+    /// job id → tokens of connections with a parked `Await` on it.
+    parked: BTreeMap<u64, Vec<u64>>,
+}
+
+impl<T> Default for Engine<T> {
+    fn default() -> Self {
+        Engine {
+            conns: BTreeMap::new(),
+            parked: BTreeMap::new(),
+        }
+    }
+}
+
+/// The token range a pass covers.
+fn select(only: Option<u64>) -> (Bound<u64>, Bound<u64>) {
+    match only {
+        Some(t) => (Bound::Included(t), Bound::Included(t)),
+        None => (Bound::Unbounded, Bound::Unbounded),
+    }
+}
+
+impl<T: Read + Write> Engine<T> {
+    /// An empty table.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Add a connection under `token`, optimistically readable and
+    /// writable: bytes may predate registration, and the first pass finds
+    /// out.
+    pub fn insert(&mut self, token: u64, io: T) {
+        self.conns.insert(
+            token,
+            Conn {
+                io,
+                sess: Session::new(),
+                readable: true,
+                writable: true,
+            },
+        );
+    }
+
+    /// The connection under `token`, if it is still in the table.
+    pub fn conn_mut(&mut self, token: u64) -> Option<&mut Conn<T>> {
+        self.conns.get_mut(&token)
+    }
+
+    /// Every connection, in token order.
+    pub fn conns_mut(&mut self) -> impl Iterator<Item = &mut Conn<T>> {
+        self.conns.values_mut()
+    }
+
+    /// Connections in the table (closed ones until they are swept).
+    pub fn len(&self) -> usize {
+        self.conns.len()
+    }
+
+    /// Whether the table holds no connection.
+    pub fn is_empty(&self) -> bool {
+        self.conns.is_empty()
+    }
+
+    /// `Await`s parked and not yet answered.
+    pub fn parked_awaits(&self) -> usize {
+        self.parked.values().map(Vec::len).sum()
+    }
+
+    /// One service pass: for every selected connection that is open, not
+    /// backpressured and readable (or deferred), read the transport dry,
+    /// route every buffered frame, park the `Await`s that cannot answer
+    /// yet and arm the close on EOF; then admit the pass's `Submit`s as
+    /// **one** batch and stage each connection's responses in request
+    /// order.  Returns whether any connection was serviced.
+    pub fn service<C: ServeCore + ?Sized>(&mut self, core: &C, only: Option<u64>) -> bool {
+        let mut batch: Vec<QueuedJob> = Vec::new();
+        let mut staged: Vec<(u64, Vec<PendingResp>)> = Vec::new();
+        let mut parked_jobs = Vec::new();
+        let mut worked = false;
+        for (&token, c) in self.conns.range_mut(select(only)) {
+            if c.sess.closed || c.sess.close_after_flush {
+                continue;
+            }
+            if c.sess.backpressured() {
+                // Leave the transport unread; revisit when the peer
+                // drains responses.
+                if c.readable || c.sess.rbuf.pending() > 0 {
+                    c.sess.decode_deferred = true;
+                }
+                continue;
+            }
+            if !c.readable && !c.sess.decode_deferred {
+                continue;
+            }
+            worked = true;
+            c.sess.decode_deferred = false;
+            if c.readable {
+                match c.sess.rbuf.fill_from(&mut c.io) {
+                    Ok(Fill::WouldBlock) => c.readable = false,
+                    Ok(Fill::Eof) => {
+                        c.readable = false;
+                        c.sess.eof = true;
+                    }
+                    Err(_) => {
+                        c.sess.closed = true;
+                        continue;
+                    }
+                }
+            }
+            let out = route_frames(core, &mut c.sess, &mut batch, &mut parked_jobs);
+            for job in parked_jobs.drain(..) {
+                self.parked.entry(job).or_default().push(token);
+            }
+            // Clean close on EOF (a truncated tail is dropped silently),
+            // only once decoding is quiescent; see `Session`.
+            c.sess.arm_close_if_quiescent();
+            if !out.is_empty() {
+                staged.push((token, out));
+            }
+        }
+        if !batch.is_empty() {
+            core.state()
+                .metrics()
+                .reactor_batch
+                .record(batch.len() as u64);
+        }
+        // Batch members were pushed in the same connection and request
+        // order as `staged`, so the admission answers come out in order.
+        let mut admitted = core.admit_batch(batch).into_iter();
+        for (token, pending) in staged {
+            let Some(c) = self.conns.get_mut(&token) else {
+                continue;
+            };
+            for p in pending {
+                let resp = match p {
+                    PendingResp::Ready(r) => r,
+                    PendingResp::Submit(_) => admitted.next().expect("one answer per submit"),
+                };
+                c.sess.wbuf.queue(&resp.encode());
+            }
+        }
+        worked
+    }
+
+    /// `job` reached a terminal state: answer the `Await`s parked on it.
+    /// The first live waiter consumes the outcome exactly like a `Fetch`,
+    /// later waiters get `UnknownJob`, and closed connections are skipped
+    /// without consuming anything.  Returns the tokens answered, in
+    /// parking order.
+    pub fn deliver<C: ServeCore + ?Sized>(&mut self, core: &C, job: u64) -> Vec<u64> {
+        self.answer(core, job, false)
+    }
+
+    /// Shutdown: every job is terminal and every completion has been
+    /// delivered, so a still-parked `Await` lost a race to a `Fetch` on
+    /// another connection — answer it rather than leave the client
+    /// hanging.
+    pub fn answer_parked<C: ServeCore + ?Sized>(&mut self, core: &C) {
+        while let Some(&job) = self.parked.keys().next() {
+            self.answer(core, job, true);
+        }
+    }
+
+    fn answer<C: ServeCore + ?Sized>(&mut self, core: &C, job: u64, stopped: bool) -> Vec<u64> {
+        let Some(mut waiters) = self.parked.remove(&job) else {
+            return Vec::new();
+        };
+        let conns = &mut self.conns;
+        let mut still_parked = Vec::new();
+        waiters.retain(|&token| {
+            let Some(c) = conns.get_mut(&token).filter(|c| !c.sess.closed) else {
+                return false;
+            };
+            let resp = match core.try_complete_await(job) {
+                AwaitDisposition::Ready(resp) => resp,
+                AwaitDisposition::Pending if stopped => Response::Error {
+                    code: ErrorCode::UnknownJob,
+                    msg: format!("job {job}: server stopped"),
+                },
+                // A notification for a job that is not terminal yet
+                // re-parks safely.
+                AwaitDisposition::Pending => {
+                    still_parked.push(token);
+                    return false;
+                }
+            };
+            c.sess.wbuf.queue(&resp.encode());
+            c.sess.arm_close_if_quiescent();
+            true
+        });
+        if !still_parked.is_empty() {
+            self.parked.insert(job, still_parked);
+        }
+        waiters
+    }
+
+    /// Write the selected connections' buffered responses to their
+    /// transports, and close each one whose close-after-flush has
+    /// drained.  Returns whether such a close happened in this call.
+    pub fn flush(&mut self, only: Option<u64>) -> bool {
+        let mut closed_now = false;
+        for (_, c) in self.conns.range_mut(select(only)) {
+            if c.sess.closed {
+                continue;
+            }
+            if c.writable && !c.sess.wbuf.is_empty() {
+                match c.sess.wbuf.flush_to(&mut c.io) {
+                    Ok(Flush::Drained) => {}
+                    Ok(Flush::Blocked) => c.writable = false,
+                    Err(_) => c.sess.closed = true,
+                }
+            }
+            if c.sess.close_after_flush && c.sess.wbuf.is_empty() && !c.sess.closed {
+                c.sess.closed = true;
+                closed_now = true;
+            }
+        }
+        closed_now
+    }
+
+    /// Whether a selected connection deferred decoding and has since
+    /// drained below [`WBUF_LIMIT`]: its buffered frames can be decoded
+    /// without any new transport event, so the driver must pass again
+    /// rather than wait for one.
+    pub fn repass_ready(&self, only: Option<u64>) -> bool {
+        self.conns.range(select(only)).any(|(_, c)| {
+            c.sess.decode_deferred
+                && !c.sess.closed
+                && !c.sess.close_after_flush
+                && !c.sess.backpressured()
+        })
+    }
+
+    /// Whether every open connection's responses are fully written.
+    pub fn flushed(&self) -> bool {
+        self.conns
+            .values()
+            .all(|c| c.sess.closed || c.sess.wbuf.is_empty())
+    }
+
+    /// Drop every closed connection, handing each transport to
+    /// `on_close` first.  Returns whether any was dropped.
+    pub fn sweep_closed(&mut self, mut on_close: impl FnMut(&T)) -> bool {
+        let before = self.conns.len();
+        self.conns.retain(|_, c| {
+            if c.sess.closed {
+                on_close(&c.io);
+            }
+            !c.sess.closed
+        });
+        self.conns.len() != before
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+    use std::io;
+
+    use mca_platform::VirtualClock;
+    use romp_epcc::Construct;
+    use romp_trace::MetricsRegistry;
+
+    use super::*;
+    use crate::lifecycle::DedupConfig;
+    use crate::metrics::Metrics;
+    use crate::server::ServeConfig;
+
+    /// A serving core with no executor: the test pops and finishes jobs.
+    struct TestCore {
+        state: ServeState,
+        completions: RefCell<Vec<u64>>,
+    }
+
+    impl TestCore {
+        fn new() -> TestCore {
+            TestCore {
+                state: ServeState::new(
+                    VirtualClock::new(0).clock(),
+                    DedupConfig::default(),
+                    Metrics::new(&MetricsRegistry::new()),
+                    &ServeConfig::default(),
+                ),
+                completions: RefCell::new(Vec::new()),
+            }
+        }
+    }
+
+    impl ServeCore for TestCore {
+        fn state(&self) -> &ServeState {
+            &self.state
+        }
+        fn activity(&self) -> u64 {
+            0
+        }
+        fn on_complete(&self, job: u64) {
+            self.completions.borrow_mut().push(job);
+        }
+        fn stats_json(&self) -> String {
+            String::new()
+        }
+    }
+
+    /// An in-memory transport: reads drain `inbox`, writes always fit.
+    #[derive(Default)]
+    struct Pipe {
+        inbox: Vec<u8>,
+        out: Vec<u8>,
+    }
+
+    impl Read for Pipe {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            if self.inbox.is_empty() {
+                return Err(io::ErrorKind::WouldBlock.into());
+            }
+            let n = buf.len().min(self.inbox.len());
+            buf[..n].copy_from_slice(&self.inbox[..n]);
+            self.inbox.drain(..n);
+            Ok(n)
+        }
+    }
+
+    impl Write for Pipe {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.out.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn send(engine: &mut Engine<Pipe>, token: u64, req: Request) {
+        let c = engine.conn_mut(token).expect("connection in the table");
+        c.io.inbox.extend_from_slice(&req.encode());
+        c.readable = true;
+    }
+
+    /// Everything the engine wrote to `token` since the last call.
+    fn answers(engine: &mut Engine<Pipe>, token: u64) -> Vec<Response> {
+        let c = engine.conn_mut(token).expect("connection in the table");
+        let mut rbuf = RecvBuf::new();
+        rbuf.extend(&std::mem::take(&mut c.io.out));
+        std::iter::from_fn(|| rbuf.next_frame().expect("well-formed frames"))
+            .map(|body| Response::decode(&body).expect("decodable response"))
+            .collect()
+    }
+
+    /// Two connections, each with an `Await` parked on one running job.
+    fn two_waiters() -> (TestCore, Engine<Pipe>, u64) {
+        let core = TestCore::new();
+        let mut engine = Engine::new();
+        engine.insert(1, Pipe::default());
+        engine.insert(2, Pipe::default());
+        let spec = JobSpec::Epcc {
+            construct: Construct::Barrier,
+            threads: 1,
+            inner_reps: 1,
+        };
+        send(
+            &mut engine,
+            1,
+            Request::Submit {
+                spec,
+                deadline_ms: 0,
+                idem_key: 0,
+                affinity: 0,
+                priority: 0,
+            },
+        );
+        assert!(engine.service(&core, None));
+        engine.flush(None);
+        let job = match answers(&mut engine, 1).as_slice() {
+            [Response::Accepted { job }] => *job,
+            other => panic!("submit answered {other:?}"),
+        };
+        assert_eq!(core.state.try_pop().map(|j| j.id), Some(job));
+        send(&mut engine, 1, Request::Await { job });
+        send(&mut engine, 2, Request::Await { job });
+        assert!(engine.service(&core, None));
+        engine.flush(None);
+        assert_eq!(engine.parked_awaits(), 2);
+        assert!(answers(&mut engine, 1).is_empty() && answers(&mut engine, 2).is_empty());
+        let outcome = JobOutcome {
+            ok: true,
+            wall_us: 7,
+            detail: "ok".into(),
+        };
+        core.finish_job(job, "k", JobState::Done, outcome, 7_000);
+        assert_eq!(*core.completions.borrow(), [job]);
+        (core, engine, job)
+    }
+
+    #[test]
+    fn one_completion_answers_the_first_waiter_and_refuses_the_second() {
+        let (core, mut engine, job) = two_waiters();
+        assert_eq!(engine.deliver(&core, job), [1, 2]);
+        engine.flush(None);
+        assert_eq!(
+            answers(&mut engine, 1),
+            [Response::JobResult {
+                job,
+                ok: true,
+                wall_us: 7,
+                detail: "ok".into(),
+            }]
+        );
+        match answers(&mut engine, 2).as_slice() {
+            [Response::Error {
+                code: ErrorCode::UnknownJob,
+                ..
+            }] => {}
+            other => panic!("second waiter answered {other:?}"),
+        }
+        assert_eq!(engine.parked_awaits(), 0);
+    }
+
+    #[test]
+    fn a_closed_waiter_is_skipped_without_consuming_the_result() {
+        let (core, mut engine, job) = two_waiters();
+        engine.conn_mut(1).unwrap().sess.closed = true;
+        assert_eq!(engine.deliver(&core, job), [2]);
+        engine.flush(None);
+        assert!(answers(&mut engine, 1).is_empty());
+        assert!(matches!(
+            answers(&mut engine, 2).as_slice(),
+            [Response::JobResult { ok: true, .. }]
+        ));
+    }
 }

@@ -228,7 +228,8 @@ impl ServeState {
     /// One watchdog sweep over the table, with its metrics applied.
     /// Every fired deadline is an accepted job the shed gate (when on)
     /// predicted would make it, so each also counts as a deadline miss.
-    pub fn sweep(&self, activity: u64, grace_ns: u64) -> SweepReport {
+    /// `activity` is as for [`JobTable::sweep`].
+    pub fn sweep(&self, activity: impl Fn(u64) -> u64, grace_ns: u64) -> SweepReport {
         let m = &self.metrics;
         m.wd_ticks.incr();
         let report = self.table.sweep(activity, grace_ns);

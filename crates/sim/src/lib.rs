@@ -13,15 +13,19 @@
 //! What is real and what is modelled:
 //!
 //! * **Real**: the wire protocol and frame codecs, `RecvBuf`/`SendBuf`
-//!   reassembly, [`romp_serve::session`]'s `route_frames` + `ServeCore`
-//!   policy (admission, idempotency, batch admission, await parking,
-//!   cancel, drain), and the one [`romp_serve::ServeState`] the
+//!   reassembly, the connection engine the epoll reactor drives
+//!   ([`romp_serve::session::Engine`]: service pass, await parking,
+//!   completion delivery, backpressure deferral, flush and
+//!   close-after-flush), the `route_frames` + `ServeCore` policy
+//!   (admission, idempotency, batch admission, cancel, drain), and the
+//!   one [`romp_serve::ServeState`] the
 //!   production server and the cluster router also drive: job table
 //!   (deadlines, sweep, dedup bounds), EDF queue, `serve.*` metrics,
 //!   service-time estimators, and the dispatcher's pop / finish and the
 //!   watchdog's sweep bookkeeping — the exact code production runs.
 //! * **Modelled**: threads (event sources), sockets ([`net`]: seeded
-//!   delays, ordered delivery, partitions, write windows), kernel
+//!   delays, ordered delivery, partitions; each server-side connection's
+//!   transport is an inbox plus a write window), kernel
 //!   execution (seeded durations/outcomes, with `mca-mrapi` fault-plan
 //!   probes deciding failures), watchdog escalation (backend
 //!   poisoning), and time itself ([`mca_platform::VirtualClock`]).

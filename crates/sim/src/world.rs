@@ -3,12 +3,14 @@
 //!
 //! Everything that is a thread in production is an event source here:
 //!
-//! * the **reactor** becomes per-connection `NetToServer` deliveries
-//!   feeding the real [`Session`]/[`route_frames`] seam, with a per-link
-//!   write window standing in for the socket send buffer (the window
-//!   writer returns `WouldBlock` exactly like a full socket, so
-//!   `SendBuf` backpressure and `decode_deferred` run their production
-//!   paths);
+//! * the **reactor** becomes per-connection `NetToServer` deliveries and
+//!   `Ack`s driving the production connection [`Engine`] — its service
+//!   pass, parked `Await`s, completion delivery and flush/close
+//!   lifecycle are the reactor's own code.  Each connection's transport
+//!   is a `SimPipe`: delivered bytes wait in an inbox the engine reads
+//!   to `WouldBlock`, and a write window stands in for the socket send
+//!   buffer (returning `WouldBlock` exactly like a full socket, so
+//!   backpressure and decode deferral run their production paths);
 //! * the **dispatcher** becomes `DispatcherPop`/`JobDone` events calling
 //!   the production [`ServeState::try_pop`](romp_serve::ServeState::try_pop)
 //!   and [`ServeCore::finish_job`] — queue-wait, lane gauges, latency,
@@ -25,15 +27,14 @@
 //! in `BTreeMap`s/`Vec`s, ties break on insertion order, and the single
 //! [`SmallRng`] is consumed in event order.
 
-use std::collections::BTreeMap;
-use std::io::{self, Write};
+use std::io::{self, Read, Write};
 
 use mca_mrapi::{FaultPlan, FaultProbe, FaultSite};
 use mca_platform::{Clock, VirtualClock};
 use mca_sync::SmallRng;
 use romp::CancelToken;
 use romp_serve::lifecycle::terminal_for;
-use romp_serve::session::{route_frames, AwaitDisposition, PendingResp, ServeCore, Session};
+use romp_serve::session::{Engine, ServeCore};
 use romp_serve::{lane_name, JobOutcome, JobState};
 
 use crate::client::{ClientCmd, SimClient};
@@ -74,13 +75,6 @@ enum Event {
     PartitionHeal,
 }
 
-/// One server-side connection: the shared session plus the simulated
-/// socket send-buffer window.
-struct SrvConn {
-    sess: Session,
-    window: usize,
-}
-
 /// The modelled execution of one dispatched job.
 struct Running {
     job: u64,
@@ -102,22 +96,43 @@ struct Running {
     started_ns: u64,
 }
 
-/// `io::Write` over the connection's remaining window: accepts up to
-/// `budget` bytes, then `WouldBlock` — a kernel socket buffer in one
+/// One server-side connection's transport: the simulated socket.
+/// Reads drain what the link delivered (`WouldBlock` when dry, EOF once
+/// the peer's EOF arrived); writes go into `out` up to the remaining
+/// send window, then `WouldBlock` — a kernel socket buffer in one
 /// struct.
-struct WindowWriter<'a> {
-    budget: &'a mut usize,
+struct SimPipe {
+    inbox: Vec<u8>,
+    eof: bool,
+    window: usize,
+    /// Bytes written since the world last shipped them down the link.
     out: Vec<u8>,
 }
 
-impl Write for WindowWriter<'_> {
+impl Read for SimPipe {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        if self.inbox.is_empty() {
+            return if self.eof {
+                Ok(0)
+            } else {
+                Err(io::Error::new(io::ErrorKind::WouldBlock, "inbox dry"))
+            };
+        }
+        let n = buf.len().min(self.inbox.len());
+        buf[..n].copy_from_slice(&self.inbox[..n]);
+        self.inbox.drain(..n);
+        Ok(n)
+    }
+}
+
+impl Write for SimPipe {
     fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        if *self.budget == 0 {
+        if self.window == 0 {
             return Err(io::Error::new(io::ErrorKind::WouldBlock, "window full"));
         }
-        let n = buf.len().min(*self.budget);
+        let n = buf.len().min(self.window);
         self.out.extend_from_slice(&buf[..n]);
-        *self.budget -= n;
+        self.window -= n;
         Ok(n)
     }
     fn flush(&mut self) -> io::Result<()> {
@@ -133,10 +148,8 @@ pub struct World {
     evq: EventQueue<Event>,
     net: SimNet,
     core: SimCore,
-    conns: BTreeMap<u64, SrvConn>,
+    engine: Engine<SimPipe>,
     clients: Vec<SimClient>,
-    /// job id → connections with a parked `Await`.
-    parked: BTreeMap<u64, Vec<u64>>,
     running: Option<Running>,
     exec_seq: u64,
     dispatcher_done: bool,
@@ -159,15 +172,17 @@ impl World {
         let mut evq = EventQueue::new();
         let mut net = SimNet::new();
         let mut clients = Vec::new();
-        let mut conns = BTreeMap::new();
+        let mut engine = Engine::new();
         for i in 0..sc.clients {
             let conn = (i as u64) + 1;
             net.add_link(conn, sc.link(&mut rng));
-            conns.insert(
+            engine.insert(
                 conn,
-                SrvConn {
-                    sess: Session::new(),
+                SimPipe {
+                    inbox: Vec::new(),
+                    eof: false,
                     window: sc.window,
+                    out: Vec::new(),
                 },
             );
             clients.push(SimClient::new(conn, sc.profile(i, &mut rng)));
@@ -195,9 +210,8 @@ impl World {
             evq,
             net,
             core,
-            conns,
+            engine,
             clients,
-            parked: BTreeMap::new(),
             running: None,
             exec_seq: 0,
             dispatcher_done: false,
@@ -265,11 +279,12 @@ impl World {
                 self.after_core_interaction();
             }
             Event::NetToServer(conn, payload) => {
-                if let Some(c) = self.conns.get_mut(&conn) {
+                if let Some(c) = self.engine.conn_mut(conn) {
                     match payload {
-                        Payload::Bytes(b) => c.sess.rbuf.extend(&b),
-                        Payload::Eof => c.sess.eof = true,
+                        Payload::Bytes(b) => c.io.inbox.extend_from_slice(&b),
+                        Payload::Eof => c.io.eof = true,
                     }
+                    c.readable = true;
                 }
                 self.service_conn(conn);
             }
@@ -290,23 +305,14 @@ impl World {
                 self.check_all_done();
             }
             Event::Ack(conn, n) => {
-                if let Some(c) = self.conns.get_mut(&conn) {
-                    c.window += n;
+                if let Some(c) = self.engine.conn_mut(conn) {
+                    c.io.window += n;
+                    c.writable = true;
                 }
                 self.flush_conn(conn);
                 // The production deferral path: window freed, revisit
                 // buffered frames without a new read event.
-                let deferred = self
-                    .conns
-                    .get(&conn)
-                    .map(|c| {
-                        c.sess.decode_deferred
-                            && !c.sess.closed
-                            && !c.sess.close_after_flush
-                            && !c.sess.backpressured()
-                    })
-                    .unwrap_or(false);
-                if deferred {
+                if self.engine.repass_ready(Some(conn)) {
                     self.service_conn(conn);
                 }
             }
@@ -393,104 +399,36 @@ impl World {
         self.apply_cmds(idx, cmds);
     }
 
-    /// One service pass over a connection: decode frames through the
-    /// shared seam, admit the submit batch, stage responses, flush.
-    /// Mirrors the production reactor's `service_pass`.
+    /// Service one connection through the engine — passing again while a
+    /// frame-cap deferral can still make progress — then flush it.
     fn service_conn(&mut self, conn_id: u64) {
-        let Some(mut c) = self.conns.remove(&conn_id) else {
-            return;
-        };
-        loop {
-            if c.sess.closed || c.sess.close_after_flush {
-                break;
-            }
-            if c.sess.backpressured() {
-                if c.sess.rbuf.pending() > 0 {
-                    c.sess.decode_deferred = true;
-                }
-                break;
-            }
-            c.sess.decode_deferred = false;
-            let mut batch = Vec::new();
-            let mut parked_jobs = Vec::new();
-            let staged = route_frames(&self.core, &mut c.sess, &mut batch, &mut parked_jobs);
-            let decoded_any = !staged.is_empty() || !batch.is_empty() || !parked_jobs.is_empty();
-            for j in parked_jobs {
-                self.parked.entry(j).or_default().push(conn_id);
-            }
-            if !batch.is_empty() {
-                self.core
-                    .state()
-                    .metrics()
-                    .reactor_batch
-                    .record(batch.len() as u64);
-            }
-            let admitted = self.core.admit_batch(batch);
-            let mut slots = admitted.into_iter();
-            for s in staged {
-                let resp = match s {
-                    PendingResp::Ready(r) => r,
-                    PendingResp::Submit(_) => slots.next().expect("one slot per batched submit"),
-                };
-                c.sess.wbuf.queue(&resp.encode());
-            }
-            c.sess.arm_close_if_quiescent();
-            if !decoded_any || !c.sess.decode_deferred {
-                break;
-            }
-            // Frame-cap deferral with budget left: keep decoding, as the
-            // production reactor does on its deferral revisit.
-        }
-        self.conns.insert(conn_id, c);
+        while self.engine.service(&self.core, Some(conn_id))
+            && self.engine.repass_ready(Some(conn_id))
+        {}
         self.after_core_interaction();
         self.flush_conn(conn_id);
     }
 
-    /// Flush a connection's pending responses into its write window and
-    /// onto the down link; handle the flush-then-close arm.
+    /// Flush a connection through the engine and ship what its window
+    /// took down the link, followed by EOF if the flush closed it.
     fn flush_conn(&mut self, conn_id: u64) {
-        let Some(mut c) = self.conns.remove(&conn_id) else {
+        let closed_now = self.engine.flush(Some(conn_id));
+        let Some(c) = self.engine.conn_mut(conn_id) else {
             return;
         };
-        if !c.sess.closed && !c.sess.wbuf.is_empty() {
-            let mut w = WindowWriter {
-                budget: &mut c.window,
-                out: Vec::new(),
-            };
-            // WouldBlock → Blocked; the window writer never errors
-            // otherwise, so flush_to cannot fail here.
-            let _ = c
-                .sess
-                .wbuf
-                .flush_to(&mut w)
-                .expect("window writer never hard-fails");
-            if !w.out.is_empty() {
-                let now = self.now();
-                let client = (conn_id - 1) as usize;
-                if let Some((at, p)) =
-                    self.net
-                        .link(conn_id)
-                        .down
-                        .send(now, &mut self.rng, Payload::Bytes(w.out))
-                {
-                    self.evq.push(at, Event::NetToClient(client, p));
-                }
-            }
-        }
-        if c.sess.close_after_flush && c.sess.wbuf.is_empty() && !c.sess.closed {
-            c.sess.closed = true;
-            let now = self.now();
-            let client = (conn_id - 1) as usize;
-            if let Some((at, p)) =
-                self.net
-                    .link(conn_id)
-                    .down
-                    .send(now, &mut self.rng, Payload::Eof)
-            {
+        let out = std::mem::take(&mut c.io.out);
+        let now = self.now();
+        let client = (conn_id - 1) as usize;
+        let down = &mut self.net.link(conn_id).down;
+        let bytes = (!out.is_empty()).then_some(Payload::Bytes(out));
+        for p in [bytes, closed_now.then_some(Payload::Eof)]
+            .into_iter()
+            .flatten()
+        {
+            if let Some((at, p)) = down.send(now, &mut self.rng, p) {
                 self.evq.push(at, Event::NetToClient(client, p));
             }
         }
-        self.conns.insert(conn_id, c);
     }
 
     /// After any pass through the core: deliver cancel-completions,
@@ -509,34 +447,10 @@ impl World {
     }
 
     /// Answer every parked `Await` on a now-terminal job (the mailbox
-    /// broadcast, in event form).
+    /// broadcast, in event form) and flush each answered connection.
     fn deliver_completion(&mut self, job: u64) {
-        let Some(conn_ids) = self.parked.remove(&job) else {
-            return;
-        };
-        for conn_id in conn_ids {
-            let ready = {
-                let Some(c) = self.conns.get_mut(&conn_id) else {
-                    continue;
-                };
-                if c.sess.closed {
-                    continue;
-                }
-                match self.core.try_complete_await(job) {
-                    AwaitDisposition::Ready(resp) => {
-                        c.sess.wbuf.queue(&resp.encode());
-                        c.sess.arm_close_if_quiescent();
-                        true
-                    }
-                    AwaitDisposition::Pending => {
-                        self.parked.entry(job).or_default().push(conn_id);
-                        false
-                    }
-                }
-            };
-            if ready {
-                self.flush_conn(conn_id);
-            }
+        for conn_id in self.engine.deliver(&self.core, job) {
+            self.flush_conn(conn_id);
         }
     }
 
@@ -736,7 +650,7 @@ impl World {
         (self.dispatcher_done || (queue.is_closed() && queue.is_empty()))
             && self.running.is_none()
             && queue.is_empty()
-            && self.parked.is_empty()
+            && self.engine.parked_awaits() == 0
             && self.clients.iter().all(|c| c.quiescent())
     }
 
@@ -791,11 +705,10 @@ impl World {
                 ));
             }
         }
-        if !self.parked.is_empty() {
-            self.violations.push(format!(
-                "{} parked await(s) never answered",
-                self.parked.values().map(Vec::len).sum::<usize>()
-            ));
+        let parked = self.engine.parked_awaits();
+        if parked != 0 {
+            self.violations
+                .push(format!("{parked} parked await(s) never answered"));
         }
         let dedup = st.table().dedup_size();
         if dedup > self.sc.dedup_cap {
