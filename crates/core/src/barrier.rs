@@ -21,22 +21,22 @@
 //! arrivals thus stay inside the cluster's cache domain; exactly
 //! `num_shards - 1` + 1 writes cross it per phase.
 //!
-//! Waiting is spin-then-sleep with an *idle callback* so the team can drain
-//! explicit tasks while blocked — the OpenMP rule that barriers are task
-//! scheduling points.  The sleep path uses a condition variable with a
-//! bounded wait, which keeps oversubscribed runs (24 workers on one host
-//! core) from melting down in spin loops.  Sleepers register in a counter
-//! before their final generation check, so the release is one generation
-//! bump plus a counter load, and it takes the sleep lock and wakes the
-//! condvar only when a member actually sleeps: a barrier whose members
-//! all catch the release while spinning costs no syscall.
+//! Waiting is spin, then yield, then sleep, with an *idle callback* so the
+//! team can drain explicit tasks while blocked — the OpenMP rule that
+//! barriers are task scheduling points.  The sleep is an [`EventCount`]
+//! wait with a 500 µs deadline (the task-drain heartbeat), which keeps
+//! oversubscribed runs (24 workers on one host core) from melting down in
+//! spin loops.  The release is one generation bump plus the eventcount's
+//! notify, which makes a syscall only when a member is registered to
+//! sleep: a barrier whose members all catch the release while spinning
+//! costs no syscall.
 
-use std::hint;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mca_platform::ShardLayout;
-use mca_sync::{CachePadded, Condvar, Mutex as PlMutex};
+use mca_sync::park::{EventCount, SpinBudget};
+use mca_sync::CachePadded;
 
 /// Barrier algorithm selector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -51,6 +51,9 @@ pub enum BarrierKind {
     },
 }
 
+/// What a waiter spends before it sleeps: 64 pauses, then 16 yields.
+const BARRIER_SPIN: SpinBudget = SpinBudget::spins(64).then_yields(16);
+
 /// How long a sleeping waiter blocks before re-running its idle callback
 /// (a task posted late still gets drained).  Wakes are by notification;
 /// this bound is only the task-drain heartbeat.
@@ -61,38 +64,36 @@ const SLEEP_BOUND: Duration = Duration::from_micros(500);
 /// spins reading it, and sharing its line with a counter that every
 /// arriver writes would turn each arrival into a team-wide invalidation.
 ///
-/// Wake protocol (a store-load handshake on both sides, all `SeqCst`): a
-/// sleeper increments `sleepers` under `lock`, then re-checks the
-/// generation and the cancel flag, and keeps holding `lock` until the
-/// condvar wait releases it.  [`Release::fire`] bumps the generation, then
-/// loads `sleepers`.  In the single `SeqCst` order either the sleeper's
-/// re-check sees the bump, or `fire` sees the registration and notifies
-/// under `lock` — which it can only take once the sleeper is waiting.
+/// A sleeper prepares an eventcount wait, re-checks the generation and
+/// the cancel flag, and only then commits; [`Release::fire`] bumps the
+/// generation and [`Barrier::cancel`] sets the flag before each notifies,
+/// so the eventcount's protocol covers both wakes.  The bump and the flag
+/// are `Release`, paired with the waiters' `Acquire` loads; the
+/// eventcount's `SeqCst` fences (not the bump's ordering) order the write
+/// against a sleeper's registration.
 struct Release {
     gen: CachePadded<AtomicU64>,
-    /// Members between registering under `lock` and leaving their wait.
-    sleepers: AtomicUsize,
-    lock: PlMutex<()>,
-    cv: Condvar,
+    /// Members sleeping (or about to) on the release.
+    sleep: EventCount,
     /// Set by [`Barrier::cancel`].  Checked inside the wait loop (not just
     /// once before it) because a waiter can load the flag as clear, then
     /// the canceller sets it and fires — a one-shot release would race; the
     /// in-loop check cannot miss it.
     cancelled: AtomicBool,
+    /// Test hook: sleep bound override in milliseconds (0 = `SLEEP_BOUND`),
+    /// so a test can tell a notified wake from a timed-out one.
     #[cfg(test)]
-    hook: hook::Hook,
+    bound_ms: AtomicU64,
 }
 
 impl Release {
     fn new() -> Self {
         Release {
             gen: CachePadded::new(AtomicU64::new(0)),
-            sleepers: AtomicUsize::new(0),
-            lock: PlMutex::new(()),
-            cv: Condvar::new(),
+            sleep: EventCount::new(),
             cancelled: AtomicBool::new(false),
             #[cfg(test)]
-            hook: hook::Hook::default(),
+            bound_ms: AtomicU64::new(0),
         }
     }
 
@@ -102,89 +103,34 @@ impl Release {
     }
 
     fn fire(&self) {
-        self.gen.fetch_add(1, Ordering::SeqCst);
-        self.wake_sleepers();
-    }
-
-    /// Wake registered sleepers, if any.  Call after a `SeqCst` write of
-    /// the condition they re-check (the generation or the cancel flag).
-    #[inline]
-    fn wake_sleepers(&self) {
-        if self.sleepers.load(Ordering::SeqCst) != 0 {
-            // Taking the lock orders this wake after the sleeper's wait
-            // began: it holds the lock from registering until it waits.
-            drop(self.lock.lock());
-            self.cv.notify_all();
-            #[cfg(test)]
-            self.hook.notifies.fetch_add(1, Ordering::Relaxed);
-        }
+        self.gen.fetch_add(1, Ordering::Release);
+        self.sleep.notify_all();
     }
 
     /// Wait until the generation moves past `gen`, calling `idle` in the
     /// loop (it returns `true` when it did useful work and wants an
     /// immediate re-check).
     fn await_change(&self, gen: u64, mut idle: impl FnMut() -> bool) {
-        let mut spins = 0u32;
-        while self.current() == gen {
-            if self.cancelled.load(Ordering::Acquire) {
-                return;
-            }
-            if idle() {
+        let mut spin = BARRIER_SPIN;
+        let released = || self.current() != gen || self.cancelled.load(Ordering::Acquire);
+        while !released() {
+            if idle() || spin.snooze() {
                 continue;
             }
-            if spins < 64 {
-                hint::spin_loop();
-                spins += 1;
-            } else if spins < 80 {
-                std::thread::yield_now();
-                spins += 1;
-            } else {
-                self.sleep(gen);
-            }
+            let heartbeat = Instant::now() + self.sleep_bound();
+            self.sleep
+                .wait_until(SpinBudget::NONE, Some(heartbeat), released);
         }
-    }
-
-    /// One bounded sleep, registered so [`Release::fire`] and
-    /// [`Barrier::cancel`] know to wake it.
-    fn sleep(&self, gen: u64) {
-        let mut guard = self.lock.lock();
-        self.sleepers.fetch_add(1, Ordering::SeqCst);
-        if self.gen.load(Ordering::SeqCst) == gen && !self.cancelled.load(Ordering::SeqCst) {
-            let bound = self.sleep_bound();
-            let _timed_out = self.cv.wait_for(&mut guard, bound).timed_out();
-            #[cfg(test)]
-            if _timed_out {
-                self.hook.timeouts.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        self.sleepers.fetch_sub(1, Ordering::SeqCst);
     }
 
     #[inline]
     fn sleep_bound(&self) -> Duration {
         #[cfg(test)]
-        match self.hook.bound_ms.load(Ordering::Relaxed) {
+        match self.bound_ms.load(Ordering::Relaxed) {
             0 => {}
             ms => return Duration::from_millis(ms),
         }
         SLEEP_BOUND
-    }
-}
-
-/// Test hook: what the sleep path did, and an override for its bound so
-/// a test can tell a notified wake from a timed-out one.
-#[cfg(test)]
-mod hook {
-    use std::sync::atomic::AtomicU64;
-
-    #[derive(Default)]
-    pub(super) struct Hook {
-        /// Sleeps that ended by timing out.
-        pub timeouts: AtomicU64,
-        /// Lock-and-notify wakes issued by `fire` / `cancel`.
-        pub notifies: AtomicU64,
-        /// Sleep bound override in milliseconds (0 = `SLEEP_BOUND`).
-        pub bound_ms: AtomicU64,
     }
 }
 
@@ -311,10 +257,10 @@ impl Barrier {
     /// leave late arrivers stranded on a count that will never fill.  The
     /// barrier is per-region, so a broken barrier dies with its team.
     pub fn cancel(&self) {
-        // Same handshake as a release: set the flag, then wake registered
-        // sleepers (their re-check reads the flag after registering).
-        self.release.cancelled.store(true, Ordering::SeqCst);
-        self.release.wake_sleepers();
+        // Same handshake as a release: set the flag, then notify (a
+        // sleeper's re-check reads the flag after registering).
+        self.release.cancelled.store(true, Ordering::Release);
+        self.release.sleep.notify_all();
     }
 
     /// Has [`Barrier::cancel`] been called?
@@ -612,7 +558,7 @@ pub(crate) mod tests {
     /// sleep bound is far beyond the watchdog.
     fn notify_only_barrier(layout: &ShardLayout) -> Arc<Barrier> {
         let b = Barrier::with_layout(layout.num_members(), BarrierKind::Centralized, layout);
-        b.release.hook.bound_ms.store(600_000, Ordering::Relaxed);
+        b.release.bound_ms.store(600_000, Ordering::Relaxed);
         Arc::new(b)
     }
 
@@ -621,7 +567,7 @@ pub(crate) mod tests {
     fn park_sleeper(b: &Arc<Barrier>, tid: usize) -> thread::JoinHandle<()> {
         let b2 = Arc::clone(b);
         let h = thread::spawn(move || b2.wait(tid));
-        while b.release.sleepers.load(Ordering::SeqCst) == 0 {
+        while b.release.sleep.waiters() == 0 {
             thread::yield_now();
         }
         h
@@ -638,9 +584,9 @@ pub(crate) mod tests {
                     b.wait(0); // last arriver: fires
                     h.join().unwrap();
                 }
-                let hook = &b.release.hook;
-                assert_eq!(hook.timeouts.load(Ordering::Relaxed), 0);
-                assert!(hook.notifies.load(Ordering::Relaxed) > 0);
+                let sleep = &b.release.sleep;
+                assert_eq!(sleep.timeouts(), 0);
+                assert!(sleep.wakes() > 0);
             }
         });
     }
@@ -655,9 +601,9 @@ pub(crate) mod tests {
                     let h = park_sleeper(&b, 1);
                     b.cancel();
                     h.join().unwrap();
-                    let hook = &b.release.hook;
-                    assert_eq!(hook.timeouts.load(Ordering::Relaxed), 0);
-                    assert_eq!(hook.notifies.load(Ordering::Relaxed), 1);
+                    let sleep = &b.release.sleep;
+                    assert_eq!(sleep.timeouts(), 0);
+                    assert_eq!(sleep.wakes(), 1);
                 }
             }
         });
@@ -670,7 +616,7 @@ pub(crate) mod tests {
             b.release.fire();
         }
         b.cancel();
-        assert_eq!(b.release.hook.notifies.load(Ordering::Relaxed), 0);
+        assert_eq!(b.release.sleep.wakes(), 0);
     }
 
     #[test]
@@ -698,7 +644,7 @@ pub(crate) mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(b.release.hook.timeouts.load(Ordering::Relaxed), 0);
+            assert_eq!(b.release.sleep.timeouts(), 0);
         });
     }
 

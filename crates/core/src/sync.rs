@@ -1,43 +1,38 @@
 //! Low-level synchronization for the native backend.
 //!
 //! Stock libGOMP brings its own futex-based locks rather than pthread
-//! mutexes; this module is the analogue: a spin-then-park mutex built from
-//! atomics and `std::thread::park`, used by [`crate::backend::NativeBackend`]
+//! mutexes; this module is the analogue: Drepper's three-state futex mutex
+//! ("Futexes Are Tricky", mutex 3) on the workspace's one futex binding
+//! ([`mca_sync::park`]), used by [`crate::backend::NativeBackend`]
 //! wherever the MCA backend would use an MRAPI mutex.  Keeping the two
 //! backends' lock implementations independent mirrors the paper's setup —
 //! Table I compares exactly this substitution.
 
-use std::collections::VecDeque;
-use std::hint;
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
-use std::thread::{self, Thread};
-use std::time::Duration;
+use std::sync::atomic::{AtomicU32, Ordering};
+
+use mca_sync::park::{futex_wait, futex_wake, spin_until, SpinBudget};
 
 /// Mutex state values.
 const FREE: u32 = 0;
 const LOCKED: u32 = 1;
+/// Held, and a waiter may sleep on the word: `unlock` must wake one.
 const CONTENDED: u32 = 2;
 
-/// How many pause-loop iterations to burn before parking.  Short, because
-/// the reproduction often runs oversubscribed (24 workers on few cores),
-/// where long spins are pure waste.
-const SPIN_LIMIT: u32 = 64;
+/// Pause-loop iterations a contended `lock` burns before it sleeps.
+/// Short, because the reproduction often runs oversubscribed (24 workers
+/// on few cores), where long spins are pure waste.
+const LOCK_SPIN: SpinBudget = SpinBudget::spins(64);
 
-/// A spin-then-park mutual-exclusion lock (the "native libGOMP" lock).
+/// A spin-then-futex mutual-exclusion lock (the "native libGOMP" lock).
 ///
-/// Fast path: one compare-and-swap.  Contended path: brief bounded spin,
-/// then the thread enqueues itself and parks.  `park_timeout` bounds the
-/// cost of the benign missed-wakeup race between enqueue and wake.
+/// Fast path: one compare-and-swap in, one swap out.  Contended path: a
+/// brief bounded spin, then the waiter marks the word `CONTENDED` and
+/// sleeps on it; the unlock that clears a contended word wakes one
+/// sleeper.  The kernel re-checks the word before sleeping, so no wake
+/// can be lost.
 pub struct RawMutex {
     state: AtomicU32,
-    queue_lock: AtomicBool,
-    queue: std::cell::UnsafeCell<VecDeque<Thread>>,
 }
-
-// SAFETY: `queue` is only touched while `queue_lock` is held (see
-// `with_queue`), making the UnsafeCell access exclusive.
-unsafe impl Send for RawMutex {}
-unsafe impl Sync for RawMutex {}
 
 impl Default for RawMutex {
     fn default() -> Self {
@@ -50,65 +45,28 @@ impl RawMutex {
     pub const fn new() -> Self {
         RawMutex {
             state: AtomicU32::new(FREE),
-            queue_lock: AtomicBool::new(false),
-            queue: std::cell::UnsafeCell::new(VecDeque::new()),
         }
-    }
-
-    fn with_queue<T>(&self, f: impl FnOnce(&mut VecDeque<Thread>) -> T) -> T {
-        while self
-            .queue_lock
-            .compare_exchange_weak(false, true, Ordering::Acquire, Ordering::Relaxed)
-            .is_err()
-        {
-            hint::spin_loop();
-        }
-        // SAFETY: queue_lock grants exclusive access.
-        let out = f(unsafe { &mut *self.queue.get() });
-        self.queue_lock.store(false, Ordering::Release);
-        out
     }
 
     /// Acquire the lock, blocking as needed.
     #[inline]
     pub fn lock(&self) {
-        if self
-            .state
-            .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-            .is_ok()
-        {
-            return;
+        if !self.try_lock() {
+            self.lock_contended();
         }
-        self.lock_contended();
     }
 
     #[cold]
     fn lock_contended(&self) {
-        let mut spins = 0;
-        while spins < SPIN_LIMIT {
-            if self.state.load(Ordering::Relaxed) == FREE
-                && self
-                    .state
-                    .compare_exchange(FREE, LOCKED, Ordering::Acquire, Ordering::Relaxed)
-                    .is_ok()
-            {
-                return;
-            }
-            hint::spin_loop();
-            spins += 1;
+        if spin_until(LOCK_SPIN, || {
+            self.state.load(Ordering::Relaxed) == FREE && self.try_lock()
+        }) {
+            return;
         }
-        loop {
-            // Announce contention; if the lock happened to be free, we now
-            // own it (in CONTENDED state — unlock will issue a spare wake,
-            // which is harmless).
-            if self.state.swap(CONTENDED, Ordering::Acquire) == FREE {
-                return;
-            }
-            self.with_queue(|q| q.push_back(thread::current()));
-            if self.state.load(Ordering::Acquire) == CONTENDED {
-                // The timeout bounds the enqueue-after-wake race.
-                thread::park_timeout(Duration::from_millis(1));
-            }
+        // Whoever takes the word from here on takes it as CONTENDED (one
+        // spare wake at its unlock is the price of never losing one).
+        while self.state.swap(CONTENDED, Ordering::Acquire) != FREE {
+            futex_wait(&self.state, CONTENDED, None);
         }
     }
 
@@ -129,9 +87,7 @@ impl RawMutex {
     #[inline]
     pub fn unlock(&self) {
         if self.state.swap(FREE, Ordering::Release) == CONTENDED {
-            if let Some(t) = self.with_queue(|q| q.pop_front()) {
-                t.unpark();
-            }
+            futex_wake(&self.state, 1);
         }
     }
 
@@ -184,6 +140,8 @@ impl<T> BackendMutex<T> {
 mod tests {
     use super::*;
     use std::sync::Arc;
+    use std::thread;
+    use std::time::Duration;
 
     #[test]
     fn uncontended_lock_unlock() {
@@ -220,6 +178,45 @@ mod tests {
             h.join().unwrap();
         }
         assert_eq!(counter.load(Ordering::Relaxed), 80_000);
+    }
+
+    #[test]
+    fn contended_lock_unlock_stays_exclusive_and_loses_no_wake() {
+        // Four threads, 20k round trips each, with a short hold so the
+        // word is often CONTENDED and unlocks take the futex wake path.
+        // A lost wake is a hang, which the watchdog turns into a failure.
+        crate::barrier::tests::within(120, || {
+            use std::sync::atomic::{AtomicU32, AtomicU64};
+            const THREADS: u64 = 4;
+            const ROUNDS: u64 = 20_000;
+            let m = Arc::new(RawMutex::new());
+            let inside = Arc::new(AtomicU32::new(0));
+            let counter = Arc::new(AtomicU64::new(0));
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    let (m, inside, c) =
+                        (Arc::clone(&m), Arc::clone(&inside), Arc::clone(&counter));
+                    thread::spawn(move || {
+                        for i in 0..ROUNDS {
+                            m.lock();
+                            assert_eq!(inside.fetch_add(1, Ordering::Relaxed), 0, "two holders");
+                            let v = c.load(Ordering::Relaxed);
+                            if i % 64 == 0 {
+                                thread::yield_now();
+                            }
+                            c.store(v + 1, Ordering::Relaxed);
+                            inside.fetch_sub(1, Ordering::Relaxed);
+                            m.unlock();
+                        }
+                    })
+                })
+                .collect();
+            for h in handles {
+                h.join().unwrap();
+            }
+            assert_eq!(counter.load(Ordering::Relaxed), THREADS * ROUNDS);
+            assert!(!m.is_locked());
+        });
     }
 
     #[test]

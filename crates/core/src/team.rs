@@ -8,9 +8,9 @@
 //! to their dock slot afterwards, so steady-state region launch costs no
 //! thread creation — the behaviour EPCC's `parallel` overhead measures.  A
 //! docked worker spins, then yields, on its slot's phase word for a bounded
-//! time before it parks on a condvar (libGOMP's spin-then-futex), so
-//! back-to-back regions hand over without a syscall on either side; see
-//! `PoolSlot`.
+//! time before it parks on an eventcount (libGOMP's spin-then-futex, on
+//! [`mca_sync::park`]), so back-to-back regions hand over without a syscall
+//! on either side; see `PoolSlot`.
 //!
 //! Two lock-free structures carry the region's hot paths:
 //!
@@ -33,11 +33,12 @@ use std::any::Any;
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use mca_platform::ShardLayout;
 use mca_sync::deque::{Injector, RingQueue, Steal};
-use mca_sync::{CachePadded, Condvar, Mutex as PlMutex, MutexGuard};
+use mca_sync::park::{spin_until, EventCount, SpinBudget};
+use mca_sync::{CachePadded, Mutex as PlMutex};
 use romp_trace::{EventKind, Tracer};
 
 use crate::backend::SharedWords;
@@ -251,8 +252,9 @@ pub(crate) struct TeamShared {
     /// Tasks queued or running, not yet finished.
     pub outstanding_tasks: AtomicUsize,
     /// `ordered` cursor: the loop index allowed to run its ordered block.
-    pub ordered_cursor: PlMutex<u64>,
-    pub ordered_cv: Condvar,
+    pub ordered_cursor: AtomicU64,
+    /// Members waiting for the cursor (or for cancellation).
+    pub ordered_wake: EventCount,
     /// First panic payload from any member (re-thrown by the master).
     pub panic: PlMutex<Option<Box<dyn Any + Send>>>,
     /// The supervisor's cancel token, if this region was launched with one
@@ -301,8 +303,8 @@ impl TeamShared {
             home_shard,
             layout,
             outstanding_tasks: AtomicUsize::new(0),
-            ordered_cursor: PlMutex::new(0),
-            ordered_cv: Condvar::new(),
+            ordered_cursor: AtomicU64::new(0),
+            ordered_wake: EventCount::new(),
             panic: PlMutex::new(None),
             cancel,
             cancelled: AtomicBool::new(false),
@@ -346,11 +348,13 @@ impl TeamShared {
             || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Latch the cancellation team-wide: breaks the barrier so blocked
-    /// teammates wake and observe the latch.  Idempotent.
+    /// Latch the cancellation team-wide: breaks the barrier and wakes
+    /// `ordered` waiters so blocked teammates observe the latch.
+    /// Idempotent.
     pub(crate) fn latch_cancel(&self) {
         if !self.cancelled.swap(true, Ordering::AcqRel) {
             self.barrier.cancel();
+            self.ordered_wake.notify_all();
         }
     }
 
@@ -374,14 +378,9 @@ impl TeamShared {
     pub(crate) fn join_member(&self, tid: usize) {
         self.joined.fetch_add(1, Ordering::AcqRel);
         if tid == 0 {
-            let mut spins = 0u32;
+            let mut spin = JOIN_SPIN;
             while self.joined.load(Ordering::Acquire) < self.size {
-                if spins < 64 {
-                    std::hint::spin_loop();
-                    spins += 1;
-                } else {
-                    std::thread::yield_now();
-                }
+                spin.snooze();
             }
         }
     }
@@ -560,6 +559,10 @@ impl TeamShared {
     }
 }
 
+/// The master's end-of-region join: 64 pauses, then yields until every
+/// member has checked in (they are past the barrier, so it is short).
+const JOIN_SPIN: SpinBudget = SpinBudget::spins(64).then_yields(u32::MAX);
+
 /// Dock phases ([`PoolSlot::phase`]).  Each transition has one writer:
 /// the master moves `IDLE → JOB` and `IDLE → EXIT`, the worker `JOB →
 /// RUNNING → IDLE`.
@@ -574,7 +577,7 @@ const EXIT: u8 = 3;
 
 /// Pause-loop iterations a dock waiter burns before it starts yielding.
 const DOCK_SPINS: u32 = 128;
-/// How long a dock waiter keeps yielding before it parks on a condvar.
+/// How long a dock waiter keeps yielding before it parks.
 /// Covers the master's gap between back-to-back regions — join, counter
 /// fold, the next team's allocation: 2–8 µs, rarely 16, on a 2-vCPU KVM
 /// guest — with room to spare, so a steady stream of regions never
@@ -600,26 +603,9 @@ pub(crate) fn note_fork(rt: *const crate::runtime::RtInner) {
     }
 }
 
-/// Spin, then yield, until `ready` holds or the dock budget runs out;
-/// returns whether it held.
-fn dock_spin(ready: impl Fn() -> bool) -> bool {
-    for _ in 0..DOCK_SPINS {
-        if ready() {
-            return true;
-        }
-        std::hint::spin_loop();
-    }
-    let deadline = Instant::now() + DOCK_YIELD;
-    loop {
-        if ready() {
-            return true;
-        }
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::yield_now();
-    }
-}
+/// The dock's spin budget: [`DOCK_SPINS`] pauses, then [`DOCK_YIELD`] of
+/// yields.
+const DOCK_SPIN: SpinBudget = SpinBudget::spins(DOCK_SPINS).then_yield_for(DOCK_YIELD);
 
 /// A region assignment for one pool worker.
 pub(crate) struct JobMsg {
@@ -653,44 +639,27 @@ impl RegionFn {
     }
 }
 
-/// What the dock lock guards besides the condvar handshakes: the posted
-/// job and who is parked on which side.
-struct Dock {
-    job: Option<JobMsg>,
-    /// The worker is waiting on `cv_assign`.
-    worker_parked: bool,
-    /// Masters waiting on `cv_idle` (`assign`, `wait_idle`, `send_exit`).
-    idle_waiters: u32,
-}
-
 /// One dock slot: a mailbox between the master and a pool worker.
 ///
-/// The `phase` word is the fast path: the idle worker spins, then yields,
-/// on it for a bounded time, so a job posted inside that window is taken
-/// without either side sleeping.  Only past the budget does a waiter park
-/// on its condvar.  Every phase change is made under `dock`, and a waiter
-/// re-checks the phase under `dock` before it parks, so the condvars keep
-/// the classic no-lost-wakeup handshake; what the parked flags buy is that
-/// the other side calls `notify` — a futex syscall — only when someone is
-/// actually parked.
-///
-/// Two condition variables, one per direction: `cv_assign` wakes the worker
-/// when a job (or exit) lands, `cv_idle` wakes the master when the slot
-/// returns to idle.
+/// The `phase` word is the whole handshake: the idle worker spins, then
+/// yields, on it within [`DOCK_SPIN`], so a job posted inside that window
+/// is taken without either side sleeping.  Past the budget a waiter parks
+/// on its direction's eventcount — `to_worker` for a posted job or exit,
+/// `to_master` for the slot's return to idle — and every phase change is
+/// followed by that eventcount's notify, which makes a syscall only when
+/// the other side is actually parked.
 pub(crate) struct PoolSlot {
     /// The owning runtime, as [`note_fork`] records it.
     owner: usize,
-    /// [`IDLE`] / [`JOB`] / [`RUNNING`] / [`EXIT`]; written under `dock`,
-    /// read lock-free by spinning waiters.
+    /// [`IDLE`] / [`JOB`] / [`RUNNING`] / [`EXIT`], read lock-free by
+    /// waiters.
     phase: AtomicU8,
-    dock: PlMutex<Dock>,
-    /// Signalled master → worker (new job / exit).
-    cv_assign: Condvar,
-    /// Signalled worker → master (slot back to idle).
-    cv_idle: Condvar,
-    /// Test hook: times the worker parked on `cv_assign`.
-    #[cfg(test)]
-    worker_parks: AtomicU64,
+    /// The posted job, handed over by the phase word.
+    job: PlMutex<Option<JobMsg>>,
+    /// Notified master → worker (new job / exit).
+    to_worker: EventCount,
+    /// Notified worker → master (slot back to idle).
+    to_master: EventCount,
 }
 
 impl PoolSlot {
@@ -698,15 +667,9 @@ impl PoolSlot {
         Arc::new(PoolSlot {
             owner: owner as usize,
             phase: AtomicU8::new(IDLE),
-            dock: PlMutex::new(Dock {
-                job: None,
-                worker_parked: false,
-                idle_waiters: 0,
-            }),
-            cv_assign: Condvar::new(),
-            cv_idle: Condvar::new(),
-            #[cfg(test)]
-            worker_parks: AtomicU64::new(0),
+            job: PlMutex::new(None),
+            to_worker: EventCount::new(),
+            to_master: EventCount::new(),
         })
     }
 
@@ -715,31 +678,15 @@ impl PoolSlot {
         self.phase.load(Ordering::Acquire)
     }
 
-    /// Master side: wait until the slot's phase satisfies `done`, spinning
-    /// within the dock budget before parking on `cv_idle`.  Returns the
-    /// dock guard with `done` holding.
-    fn wait_phase(&self, done: impl Fn(u8) -> bool) -> MutexGuard<'_, Dock> {
-        dock_spin(|| done(self.phase()));
-        let mut dock = self.dock.lock();
-        while !done(self.phase()) {
-            dock.idle_waiters += 1;
-            self.cv_idle.wait(&mut dock);
-            dock.idle_waiters -= 1;
-        }
-        dock
-    }
-
     /// Master side: move an idle slot to `phase` (carrying `job`), waking
-    /// the worker only if it is parked.
+    /// the worker only if it is parked.  Posts are serialised by the
+    /// runtime's pool lock, so the slot stays idle until this one lands.
     fn post(&self, phase: u8, job: Option<JobMsg>) {
-        let mut dock = self.wait_phase(|p| p == IDLE);
-        dock.job = job;
+        self.to_master
+            .wait_until(DOCK_SPIN, None, || self.phase() == IDLE);
+        *self.job.lock() = job;
         self.phase.store(phase, Ordering::Release);
-        let parked = dock.worker_parked;
-        drop(dock);
-        if parked {
-            self.cv_assign.notify_one();
-        }
+        self.to_worker.notify_one();
     }
 
     /// Master side: hand a job to this slot (waits for the slot to be idle,
@@ -752,7 +699,8 @@ impl PoolSlot {
     /// completed, trailing trace events included.  Used by trace drains,
     /// which need real quiescence, not just "job accepted".
     pub(crate) fn wait_idle(&self) {
-        drop(self.wait_phase(|p| p == IDLE || p == EXIT));
+        let idle = || matches!(self.phase(), IDLE | EXIT);
+        self.to_master.wait_until(DOCK_SPIN, None, idle);
     }
 
     /// Master side at shutdown.
@@ -764,38 +712,29 @@ impl PoolSlot {
     /// and take the job.  `None` means exit.  The spin stops early once
     /// another runtime forks (see [`LAST_FORK`]).
     fn take(&self) -> Option<JobMsg> {
-        let posted = |p: u8| p == JOB || p == EXIT;
-        dock_spin(|| posted(self.phase()) || LAST_FORK.load(Ordering::Relaxed) != self.owner);
-        let mut dock = self.dock.lock();
-        while !posted(self.phase()) {
-            #[cfg(test)]
-            self.worker_parks.fetch_add(1, Ordering::Relaxed);
-            dock.worker_parked = true;
-            self.cv_assign.wait(&mut dock);
-            dock.worker_parked = false;
-        }
+        let posted = || matches!(self.phase(), JOB | EXIT);
+        spin_until(DOCK_SPIN, || {
+            posted() || LAST_FORK.load(Ordering::Relaxed) != self.owner
+        });
+        self.to_worker.wait_until(SpinBudget::NONE, None, posted);
         if self.phase() == EXIT {
             return None;
         }
+        let job = self.job.lock().take();
         self.phase.store(RUNNING, Ordering::Relaxed);
-        Some(dock.job.take().expect("a posted job"))
+        Some(job.expect("a posted job"))
     }
 
-    /// Worker side: back to idle, waking a master only if one waits.
+    /// Worker side: back to idle, waking a master only if one is parked.
     fn finish(&self) {
-        let dock = self.dock.lock();
         self.phase.store(IDLE, Ordering::Release);
-        let waiters = dock.idle_waiters;
-        drop(dock);
-        if waiters != 0 {
-            self.cv_idle.notify_all();
-        }
+        self.to_master.notify_all();
     }
 
     /// Worker side: the dock loop.
     pub(crate) fn worker_loop(self: &Arc<Self>) {
         while let Some(job) = self.take() {
-            // Run outside the dock lock.  Mark idle only after the region
+            // Run outside the job lock.  Mark idle only after the region
             // member fully completes — its trailing trace events included —
             // and its team reference is gone, so `wait_idle` observers see
             // a quiescent member and every per-region backend object the
@@ -1194,7 +1133,7 @@ mod tests {
             }
             slot.wait_idle();
             assert_eq!(ran.load(Ordering::Relaxed), 2 * regions);
-            let parks = slot.worker_parks.load(Ordering::Relaxed);
+            let parks = slot.to_worker.parks();
             assert!(parks > 0, "no job was caught after parking");
             assert!(parks < regions, "no job was caught while spinning");
             slot.send_exit();
@@ -1204,7 +1143,7 @@ mod tests {
 
     #[test]
     fn idle_waiter_parked_through_a_long_region_is_woken() {
-        // A quiesce that outlasts the dock budget parks on `cv_idle`; the
+        // A quiesce that outlasts the dock budget parks on `to_master`; the
         // worker's return to idle must wake it.
         crate::barrier::tests::within(20, || {
             let rt = crate::runtime::RtInner::for_tests();

@@ -21,6 +21,8 @@ use std::ops::Range;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
+use mca_sync::park::SpinBudget;
+
 use crate::runtime::RtInner;
 use crate::schedule::{guided_chunk, static_block, static_chunk_starts, Schedule};
 use crate::team::{ConstructState, TeamShared, REDUCE_STRIDE};
@@ -352,7 +354,9 @@ impl<'a> Worker<'a> {
     pub fn for_range_ordered(&self, range: Range<u64>, sched: Schedule, body: impl Fn(u64)) {
         self.barrier();
         if self.tid == 0 {
-            *self.team.ordered_cursor.lock() = range.start;
+            self.team
+                .ordered_cursor
+                .store(range.start, Ordering::Relaxed);
         }
         self.barrier();
         self.for_chunks_nowait(range.clone(), sched, |chunk| {
@@ -366,19 +370,18 @@ impl<'a> Worker<'a> {
     /// The `#pragma omp ordered` block for iteration `index` (use inside
     /// [`Worker::for_range_ordered`]).
     pub fn ordered<R>(&self, index: u64, f: impl FnOnce() -> R) -> R {
-        let mut cur = self.team.ordered_cursor.lock();
-        while *cur != index {
-            // Bounded wait with a cancellation point: a lower iteration's
-            // owner may have unwound and will never notify.
-            self.team.cancel_checkpoint();
-            self.team
-                .ordered_cv
-                .wait_for(&mut cur, std::time::Duration::from_millis(1));
+        let team = self.team;
+        let mine = || team.ordered_cursor.load(Ordering::Acquire) == index;
+        // A lower iteration's owner may unwind and never advance the
+        // cursor; the cancellation latch that unwound it notifies us.
+        team.ordered_wake
+            .wait_until(SpinBudget::NONE, None, || mine() || team.cancel_pending());
+        if !mine() {
+            team.cancel_checkpoint();
         }
         let out = f();
-        *cur = index + 1;
-        drop(cur);
-        self.team.ordered_cv.notify_all();
+        team.ordered_cursor.store(index + 1, Ordering::Release);
+        team.ordered_wake.notify_all();
         out
     }
 

@@ -12,18 +12,19 @@
 //! clears that bit; [`RETIRED`] is the runtime's one-way "this mutex grants
 //! no more holds" flag (see [`Mutex::retire`]).  A retired word is never
 //! 0, so no claim — all of which expect exactly 0 — can succeed on it.
-//! Contended acquirers spin briefly, then park on a condvar.  The `deleted`
+//! Contended acquirers spin briefly, then park on the mutex's
+//! [`EventCount`] (the workspace's one wait/wake primitive).  The `deleted`
 //! flag, read by every call, and the `contended` counter, bumped by every
 //! waiter, each have a cache line of their own, so neither drags the owner
 //! word's line between cores.
 
 use std::cell::Cell;
-use std::hint;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mca_sync::{CachePadded, Condvar, Mutex as PlMutex};
+use mca_sync::park::{spin_until, EventCount, SpinBudget};
+use mca_sync::CachePadded;
 
 use crate::fault::FaultSite;
 use crate::node::{Node, NodeId};
@@ -63,7 +64,7 @@ impl MutexKey {
 }
 
 /// Pause-loop iterations a contended `lock` burns before parking.
-const SPIN_LIMIT: u32 = 64;
+const LOCK_SPIN: SpinBudget = SpinBudget::spins(64);
 
 /// Owner-word flag: retired by [`Mutex::retire`] (one-way); the word
 /// grants no further holds.
@@ -134,11 +135,9 @@ pub struct MutexInner {
     /// Acquisitions that found the mutex held; bumped by the waiter at its
     /// failed claim, off the owner's line.
     contended: CachePadded<AtomicU64>,
-    /// Threads registered to park, changed only under `park`; `delete`
-    /// skips its wake while it is 0.
-    waiters: AtomicU32,
-    park: PlMutex<()>,
-    cv: Condvar,
+    /// Where contended acquirers park; `unlock`, `retire`, `abandon` and
+    /// `delete` notify it.
+    park: EventCount,
     /// Set once by `delete`; read by every call, so it lives on a line the
     /// owner word's claims never invalidate.
     deleted: CachePadded<AtomicBool>,
@@ -153,12 +152,11 @@ impl MutexInner {
             .is_ok()
     }
 
-    /// A parked acquirer's claim, made under `park`: take the free word —
-    /// flagged [`CONTENDED`] when `others` are registered to park, so this
-    /// hold's `unlock` wakes one of them — or, when `flag`, mark the held
-    /// word [`CONTENDED`] so its holder's `unlock` wakes a parked waiter.
-    /// Every flag is set under `park`, and `unlock` wakes under `park`, so
-    /// a waiter that flagged the word is asleep before the wake is sent.
+    /// A parking acquirer's claim, made while registered on `park`: take
+    /// the free word — flagged [`CONTENDED`] when `others` are registered,
+    /// so this hold's `unlock` wakes one of them — or, when `flag`, mark
+    /// the held word [`CONTENDED`] so its holder's `unlock` notifies.  The
+    /// registration precedes the flag, so that notify finds the waiter.
     fn claim_or_flag(&self, me: u64, others: bool, flag: bool) -> Claim {
         let mut cur = self.owner.load(Ordering::Relaxed);
         loop {
@@ -173,26 +171,12 @@ impl MutexInner {
             };
             match self
                 .owner
-                .compare_exchange(cur, next, Ordering::Acquire, Ordering::Relaxed)
+                .compare_exchange(cur, next, Ordering::AcqRel, Ordering::Relaxed)
             {
                 Ok(_) if cur == 0 => return Claim::Taken,
                 Ok(_) => return Claim::Held,
                 Err(actual) => cur = actual,
             }
-        }
-    }
-
-    /// Wake parked waiters after clearing or retiring a [`CONTENDED`]
-    /// word: one to take the freed word, or all of them once it is retired
-    /// (a waiter that finds the word retired leaves without passing the
-    /// wake on).
-    #[cold]
-    fn wake(&self, all: bool) {
-        let _park = self.park.lock();
-        if all {
-            self.cv.notify_all();
-        } else {
-            self.cv.notify_one();
         }
     }
 
@@ -225,9 +209,7 @@ impl Node {
             owner_node: AtomicU64::new(0),
             acquisitions: AtomicU64::new(0),
             contended: CachePadded::new(AtomicU64::new(0)),
-            waiters: AtomicU32::new(0),
-            park: PlMutex::new(()),
-            cv: Condvar::new(),
+            park: EventCount::new(),
             deleted: CachePadded::new(AtomicBool::new(false)),
         });
         let mut map = self.domain_db().mutexes.write();
@@ -327,49 +309,39 @@ impl Mutex {
     #[cold]
     fn lock_contended(&self, me: u64, timeout: Duration) -> MrapiResult<MutexKey> {
         let inner = &*self.inner;
-        for _ in 0..SPIN_LIMIT {
-            match inner.owner.load(Ordering::Relaxed) {
-                0 if inner.try_claim(me) => return Ok(self.acquired()),
-                cur if cur & RETIRED != 0 => return Err(MrapiStatus::ErrMutexInvalid.into()),
-                _ => hint::spin_loop(),
-            }
+        // A retired word is found (and refused) by the claim below.
+        if spin_until(LOCK_SPIN, || {
+            inner.owner.load(Ordering::Relaxed) == 0 && inner.try_claim(me)
+        }) {
+            return Ok(self.acquired());
         }
         let deadline = finite_timeout(timeout).map(|budget| Instant::now() + budget);
-        let mut park = inner.park.lock();
         loop {
             // Registered before the `deleted` check: `delete` stores its
-            // flag before it loads `waiters`, so a deletion after this
-            // check still sees us and wakes us.
-            inner.waiters.fetch_add(1, Ordering::SeqCst);
-            if inner.deleted.load(Ordering::SeqCst) {
-                inner.waiters.fetch_sub(1, Ordering::Relaxed);
+            // flag before it notifies, so a deletion after this check
+            // still wakes us.
+            let key = inner.park.prepare_wait();
+            if inner.deleted.load(Ordering::Acquire) {
+                inner.park.cancel_wait(key);
                 return Err(MrapiStatus::ErrMutexInvalid.into());
             }
-            let others = inner.waiters.load(Ordering::Relaxed) > 1;
+            let others = inner.park.waiters() > 1;
             match inner.claim_or_flag(me, others, true) {
                 Claim::Taken => {
-                    inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                    inner.park.cancel_wait(key);
                     return Ok(self.acquired());
                 }
                 Claim::Retired => {
-                    inner.waiters.fetch_sub(1, Ordering::Relaxed);
+                    inner.park.cancel_wait(key);
                     return Err(MrapiStatus::ErrMutexInvalid.into());
                 }
                 Claim::Held => {}
             }
-            let timed_out = match deadline {
-                None => {
-                    inner.cv.wait(&mut park);
-                    false
-                }
-                Some(d) => inner.cv.wait_until(&mut park, d).timed_out(),
-            };
-            inner.waiters.fetch_sub(1, Ordering::Relaxed);
-            if timed_out {
+            if !inner.park.commit_wait(key, deadline) {
                 // A last claim; failing that, leave.  A wake this thread
                 // absorbed must not strand the others: if any are still
                 // registered, the held word is flagged for its holder.
-                let others = inner.waiters.load(Ordering::Relaxed) > 0;
+                let others = inner.park.waiters() > 0;
                 return match inner.claim_or_flag(me, others, others) {
                     Claim::Taken => Ok(self.acquired()),
                     Claim::Held => Err(MrapiStatus::Timeout.into()),
@@ -415,8 +387,13 @@ impl Mutex {
             // One read-modify-write leaves the word: the token and the
             // contended flag go, the retired flag stays.
             let prev = inner.owner.fetch_and(RETIRED, Ordering::Release);
-            if prev & CONTENDED != 0 {
-                inner.wake(prev & RETIRED != 0);
+            // One parked waiter takes the freed word; a retired word frees
+            // them all (a waiter that finds it retired leaves without
+            // passing the wake on).
+            if prev & CONTENDED != 0 && prev & RETIRED != 0 {
+                inner.park.notify_all();
+            } else if prev & CONTENDED != 0 {
+                inner.park.notify_one();
             }
         }
         Ok(())
@@ -444,7 +421,7 @@ impl Mutex {
     pub fn retire(&self) {
         let prev = self.inner.owner.fetch_or(RETIRED, Ordering::AcqRel);
         if prev & CONTENDED != 0 {
-            self.inner.wake(true);
+            self.inner.park.notify_all();
         }
     }
 
@@ -465,7 +442,7 @@ impl Mutex {
         inner.owner_node.store(0, Ordering::Relaxed);
         let prev = inner.owner.swap(RETIRED, Ordering::AcqRel);
         if prev & CONTENDED != 0 {
-            inner.wake(true);
+            inner.park.notify_all();
         }
         Ok(())
     }
@@ -509,10 +486,7 @@ impl Mutex {
             .mutexes
             .write()
             .remove(&self.inner.key);
-        if self.inner.waiters.load(Ordering::SeqCst) != 0 {
-            let _park = self.inner.park.lock();
-            self.inner.cv.notify_all();
-        }
+        self.inner.park.notify_all();
         Ok(())
     }
 }
@@ -777,9 +751,9 @@ mod tests {
                 })
                 .unwrap();
             handle_ready.recv().unwrap();
-            // Registered to park: it holds `park` until it sleeps, and
-            // `delete` notifies under `park`.
-            while probe.inner.waiters.load(Ordering::SeqCst) == 0 {
+            // Registered on `park`: it re-checks `deleted` after
+            // registering, and `delete` notifies after setting it.
+            while probe.inner.park.waiters() == 0 {
                 std::thread::yield_now();
             }
             m.delete().unwrap();
@@ -1016,7 +990,7 @@ mod tests {
                         .unwrap()
                 })
                 .collect();
-            while probe.inner.waiters.load(Ordering::SeqCst) < 2 {
+            while probe.inner.park.waiters() < 2 {
                 std::thread::yield_now();
             }
             m.retire();

@@ -1,14 +1,23 @@
 //! The MTAPI runtime: jobs, actions, tasks, groups, queues, scheduler.
+//!
+//! Every blocking wait parks on one of the runtime's two [`EventCount`]s:
+//! idle pool workers on `idle`, which an injected task or shutdown
+//! notifies; `Task::wait` and `Group::wait_all` on `done`, which a task
+//! reaching its final state notifies.  Those waiters help run queued
+//! tasks, so an injection notifies `done` too.  A completion therefore
+//! wakes no idle worker, and a `notify` with nobody parked costs no
+//! syscall.  Only the API's own timeouts bound a wait.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use mca_sync::deque::{Injector, Steal};
-use mca_sync::{Condvar, Mutex as PlMutex, RwLock};
+use mca_sync::park::EventCount;
+use mca_sync::{Mutex as PlMutex, RwLock};
 
 use crate::status::{ensure, MtapiResult, MtapiStatus};
 use crate::{MtapiError, MTAPI_PRIORITIES};
@@ -32,24 +41,22 @@ pub enum TaskState {
 
 struct TaskInner {
     state: PlMutex<(TaskState, Option<Vec<u8>>)>,
-    cv: Condvar,
     action: ActionFn,
     input: PlMutex<Option<Vec<u8>>>,
-    group: Option<Arc<GroupInner>>,
+    /// The owning group's outstanding-task count.
+    group: Option<Arc<AtomicUsize>>,
     queue: Option<Arc<QueueInner>>,
     priority: u8,
 }
 
 impl TaskInner {
-    fn finish(&self, state: TaskState, result: Option<Vec<u8>>) {
-        {
-            let mut st = self.state.lock();
-            *st = (state, result);
+    /// Count a task that reached its final state out of its group, and
+    /// wake the runtime's task and group waiters.
+    fn settle(&self, rt: &RtInner) {
+        if let Some(outstanding) = &self.group {
+            outstanding.fetch_sub(1, Ordering::AcqRel);
         }
-        self.cv.notify_all();
-        if let Some(g) = &self.group {
-            g.task_done();
-        }
+        rt.done.notify_all();
     }
 }
 
@@ -73,38 +80,16 @@ impl Task {
     /// execute queued tasks), so waiting inside an action cannot deadlock
     /// the pool.
     pub fn wait(&self, timeout: Option<Duration>) -> MtapiResult<Vec<u8>> {
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        loop {
-            {
-                let mut st = self.inner.state.lock();
-                match st.0 {
-                    TaskState::Done => return Ok(st.1.take().unwrap_or_default()),
-                    TaskState::Cancelled => return Err(MtapiError(MtapiStatus::ErrTaskCancelled)),
-                    TaskState::Failed => return Err(MtapiError(MtapiStatus::ErrActionFailed)),
-                    TaskState::Pending | TaskState::Running => {
-                        // Help the pool before sleeping.
-                        drop(st);
-                        if self.rt.run_one_task() {
-                            continue;
-                        }
-                        st = self.inner.state.lock();
-                        if matches!(st.0, TaskState::Pending | TaskState::Running) {
-                            match deadline {
-                                None => {
-                                    self.inner.cv.wait_for(&mut st, Duration::from_millis(1));
-                                }
-                                Some(d) => {
-                                    if self.inner.cv.wait_until(&mut st, d).timed_out()
-                                        && matches!(st.0, TaskState::Pending | TaskState::Running)
-                                    {
-                                        return Err(MtapiError(MtapiStatus::Timeout));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let finished = || !matches!(self.state(), TaskState::Pending | TaskState::Running);
+        if !self.rt.help_until(&self.rt.done, deadline, finished) {
+            return Err(MtapiError(MtapiStatus::Timeout));
+        }
+        let mut st = self.inner.state.lock();
+        match st.0 {
+            TaskState::Done => Ok(st.1.take().unwrap_or_default()),
+            TaskState::Cancelled => Err(MtapiError(MtapiStatus::ErrTaskCancelled)),
+            _ => Err(MtapiError(MtapiStatus::ErrActionFailed)),
         }
     }
 
@@ -115,10 +100,7 @@ impl Task {
         ensure(st.0 == TaskState::Pending, MtapiStatus::ErrParameter)?;
         *st = (TaskState::Cancelled, None);
         drop(st);
-        self.inner.cv.notify_all();
-        if let Some(g) = &self.inner.group {
-            g.task_done();
-        }
+        self.inner.settle(&self.rt);
         if let Some(q) = &self.inner.queue {
             q.advance(&self.rt);
         }
@@ -134,54 +116,29 @@ impl std::fmt::Debug for Task {
     }
 }
 
-struct GroupInner {
-    outstanding: AtomicUsize,
-    lock: PlMutex<()>,
-    cv: Condvar,
-}
-
-impl GroupInner {
-    fn task_done(&self) {
-        if self.outstanding.fetch_sub(1, Ordering::AcqRel) == 1 {
-            let _g = self.lock.lock();
-            self.cv.notify_all();
-        }
-    }
-}
-
 /// A fork/join task group (`mtapi_group_hndl_t`).
 #[derive(Clone)]
 pub struct Group {
-    inner: Arc<GroupInner>,
+    /// Tasks started in the group and not yet finished.
+    outstanding: Arc<AtomicUsize>,
     rt: Arc<RtInner>,
 }
 
 impl Group {
     /// Tasks started in this group and not yet finished.
     pub fn outstanding(&self) -> usize {
-        self.inner.outstanding.load(Ordering::Acquire)
+        self.outstanding.load(Ordering::Acquire)
     }
 
     /// `mtapi_group_wait_all` — block until every task in the group has
     /// finished (helping the scheduler meanwhile).
     pub fn wait_all(&self, timeout: Option<Duration>) -> MtapiResult<()> {
-        let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        while self.inner.outstanding.load(Ordering::Acquire) > 0 {
-            if self.rt.run_one_task() {
-                continue;
-            }
-            if let Some(d) = deadline {
-                if std::time::Instant::now() >= d {
-                    return Err(MtapiError(MtapiStatus::Timeout));
-                }
-            }
-            let mut g = self.inner.lock.lock();
-            if self.inner.outstanding.load(Ordering::Acquire) == 0 {
-                break;
-            }
-            self.inner.cv.wait_for(&mut g, Duration::from_millis(1));
-        }
-        Ok(())
+        let deadline = timeout.map(|t| Instant::now() + t);
+        let drained = || self.outstanding.load(Ordering::Acquire) == 0;
+        ensure(
+            self.rt.help_until(&self.rt.done, deadline, drained),
+            MtapiStatus::Timeout,
+        )
     }
 }
 
@@ -237,7 +194,6 @@ impl Queue {
         let action = self.rt.action_for(self.inner.job)?;
         let task = Arc::new(TaskInner {
             state: PlMutex::new((TaskState::Pending, None)),
-            cv: Condvar::new(),
             action,
             input: PlMutex::new(Some(input)),
             group: None,
@@ -306,14 +262,13 @@ impl Job {
         )?;
         let action = self.rt.action_for(self.id)?;
         if let Some(g) = group {
-            g.inner.outstanding.fetch_add(1, Ordering::AcqRel);
+            g.outstanding.fetch_add(1, Ordering::AcqRel);
         }
         let task = Arc::new(TaskInner {
             state: PlMutex::new((TaskState::Pending, None)),
-            cv: Condvar::new(),
             action,
             input: PlMutex::new(Some(input)),
-            group: group.map(|g| Arc::clone(&g.inner)),
+            group: group.map(|g| Arc::clone(&g.outstanding)),
             queue: None,
             priority,
         });
@@ -334,8 +289,10 @@ impl std::fmt::Debug for Job {
 struct RtInner {
     actions: RwLock<HashMap<u32, ActionFn>>,
     injectors: Vec<Injector<Arc<TaskInner>>>,
-    idle_lock: PlMutex<()>,
-    idle_cv: Condvar,
+    /// Where idle pool workers park (see module docs).
+    idle: EventCount,
+    /// Where task and group waiters park.
+    done: EventCount,
     shutdown: AtomicBool,
     executed: AtomicUsize,
 }
@@ -355,8 +312,8 @@ impl RtInner {
 
     fn inject(&self, task: Arc<TaskInner>) {
         self.injectors[task.priority as usize].push(task);
-        let _g = self.idle_lock.lock();
-        self.idle_cv.notify_all();
+        self.idle.notify_one();
+        self.done.notify_all();
     }
 
     fn next_task(&self) -> Option<Arc<TaskInner>> {
@@ -388,30 +345,44 @@ impl RtInner {
         let input = task.input.lock().take().unwrap_or_default();
         let action = Arc::clone(&task.action);
         let result = catch_unwind(AssertUnwindSafe(|| action(&input)));
-        // Count before `finish`: completing the task wakes its waiters,
+        // Count before completing the task: that wakes its waiters,
         // who may read `tasks_executed()` straight away.
         self.executed.fetch_add(1, Ordering::Relaxed);
-        match result {
-            Ok(out) => task.finish(TaskState::Done, Some(out)),
-            Err(_) => task.finish(TaskState::Failed, None),
-        }
+        *task.state.lock() = match result {
+            Ok(out) => (TaskState::Done, Some(out)),
+            Err(_) => (TaskState::Failed, None),
+        };
+        task.settle(self);
         if let Some(q) = &task.queue {
             q.advance(self);
         }
         true
     }
 
-    fn worker_loop(self: Arc<Self>) {
-        while !self.shutdown.load(Ordering::Acquire) {
+    /// Run queued tasks until `ready` holds, parking on `park` while
+    /// there are none; `false` if `deadline` passed first.
+    fn help_until(
+        self: &Arc<Self>,
+        park: &EventCount,
+        deadline: Option<Instant>,
+        ready: impl Fn() -> bool,
+    ) -> bool {
+        while !ready() {
             if self.run_one_task() {
                 continue;
             }
-            let mut g = self.idle_lock.lock();
-            if self.shutdown.load(Ordering::Acquire) {
-                break;
+            let key = park.prepare_wait();
+            if ready() || self.injectors.iter().any(|inj| !inj.is_empty()) {
+                park.cancel_wait(key);
+            } else if !park.commit_wait(key, deadline) {
+                return ready();
             }
-            self.idle_cv.wait_for(&mut g, Duration::from_millis(2));
         }
+        true
+    }
+
+    fn worker_loop(self: Arc<Self>) {
+        self.help_until(&self.idle, None, || self.shutdown.load(Ordering::Acquire));
     }
 }
 
@@ -430,8 +401,8 @@ impl Mtapi {
         let inner = Arc::new(RtInner {
             actions: RwLock::new(HashMap::new()),
             injectors: (0..MTAPI_PRIORITIES).map(|_| Injector::new()).collect(),
-            idle_lock: PlMutex::new(()),
-            idle_cv: Condvar::new(),
+            idle: EventCount::new(),
+            done: EventCount::new(),
             shutdown: AtomicBool::new(false),
             executed: AtomicUsize::new(0),
         });
@@ -477,11 +448,7 @@ impl Mtapi {
     /// `mtapi_group_create`.
     pub fn create_group(&self) -> Group {
         Group {
-            inner: Arc::new(GroupInner {
-                outstanding: AtomicUsize::new(0),
-                lock: PlMutex::new(()),
-                cv: Condvar::new(),
-            }),
+            outstanding: Arc::default(),
             rt: Arc::clone(&self.inner),
         }
     }
@@ -512,10 +479,7 @@ impl Mtapi {
 impl Drop for Mtapi {
     fn drop(&mut self) {
         self.inner.shutdown.store(true, Ordering::Release);
-        {
-            let _g = self.inner.idle_lock.lock();
-            self.inner.idle_cv.notify_all();
-        }
+        self.inner.idle.notify_all();
         for h in self.workers.lock().drain(..) {
             let _ = h.join();
         }

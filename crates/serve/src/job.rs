@@ -155,26 +155,65 @@ impl JobSpec {
         }
     }
 
-    /// Short label for stats (`epcc.barrier`, `npb.ep.w`, ...).
-    pub fn label(&self) -> String {
-        match self {
-            JobSpec::Epcc { construct, .. } => {
-                format!(
-                    "epcc.{}",
-                    construct.label().to_ascii_lowercase().replace(' ', "_")
-                )
-            }
-            JobSpec::Npb { kernel, class, .. } => format!(
-                "npb.{}.{}",
-                kernel.name().to_ascii_lowercase(),
-                class.label().to_ascii_lowercase()
-            ),
-            JobSpec::Diag { diag, .. } => match diag {
-                DiagSpec::Panic => "diag.panic".to_string(),
-                DiagSpec::Spin { .. } => "diag.spin".to_string(),
-                DiagSpec::CriticalLoop { .. } => "diag.critical_loop".to_string(),
+    /// Short label for stats (`epcc.barrier`, `npb.ep.w`, ...): the job's
+    /// service-time class.
+    pub fn label(&self) -> ClassLabel {
+        use Class::{A, S, W};
+        use NpbKernel::{Cg, Ep, Ft, Is, Mg};
+        ClassLabel(match self {
+            JobSpec::Epcc { construct, .. } => match construct {
+                Construct::Parallel => "epcc.parallel",
+                Construct::For => "epcc.for",
+                Construct::ParallelFor => "epcc.parallel_for",
+                Construct::Barrier => "epcc.barrier",
+                Construct::Single => "epcc.single",
+                Construct::Critical => "epcc.critical",
+                Construct::Reduction => "epcc.reduction",
+                Construct::Lock => "epcc.lock",
             },
-        }
+            JobSpec::Npb { kernel, class, .. } => match (kernel, class) {
+                (Ep, S) => "npb.ep.s",
+                (Ep, W) => "npb.ep.w",
+                (Ep, A) => "npb.ep.a",
+                (Cg, S) => "npb.cg.s",
+                (Cg, W) => "npb.cg.w",
+                (Cg, A) => "npb.cg.a",
+                (Is, S) => "npb.is.s",
+                (Is, W) => "npb.is.w",
+                (Is, A) => "npb.is.a",
+                (Mg, S) => "npb.mg.s",
+                (Mg, W) => "npb.mg.w",
+                (Mg, A) => "npb.mg.a",
+                (Ft, S) => "npb.ft.s",
+                (Ft, W) => "npb.ft.w",
+                (Ft, A) => "npb.ft.a",
+            },
+            JobSpec::Diag { diag, .. } => match diag {
+                DiagSpec::Panic => "diag.panic",
+                DiagSpec::Spin { .. } => "diag.spin",
+                DiagSpec::CriticalLoop { .. } => "diag.critical_loop",
+            },
+        })
+    }
+}
+
+/// A job's service-time class name, as [`JobSpec::label`] gives it.  Every
+/// class comes from a finite construct × kernel × class × diag set, so the
+/// name is static: admission and completion name a job's class without
+/// building a string.  Derefs to `str`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct ClassLabel(&'static str);
+
+impl std::ops::Deref for ClassLabel {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.0
+    }
+}
+
+impl PartialEq<&str> for ClassLabel {
+    fn eq(&self, other: &&str) -> bool {
+        self.0 == *other
     }
 }
 
@@ -518,6 +557,47 @@ mod tests {
             threads: 2,
         };
         assert_eq!(n.label(), "npb.cg.s");
+    }
+
+    #[test]
+    fn static_labels_follow_the_construct_and_kernel_names() {
+        let constructs = [
+            Construct::Parallel,
+            Construct::For,
+            Construct::ParallelFor,
+            Construct::Barrier,
+            Construct::Single,
+            Construct::Critical,
+            Construct::Reduction,
+            Construct::Lock,
+        ];
+        for construct in constructs {
+            let spec = JobSpec::Epcc {
+                construct,
+                threads: 1,
+                inner_reps: 1,
+            };
+            let derived = format!(
+                "epcc.{}",
+                construct.label().to_ascii_lowercase().replace(' ', "_")
+            );
+            assert_eq!(&*spec.label(), derived);
+        }
+        for kernel in NpbKernel::all() {
+            for class in [Class::S, Class::W, Class::A] {
+                let spec = JobSpec::Npb {
+                    kernel,
+                    class,
+                    threads: 1,
+                };
+                let derived = format!(
+                    "npb.{}.{}",
+                    kernel.name().to_ascii_lowercase(),
+                    class.label().to_ascii_lowercase()
+                );
+                assert_eq!(&*spec.label(), derived);
+            }
+        }
     }
 
     #[test]

@@ -36,7 +36,8 @@
 
 use std::collections::BinaryHeap;
 
-use mca_sync::{Condvar, Mutex};
+use mca_sync::park::{EventCount, SpinBudget};
+use mca_sync::Mutex;
 use romp::CancelToken;
 
 use crate::job::JobSpec;
@@ -190,7 +191,9 @@ impl QueueInner {
 /// The bounded MPSC job queue (see module docs).
 pub struct JobQueue {
     inner: Mutex<QueueInner>,
-    cv: Condvar,
+    /// Where the consumer parks on an empty queue; a push notifies it,
+    /// which costs a syscall only while it is parked.
+    wake: EventCount,
     cap: usize,
     weights: [u32; LANES],
 }
@@ -213,7 +216,7 @@ impl JobQueue {
                 seq: 0,
                 closed: false,
             }),
-            cv: Condvar::new(),
+            wake: EventCount::new(),
             cap: cap.max(1),
             weights,
         }
@@ -287,7 +290,7 @@ impl JobQueue {
         inner.push(job);
         let depth = inner.len();
         drop(inner);
-        self.cv.notify_one();
+        self.wake.notify_one();
         Ok(depth)
     }
 
@@ -319,7 +322,7 @@ impl JobQueue {
         if admitted > 0 {
             // One consumer (the dispatcher); it drains without re-waiting
             // while the queue is non-empty, so one wakeup covers the batch.
-            self.cv.notify_one();
+            self.wake.notify_one();
         }
         BatchAdmit {
             admitted,
@@ -331,16 +334,13 @@ impl JobQueue {
     /// Consumer side: block for the next job.  `None` means the queue is
     /// closed *and* fully drained — the dispatcher's exit signal.
     pub fn pop(&self) -> Option<QueuedJob> {
-        let mut inner = self.inner.lock();
-        loop {
-            if let Some(job) = inner.pop(&self.weights) {
-                return Some(job);
-            }
-            if inner.closed {
-                return None;
-            }
-            self.cv.wait(&mut inner);
-        }
+        let mut job = None;
+        self.wake.wait_until(SpinBudget::NONE, None, || {
+            let mut inner = self.inner.lock();
+            job = inner.pop(&self.weights);
+            job.is_some() || inner.closed
+        });
+        job
     }
 
     /// Non-blocking consumer pop (the simulator's dispatcher model —
@@ -353,7 +353,7 @@ impl JobQueue {
     /// Begin the drain: refuse producers, let the consumer run dry.
     pub fn close(&self) {
         self.inner.lock().closed = true;
-        self.cv.notify_all();
+        self.wake.notify_all();
     }
 
     /// Whether `close()` has been called.

@@ -33,6 +33,7 @@ use mca_mrapi::{FaultPlan, FaultProbe, FaultSite};
 use mca_platform::{Clock, VirtualClock};
 use mca_sync::SmallRng;
 use romp::CancelToken;
+use romp_serve::job::ClassLabel;
 use romp_serve::lifecycle::terminal_for;
 use romp_serve::session::{Engine, ServeCore};
 use romp_serve::{lane_name, JobOutcome, JobState};
@@ -82,7 +83,7 @@ struct Running {
     gen: u64,
     cancel: CancelToken,
     /// Job-class label (feeds the per-class service-time EWMA).
-    label: String,
+    label: ClassLabel,
     /// Absolute deadline, if the job carries one (the overload
     /// scenario's miss-bound check).
     deadline_ns: Option<u64>,

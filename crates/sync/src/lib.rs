@@ -19,10 +19,16 @@
 //!   team member's local task ring, plus an [`deque::Injector`] with the
 //!   `steal()` protocol the MTAPI scheduler consumes;
 //! * [`rng::SmallRng`] — a deterministic SplitMix64 generator for
-//!   randomized tests and benchmark input generation.
+//!   randomized tests and benchmark input generation;
+//! * [`park`] — the workspace's one wait/wake primitive: `futex(2)`
+//!   bindings, an [`park::EventCount`] whose `notify` makes a syscall only
+//!   when a waiter is registered, and the [`park::SpinBudget`] each
+//!   blocking site spins through before it parks.  Every blocking wait in
+//!   `romp`, MRAPI, MTAPI and the serving queue is built on it.
 
 pub mod deque;
 pub mod mutex;
+pub mod park;
 pub mod queue;
 pub mod rng;
 
