@@ -5,8 +5,8 @@
 //! that talk through the MCA standards rather than shared data
 //! structures.  This crate is that topology for the serving stack
 //! (DESIGN.md §5.12): the front-end keeps its reactor, admission
-//! queue, job table and watchdog, but the dispatcher — behind the
-//! [`romp_serve::Dispatch`] seam — becomes a [`router::Router`] over N
+//! queue, job table, watchdog and dispatcher, but the executors behind
+//! the [`romp_serve::Dispatch`] seam become a [`router::Router`] over N
 //! **worker processes**, each a real `std::process` child running its
 //! own `romp` runtime:
 //!
@@ -34,10 +34,10 @@
 //!   released after every fetch (the drain report asserts zero leaks).
 //!
 //! Supervision (the paper's node-failure story): workers heartbeat;
-//! a killed worker is detected by heartbeat loss or channel error, its
-//! in-flight jobs are retried on survivors (idempotent by construction
-//! — a job's terminal state is recorded exactly once by the router),
-//! and the worker is respawned.  An operator `Restart` request cycles
+//! a killed worker is detected by heartbeat loss or channel error, the
+//! dispatcher retries its in-flight jobs on survivors (idempotent by
+//! construction — a job's terminal state is recorded exactly once), and
+//! the worker is respawned.  An operator `Restart` request cycles
 //! workers one at a time with zero lost jobs.
 
 #![warn(missing_docs)]

@@ -1,45 +1,46 @@
-//! The router: a [`romp_serve::Dispatch`] implementation that farms
-//! jobs out to N supervised worker **processes** over MCAPI wire
-//! channels, fetching results through each worker's file-backed MRAPI
-//! rmem segment.
+//! The router: the [`romp_serve::Dispatch`] executors for a pool of N
+//! supervised worker **processes**, reached over MCAPI wire channels,
+//! with results fetched through each worker's file-backed MRAPI rmem
+//! segment.
 //!
-//! Supervision model (DESIGN.md §5.12):
+//! Where a job goes, when it is retried and which worker the watchdog
+//! escalates against are the server's one
+//! [`romp_serve::dispatcher::Dispatcher`]'s decisions (DESIGN.md §5.10);
+//! the router carries them out and reports back through the
+//! [`DispatchCtx`].  What it keeps is the process side (DESIGN.md
+//! §5.12):
 //!
-//! * every worker heartbeats on its wire channel, carrying its
-//!   runtime's activity counter — the watchdog's progress signal for the
-//!   jobs on that worker;
-//! * a worker dies when its channel reports the typed
-//!   `MCAPI_ERR_CHAN_CLOSED`, and its receive thread handles the death.
-//!   The supervisor (after `heartbeat_misses` silent periods) and the
-//!   watchdog's escalation only SIGKILL the process, so neither stalls
-//!   on a respawn;
-//! * a dead worker's in-flight jobs are **retried** on survivors (at
-//!   most `MAX_RETRIES` (3) times; jobs whose cancel token already fired
-//!   are completed terminal instead — the job table records exactly one
-//!   terminal state per job, so retries are idempotent from the
-//!   client's point of view);
-//! * the dead worker is respawned with a bumped generation; stale
-//!   receive threads and late packets from the old incarnation are
-//!   ignored by generation check;
-//! * an operator `Restart` request cycles workers one at a time:
-//!   drain (stop targeting, wait for its in-flight jobs), graceful
-//!   `Exit`, respawn — zero lost jobs by construction.
+//! * **start / cancel / escalate** — a `Dispatch` or `Cancel` packet on
+//!   the worker's channel; escalation SIGKILLs the worker;
+//! * **heartbeats** — every worker heartbeats on its channel with its
+//!   runtime's activity counter, which the receive thread reports as the
+//!   progress of the jobs on that worker;
+//! * **death** — a worker dies when its channel reports the typed
+//!   `MCAPI_ERR_CHAN_CLOSED`, and its receive thread handles it: report
+//!   the worker down (the dispatcher retries or settles its jobs), reap,
+//!   respawn with a bumped generation.  The supervisor (after
+//!   `heartbeat_misses` silent periods) and escalation only SIGKILL the
+//!   process, so neither stalls on a respawn; stale receive threads and
+//!   late packets from an old incarnation are ignored by generation;
+//! * **rmem results** — `Done` names a result slot, which the receive
+//!   thread reads and releases back to the worker;
+//! * **rolling restart** — an operator `Restart` cycles workers one at a
+//!   time: retire (no new placements), wait until it holds no job,
+//!   graceful `Exit`, respawn — zero lost jobs by construction.
 
-use std::collections::HashMap;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use mca_mcapi::{McapiStatus, WireChan, WireListener};
 use mca_mrapi::{DomainId, MrapiSystem, Node, NodeId, RmemAttributes, RmemHandle};
-use mca_platform::mix64;
-use mca_sync::{Condvar, Mutex};
+use mca_sync::Mutex;
 use romp::BackendKind;
-use romp_serve::lifecycle::terminal_for;
-use romp_serve::{Dispatch, DispatchCtx, JobOutcome, JobState, QueuedJob};
-use romp_trace::{json_escape, Counter, Gauge};
+use romp_serve::{Dispatch, DispatchCtx, JobOutcome, QueuedJob};
+use romp_trace::json_escape;
 
 use crate::proto::{ToRouter, ToWorker, SLOT_BYTES, SLOT_INLINE};
 use crate::worker::CLUSTER_DOMAIN;
@@ -79,14 +80,12 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Dispatch window per worker: jobs in flight before the router holds
-/// further dispatches back.
+/// Dispatch window per worker: jobs in flight before the dispatcher
+/// holds further placements back.
 const INFLIGHT_PER_WORKER: u32 = 2;
 
-/// Times a job orphaned by a worker death is retried before it is failed.
-const MAX_RETRIES: u32 = 3;
-
 /// One worker process as the router sees it.
+#[derive(Default)]
 struct WorkerSlot {
     /// Bumped on every (re)spawn; packets and threads from older
     /// generations are ignored.
@@ -96,71 +95,35 @@ struct WorkerSlot {
     chan: Option<Arc<WireChan>>,
     rmem: Option<Arc<RmemHandle>>,
     up: bool,
-    /// Excluded from dispatch targeting (rolling restart).
-    draining: bool,
     /// A spawn attempt is in progress (serializes respawners).
     respawning: bool,
     last_hb: Option<Instant>,
-    inflight: u32,
     /// MTAPI tasks executed, from the last heartbeat.
     executed: u64,
-    /// The worker runtime's activity counter, from the last heartbeat.
-    activity: u64,
     restarts: u64,
 }
 
-impl WorkerSlot {
-    fn new() -> WorkerSlot {
-        WorkerSlot {
-            generation: 0,
-            pid: 0,
-            child: None,
-            chan: None,
-            rmem: None,
-            up: false,
-            draining: false,
-            respawning: false,
-            last_hb: None,
-            inflight: 0,
-            executed: 0,
-            activity: 0,
-            restarts: 0,
-        }
-    }
-}
+/// The `cluster.*` counters and gauges, registered when the router
+/// opens (so they read 0 rather than missing).
+const COUNTERS: [&str; 6] = [
+    "cluster.dispatched",
+    "cluster.retries",
+    "cluster.restarts",
+    "cluster.escalations",
+    "cluster.rmem.inline",
+    "cluster.rmem.bytes_fetched",
+];
+const GAUGES: [&str; 3] = [
+    "cluster.workers_up",
+    "cluster.inflight",
+    "cluster.rmem.slots_held",
+];
 
-/// A dispatched, not-yet-completed job.
-struct Inflight {
-    worker: usize,
-    generation: u64,
-    job: QueuedJob,
-    retries: u32,
-    cancel_sent: bool,
-}
-
-struct Inner {
-    workers: Vec<WorkerSlot>,
-    inflight: HashMap<u64, Inflight>,
-}
-
-/// `cluster.*` handles in the runtime's metrics registry.
-struct ClusterMetrics {
-    dispatched: Arc<Counter>,
-    retries: Arc<Counter>,
-    restarts: Arc<Counter>,
-    escalations: Arc<Counter>,
-    inline_results: Arc<Counter>,
-    rmem_fetched: Arc<Counter>,
-    workers_up: Arc<Gauge>,
-    inflight: Arc<Gauge>,
-    slots_held: Arc<Gauge>,
-}
-
-/// The multi-process dispatcher (see the module docs).  Constructed
-/// with [`Router::new`], handed to
+/// The multi-process executors (see the module docs).  Constructed with
+/// [`Router::new`], handed to
 /// [`romp_serve::Server::start_with_dispatch`] as an `Arc<dyn
-/// Dispatch>`; all supervision runs on threads it spawns from
-/// [`Dispatch::run`].
+/// Dispatch>`; the workers and the supervisor start in
+/// [`Dispatch::open`].
 pub struct Router {
     cfg: ClusterConfig,
     dir: PathBuf,
@@ -168,12 +131,10 @@ pub struct Router {
     node: Node,
     /// Keeps the node's domain registry alive.
     _sys: MrapiSystem,
-    inner: Mutex<Inner>,
-    /// Signals dispatch capacity and in-flight completions.
-    cv: Condvar,
+    workers: Mutex<Vec<WorkerSlot>>,
     ctx: OnceLock<DispatchCtx>,
-    metrics: OnceLock<ClusterMetrics>,
-    me: OnceLock<Weak<Router>>,
+    me: Weak<Router>,
+    supervisor: Mutex<Option<JoinHandle<()>>>,
     stop: AtomicBool,
     restart_requested: AtomicBool,
     /// rmem slots received in `Done` and not yet released back — the
@@ -183,7 +144,7 @@ pub struct Router {
 
 impl Router {
     /// Build a router (no processes spawned yet — that happens when the
-    /// server calls [`Dispatch::run`]).  Creates the socket/rmem
+    /// server calls [`Dispatch::open`]).  Creates the socket/rmem
     /// directory and the MRAPI attach node.
     pub fn new(cfg: ClusterConfig) -> std::io::Result<Arc<Router>> {
         // One directory per router, not per process: two routers in one
@@ -201,42 +162,34 @@ impl Router {
         let node = sys
             .initialize(DomainId(CLUSTER_DOMAIN), NodeId(1000))
             .map_err(|e| std::io::Error::other(format!("mrapi init: {e}")))?;
-        let workers = (0..cfg.workers.max(1)).map(|_| WorkerSlot::new()).collect();
-        let router = Arc::new(Router {
+        let workers = (0..cfg.workers.max(1))
+            .map(|_| WorkerSlot::default())
+            .collect();
+        Ok(Arc::new_cyclic(|me| Router {
             cfg,
             dir,
             node,
             _sys: sys,
-            inner: Mutex::new(Inner {
-                workers,
-                inflight: HashMap::new(),
-            }),
-            cv: Condvar::new(),
+            workers: Mutex::new(workers),
             ctx: OnceLock::new(),
-            metrics: OnceLock::new(),
-            me: OnceLock::new(),
+            me: me.clone(),
+            supervisor: Mutex::new(None),
             stop: AtomicBool::new(false),
             restart_requested: AtomicBool::new(false),
             slots_outstanding: AtomicI64::new(0),
-        });
-        router
-            .me
-            .set(Arc::downgrade(&router))
-            .unwrap_or_else(|_| unreachable!("fresh OnceLock"));
-        Ok(router)
+        }))
     }
 
     /// Number of workers currently up (test hook).
     pub fn workers_up(&self) -> usize {
-        self.inner.lock().workers.iter().filter(|w| w.up).count()
+        self.workers.lock().iter().filter(|w| w.up).count()
     }
 
     /// OS pids of the live workers, by worker index (test hook: the
     /// chaos test's SIGKILL target).
     pub fn worker_pids(&self) -> Vec<u32> {
-        self.inner
+        self.workers
             .lock()
-            .workers
             .iter()
             .map(|w| if w.up { w.pid } else { 0 })
             .collect()
@@ -253,40 +206,62 @@ impl Router {
     }
 
     /// A `cluster.*` counter from the metrics registry — the one copy of
-    /// the router's counts; 0 until [`Dispatch::run`] registers them.
+    /// the router's counts; 0 until [`Dispatch::open`] registers them.
     fn count(&self, name: &str) -> u64 {
         self.ctx.get().map_or(0, |ctx| {
             ctx.runtime().tracer().metrics().counter(name).get()
         })
     }
 
+    /// Add `n` to the `cluster.*` counter `name`.
+    fn bump(&self, name: &str, n: u64) {
+        if let Some(ctx) = self.ctx.get() {
+            ctx.runtime().tracer().metrics().counter(name).add(n);
+        }
+    }
+
     fn me(&self) -> Arc<Router> {
         self.me
-            .get()
-            .and_then(Weak::upgrade)
+            .upgrade()
             .expect("router alive while its threads run")
     }
 
-    fn m(&self) -> Option<&ClusterMetrics> {
-        self.metrics.get()
+    fn ctx(&self) -> &DispatchCtx {
+        self.ctx.get().expect("the server opened the router")
     }
 
-    fn set_pool_gauges(&self, inner: &Inner) {
-        if let Some(m) = self.m() {
-            m.workers_up
-                .set(inner.workers.iter().filter(|w| w.up).count() as u64);
-            m.inflight.set(inner.inflight.len() as u64);
+    /// Set the `cluster.*` gauge `name`.
+    fn gauge(&self, name: &str, v: u64) {
+        if let Some(ctx) = self.ctx.get() {
+            ctx.runtime().tracer().metrics().gauge(name).set(v);
         }
+    }
+
+    fn set_pool_gauges(&self) {
+        if let Some(ctx) = self.ctx.get() {
+            self.gauge("cluster.workers_up", self.workers_up() as u64);
+            self.gauge("cluster.inflight", ctx.drive(|d, _| d.inflight()) as u64);
+        }
+    }
+
+    /// Worker `id`'s channel, if generation `generation` is still up.
+    fn chan(&self, id: usize, generation: u64) -> Option<Arc<WireChan>> {
+        let workers = self.workers.lock();
+        let ws = &workers[id];
+        (ws.up && ws.generation == generation)
+            .then(|| ws.chan.clone())
+            .flatten()
     }
 
     /// Spawn (or respawn) worker `id`: bind the listener, launch the
     /// process, wait for `Hello`, attach its rmem segment, start its
-    /// receive thread.  Serialized per worker by the `respawning` flag;
-    /// a no-op when the worker is already up or being spawned.
+    /// receive thread, and report it up.  Serialized per worker by the
+    /// `respawning` flag; a no-op when the worker is already up or being
+    /// spawned.
     fn spawn_worker(&self, id: usize) -> Result<(), String> {
         let generation = {
-            let mut inner = self.inner.lock();
-            let ws = &mut inner.workers[id];
+            let mut workers = self.workers.lock();
+            let ws = &mut workers[id];
             if ws.up || ws.respawning {
                 return Ok(());
             }
@@ -296,8 +271,7 @@ impl Router {
         };
         let result = self.spawn_worker_inner(id, generation);
         if result.is_err() {
-            let mut inner = self.inner.lock();
-            inner.workers[id].respawning = false;
+            self.workers.lock()[id].respawning = false;
         }
         result
     }
@@ -333,7 +307,7 @@ impl Router {
             .spawn()
             .map_err(|e| format!("spawn {}: {e}", bin.display()))?;
         let pid = child.id();
-        let setup = (|| -> Result<WireChan, String> {
+        let setup = (|| -> Result<(WireChan, RmemHandle), String> {
             let chan = listener
                 .accept(Duration::from_secs(10))
                 .map_err(|e| format!("worker {id} never connected: {e}"))?;
@@ -345,13 +319,17 @@ impl Router {
                     .recv_timeout(left)
                     .map_err(|e| format!("worker {id} hello: {e}"))?;
                 match ToRouter::decode(&pkt) {
-                    Ok(ToRouter::Hello { .. }) => return Ok(chan),
+                    Ok(ToRouter::Hello { .. }) => break,
                     Ok(_) => continue,
                     Err(e) => return Err(format!("worker {id} bad hello: {e}")),
                 }
             }
+            let attrs = RmemAttributes::default();
+            let rmem = (self.node.rmem_attach_file(id as u32, &rmem_path, &attrs))
+                .map_err(|e| format!("attach rmem {rmem_path:?}: {e}"))?;
+            Ok((chan, rmem))
         })();
-        let chan = match setup {
+        let (chan, rmem) = match setup {
             Ok(v) => v,
             Err(e) => {
                 let _ = child.kill();
@@ -359,39 +337,25 @@ impl Router {
                 return Err(e);
             }
         };
-        let rmem =
-            match self
-                .node
-                .rmem_attach_file(id as u32, &rmem_path, &RmemAttributes::default())
-            {
-                Ok(r) => Arc::new(r),
-                Err(e) => {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return Err(format!("attach rmem {rmem_path:?}: {e}"));
-                }
-            };
         let chan = Arc::new(chan);
         {
-            let mut inner = self.inner.lock();
-            let ws = &mut inner.workers[id];
+            let mut workers = self.workers.lock();
+            let ws = &mut workers[id];
             ws.pid = pid;
             ws.child = Some(child);
             ws.chan = Some(Arc::clone(&chan));
-            ws.rmem = Some(rmem);
+            ws.rmem = Some(Arc::new(rmem));
             ws.up = true;
-            ws.draining = false;
             ws.respawning = false;
             ws.last_hb = Some(Instant::now());
-            ws.inflight = 0;
-            self.set_pool_gauges(&inner);
         }
-        self.cv.notify_all();
         let me = self.me();
         std::thread::Builder::new()
             .name(format!("cluster-rx-{id}"))
             .spawn(move || me.rx_loop(id, generation, chan))
             .map_err(|e| format!("spawn rx thread: {e}"))?;
+        self.ctx().drive(|d, core| d.up(core, id, generation));
+        self.set_pool_gauges();
         Ok(())
     }
 
@@ -404,13 +368,16 @@ impl Router {
                     Ok(ToRouter::Heartbeat {
                         executed, activity, ..
                     }) => {
-                        let mut inner = self.inner.lock();
-                        let ws = &mut inner.workers[id];
-                        if ws.generation == generation {
-                            ws.last_hb = Some(Instant::now());
-                            ws.executed = executed;
-                            ws.activity = activity;
+                        {
+                            let mut workers = self.workers.lock();
+                            let ws = &mut workers[id];
+                            if ws.generation == generation {
+                                ws.last_hb = Some(Instant::now());
+                                ws.executed = executed;
+                            }
                         }
+                        self.ctx()
+                            .drive(|d, _| d.activity(id, generation, activity));
                     }
                     Ok(ToRouter::Done {
                         job,
@@ -420,9 +387,19 @@ impl Router {
                         slot,
                         len,
                         inline,
-                    }) => self.handle_done(
-                        id, generation, &chan, job, state, ok, wall_us, slot, len, inline,
-                    ),
+                    }) => {
+                        let detail = self.fetch_detail(id, &chan, slot, len, inline);
+                        let outcome = JobOutcome {
+                            ok,
+                            wall_us,
+                            detail: String::from_utf8_lossy(&detail).into_owned(),
+                        };
+                        let exec_ns = wall_us.saturating_mul(1000);
+                        self.ctx().drive(|d, core| {
+                            d.finished(core, id, generation, job, state, outcome, exec_ns)
+                        });
+                        self.set_pool_gauges();
+                    }
                     Ok(ToRouter::Hello { .. }) => {}
                     Err(e) => {
                         eprintln!(
@@ -436,7 +413,7 @@ impl Router {
                     // Liveness is judged by the supervisor from
                     // `last_hb`; this thread just keeps listening while
                     // its generation is current.
-                    if self.inner.lock().workers[id].generation != generation {
+                    if self.workers.lock()[id].generation != generation {
                         return;
                     }
                 }
@@ -450,102 +427,46 @@ impl Router {
         }
     }
 
-    /// A worker reported a job terminal: fetch the detail (rmem slot or
-    /// inline), release the slot, reconcile the terminal state against
-    /// the router's own token, record it.
-    #[allow(clippy::too_many_arguments)]
-    fn handle_done(
+    /// A `Done`'s result detail: inline, or read from the worker's rmem
+    /// slot, which is released back to the worker either way — even when
+    /// the job itself is stale (a retry completed elsewhere first).
+    fn fetch_detail(
         &self,
         id: usize,
-        generation: u64,
-        chan: &Arc<WireChan>,
-        job: u64,
-        wstate: JobState,
-        ok: bool,
-        wall_us: u64,
+        chan: &WireChan,
         slot: u32,
         len: u32,
         inline: Vec<u8>,
-    ) {
-        let (entry, rmem) = {
-            let mut inner = self.inner.lock();
-            let entry = match inner.inflight.get(&job) {
-                Some(inf) if inf.worker == id && inf.generation == generation => {
-                    inner.inflight.remove(&job)
-                }
-                _ => None,
-            };
-            let ws = &mut inner.workers[id];
-            let rmem = ws.rmem.clone();
-            if entry.is_some() {
-                ws.inflight = ws.inflight.saturating_sub(1);
-            }
-            self.set_pool_gauges(&inner);
-            (entry, rmem)
-        };
-        // Fetch the detail and release the slot even when the job entry
-        // is stale (a retry completed elsewhere first) — the slot is
-        // real either way.
-        let detail = if slot == SLOT_INLINE {
-            if let Some(m) = self.m() {
-                m.inline_results.incr();
-            }
-            inline
-        } else {
-            self.slots_outstanding.fetch_add(1, Ordering::AcqRel);
-            let mut buf = vec![0u8; len as usize];
-            let read_ok = rmem
-                .as_ref()
-                .map(|r| {
-                    r.read((slot as usize) * (SLOT_BYTES as usize), &mut buf)
-                        .is_ok()
-                })
-                .unwrap_or(false);
-            let _ = chan.send(&ToWorker::Release { slot }.encode());
-            let held = self.slots_outstanding.fetch_sub(1, Ordering::AcqRel) - 1;
-            if let Some(m) = self.m() {
-                m.rmem_fetched.add(len as u64);
-                m.slots_held.set(held.max(0) as u64);
-            }
-            if read_ok {
-                buf
-            } else {
-                b"rmem read failed".to_vec()
-            }
-        };
-        let Some(inf) = entry else { return };
-        let outcome = JobOutcome {
-            ok,
-            wall_us,
-            detail: String::from_utf8_lossy(&detail).into_owned(),
-        };
-        // The worker's Cancelled/TimedOut verdicts come from the very
-        // token the router forwarded — trust them.  For Done/Failed,
-        // re-check the token: a cancel may have fired after the worker
-        // sealed its outcome.
-        let (state, outcome) = match wstate {
-            JobState::Cancelled | JobState::TimedOut => (wstate, outcome),
-            _ => terminal_for(inf.job.cancel.reason(), outcome),
-        };
-        if let Some(ctx) = self.ctx.get() {
-            ctx.complete(
-                job,
-                &inf.job.spec.label(),
-                state,
-                outcome,
-                wall_us.saturating_mul(1000),
-            );
+    ) -> Vec<u8> {
+        if slot == SLOT_INLINE {
+            self.bump("cluster.rmem.inline", 1);
+            return inline;
         }
-        self.cv.notify_all();
+        let rmem = self.workers.lock()[id].rmem.clone();
+        self.slots_outstanding.fetch_add(1, Ordering::AcqRel);
+        let mut buf = vec![0u8; len as usize];
+        let read_ok = rmem.is_some_and(|r| {
+            r.read((slot as usize) * (SLOT_BYTES as usize), &mut buf)
+                .is_ok()
+        });
+        let _ = chan.send(&ToWorker::Release { slot }.encode());
+        let held = self.slots_outstanding.fetch_sub(1, Ordering::AcqRel) - 1;
+        self.bump("cluster.rmem.bytes_fetched", len as u64);
+        self.gauge("cluster.rmem.slots_held", held.max(0) as u64);
+        if read_ok {
+            buf
+        } else {
+            b"rmem read failed".to_vec()
+        }
     }
 
     /// SIGKILL worker `id` if it is still generation `generation`.  The
     /// death itself is handled on the worker's receive thread, which sees
     /// the channel close: the watchdog and the supervisor that call this
-    /// must not stall on a respawn or on re-dispatching orphans.
+    /// must not stall on a respawn.
     fn kill_worker(&self, id: usize, generation: u64) -> bool {
-        let mut inner = self.inner.lock();
-        let ws = &mut inner.workers[id];
+        let mut workers = self.workers.lock();
+        let ws = &mut workers[id];
         match ws.child.as_mut() {
             Some(c) if ws.generation == generation => {
                 let _ = c.kill();
@@ -555,221 +476,70 @@ impl Router {
         }
     }
 
-    /// A worker is gone (channel closed — its crash, or a kill for
-    /// heartbeat silence or escalation): reap it, settle its orphaned
-    /// jobs (terminal if their token fired, retried on a survivor
-    /// otherwise), respawn.  Generation-guarded — stale callers return
-    /// immediately.
-    fn handle_worker_death(&self, id: usize, generation: u64) {
-        let (child, chan, orphans) = {
-            let mut inner = self.inner.lock();
-            let ws = &mut inner.workers[id];
+    /// Take worker `id` out of service if it is still generation
+    /// `generation`: mark it down, report it down to the dispatcher
+    /// (which retries or settles its jobs), and hand back the orphan
+    /// count, its process and its channel.
+    fn take_down(&self, id: usize, generation: u64) -> Option<(usize, Child, Arc<WireChan>)> {
+        let (child, chan) = {
+            let mut workers = self.workers.lock();
+            let ws = &mut workers[id];
             if ws.generation != generation || !ws.up {
-                return;
+                return None;
             }
-            ws.up = false;
-            ws.draining = false;
-            ws.last_hb = None;
-            ws.inflight = 0;
-            let child = ws.child.take();
-            let chan = ws.chan.take();
-            ws.rmem = None;
-            let ids: Vec<u64> = inner
-                .inflight
-                .iter()
-                .filter(|(_, inf)| inf.worker == id && inf.generation == generation)
-                .map(|(k, _)| *k)
-                .collect();
-            let orphans: Vec<Inflight> = ids
-                .iter()
-                .filter_map(|k| inner.inflight.remove(k))
-                .collect();
-            self.set_pool_gauges(&inner);
-            (child, chan, orphans)
+            (ws.up, ws.last_hb, ws.rmem) = (false, None, None);
+            (ws.child.take()?, ws.chan.take()?)
         };
-        drop(chan);
-        if let Some(mut c) = child {
-            let _ = c.kill();
-            let _ = c.wait();
-        }
-        if !orphans.is_empty() || !self.stop.load(Ordering::Acquire) {
+        let (orphans, retried) = self.ctx().drive(|d, core| d.down(core, id, generation));
+        self.bump("cluster.retries", retried as u64);
+        Some((orphans, child, chan))
+    }
+
+    /// A worker is gone (channel closed — its crash, or a kill for
+    /// heartbeat silence or escalation): take it down, reap it, respawn.
+    /// Generation-guarded — stale callers return immediately.
+    fn handle_worker_death(&self, id: usize, generation: u64) {
+        let Some((orphans, mut child, _)) = self.take_down(id, generation) else {
+            return;
+        };
+        let _ = child.kill();
+        let _ = child.wait();
+        let stopping = self.stop.load(Ordering::Acquire);
+        if orphans > 0 || !stopping {
             eprintln!(
-                "romp-cluster: worker {id} (generation {generation}) died with {} job(s) in flight",
-                orphans.len()
+                "romp-cluster: worker {id} (generation {generation}) died with {orphans} job(s) in flight"
             );
         }
-        // Respawn before settling orphans: a single-worker pool must
-        // have somewhere for the retries to land.
-        let stopping = self.stop.load(Ordering::Acquire);
         if !stopping {
-            if let Some(m) = self.m() {
-                m.restarts.incr();
-            }
+            self.bump("cluster.restarts", 1);
             if let Err(e) = self.spawn_worker(id) {
                 // Leave it down; the supervisor retries every tick.
                 eprintln!("romp-cluster: respawn of worker {id} failed: {e}");
             }
         }
-        for mut inf in orphans {
-            if inf.job.cancel.is_cancelled() {
-                self.settle(&inf.job, "worker died during cancellation".into());
-            } else if inf.retries < MAX_RETRIES && !stopping {
-                inf.retries += 1;
-                if let Some(m) = self.m() {
-                    m.retries.incr();
-                }
-                self.dispatch_job(inf.job, inf.retries);
-            } else {
-                self.settle(&inf.job, format!("worker {id} died; retries exhausted"));
-            }
-        }
-        self.cv.notify_all();
+        self.set_pool_gauges();
     }
 
-    /// Complete a job that will not run (again) on any worker: its fired
-    /// token decides the terminal state, otherwise it failed.  The zero
-    /// exec time keeps it out of the service-time estimates.
-    fn settle(&self, job: &QueuedJob, detail: String) {
-        let (state, outcome) = terminal_for(
-            job.cancel.reason(),
-            JobOutcome {
-                ok: false,
-                wall_us: 0,
-                detail,
-            },
-        );
-        if let Some(ctx) = self.ctx.get() {
-            ctx.complete(job.id, &job.spec.label(), state, outcome, 0);
-        }
-    }
-
-    /// Place one job on a worker (called from the dispatch loop and the
-    /// orphan-retry path).  Blocks while the pool is saturated; settles
-    /// the job terminal if its token fires while waiting.
-    fn dispatch_job(&self, job: QueuedJob, retries: u32) {
-        let mut job = Some(job);
-        loop {
-            let j = job.as_ref().expect("job present until placed");
-            if j.cancel.is_cancelled() {
-                self.settle(j, "cancelled before dispatch".into());
-                return;
-            }
-            let target = {
-                let mut inner = self.inner.lock();
-                match pick_worker(&inner, j.affinity) {
-                    Some(i) => {
-                        let generation = inner.workers[i].generation;
-                        let chan = inner.workers[i]
-                            .chan
-                            .clone()
-                            .expect("eligible worker has a channel");
-                        inner.workers[i].inflight += 1;
-                        let pkt = ToWorker::Dispatch {
-                            job: j.id,
-                            spec: j.spec,
-                        }
-                        .encode();
-                        let placed = job.take().expect("job present until placed");
-                        inner.inflight.insert(
-                            placed.id,
-                            Inflight {
-                                worker: i,
-                                generation,
-                                job: placed,
-                                retries,
-                                cancel_sent: false,
-                            },
-                        );
-                        self.set_pool_gauges(&inner);
-                        Some((i, generation, chan, pkt))
-                    }
-                    None => {
-                        if self.stop.load(Ordering::Acquire) {
-                            self.settle(j, "cluster shutting down".into());
-                            return;
-                        }
-                        let _ = self.cv.wait_for(&mut inner, Duration::from_millis(50));
-                        None
-                    }
-                }
-            };
-            match target {
-                Some((i, generation, chan, pkt)) => {
-                    if chan.send(&pkt).is_ok() {
-                        if let Some(m) = self.m() {
-                            m.dispatched.incr();
-                        }
-                    } else {
-                        // The death handler owns the job now (it was
-                        // entered in the in-flight map): it settles or
-                        // retries it.
-                        self.handle_worker_death(i, generation);
-                    }
-                    return;
-                }
-                // Saturated: waited on the condvar, go pick again.
-                None => continue,
-            }
-        }
-    }
-
-    /// Supervisor tick loop: heartbeat timeouts, cancel forwarding,
-    /// downed-worker respawn retries, rolling restarts.
+    /// Supervisor tick loop: heartbeat timeouts, downed-worker respawn
+    /// retries, rolling restarts.
     fn supervisor_loop(&self) {
         let period = Duration::from_millis(self.cfg.heartbeat_ms.max(1));
         let dead_after = period * (self.cfg.heartbeat_misses.max(1) as u32);
         while !self.stop.load(Ordering::Acquire) {
             std::thread::sleep(period);
-            let mut deaths: Vec<(usize, u64)> = Vec::new();
-            let mut respawns: Vec<usize> = Vec::new();
-            let mut cancels: Vec<(u64, bool, Arc<WireChan>)> = Vec::new();
-            {
-                let mut inner = self.inner.lock();
-                for (i, ws) in inner.workers.iter().enumerate() {
-                    if ws.up {
-                        if let Some(hb) = ws.last_hb {
-                            if hb.elapsed() > dead_after {
-                                deaths.push((i, ws.generation));
-                            }
-                        }
-                    } else if !ws.respawning {
-                        respawns.push(i);
-                    }
-                }
-                let pending: Vec<(u64, usize, bool)> = inner
-                    .inflight
-                    .iter()
-                    .filter(|(_, inf)| !inf.cancel_sent)
-                    .filter_map(|(id, inf)| {
-                        inf.job
-                            .cancel
-                            .reason()
-                            .map(|r| (*id, inf.worker, matches!(r, romp::CancelReason::Deadline)))
-                    })
-                    .collect();
-                for (jid, w, deadline) in pending {
-                    if let Some(chan) = inner.workers[w].chan.clone() {
-                        if let Some(inf) = inner.inflight.get_mut(&jid) {
-                            inf.cancel_sent = true;
-                        }
-                        cancels.push((jid, deadline, chan));
-                    }
-                }
-            }
-            for (jid, deadline, chan) in cancels {
-                let _ = chan.send(&ToWorker::Cancel { job: jid, deadline }.encode());
-            }
-            for (i, generation) in deaths {
-                if self.kill_worker(i, generation) {
+            for i in 0..self.shape().0 {
+                let (up, generation, silent) = {
+                    let ws = &self.workers.lock()[i];
+                    let silent = ws.last_hb.is_some_and(|hb| hb.elapsed() > dead_after);
+                    (ws.up, ws.generation, silent)
+                };
+                if up && silent && self.kill_worker(i, generation) {
                     eprintln!("romp-cluster: worker {i} heartbeat lost; killing it");
-                }
-            }
-            for i in respawns {
-                if self.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                if let Err(e) = self.spawn_worker(i) {
-                    eprintln!("romp-cluster: respawn of worker {i} failed: {e}");
+                } else if !up && !self.stop.load(Ordering::Acquire) {
+                    // A no-op while a respawn is already in progress.
+                    if let Err(e) = self.spawn_worker(i) {
+                        eprintln!("romp-cluster: respawn of worker {i} failed: {e}");
+                    }
                 }
             }
             if self.restart_requested.swap(false, Ordering::AcqRel) {
@@ -778,126 +548,58 @@ impl Router {
         }
     }
 
-    /// Cycle every worker, one at a time: drain, graceful `Exit`, reap,
-    /// respawn.  Runs on the supervisor thread.
+    /// Cycle every worker, one at a time: retire it, wait until it holds
+    /// no job, graceful `Exit`, reap, respawn.  Runs on the supervisor
+    /// thread.
     fn rolling_restart_now(&self) {
-        let n = { self.inner.lock().workers.len() };
+        let n = self.workers.lock().len();
         for id in 0..n {
             if self.stop.load(Ordering::Acquire) {
                 return;
             }
-            {
-                let mut inner = self.inner.lock();
-                let ws = &mut inner.workers[id];
-                if !ws.up {
+            let generation = {
+                let workers = self.workers.lock();
+                if !workers[id].up {
                     continue;
                 }
-                ws.draining = true;
-            }
-            // Wait out the worker's in-flight jobs (new dispatches avoid
-            // a draining worker).
-            loop {
-                let (busy, up) = {
-                    let inner = self.inner.lock();
-                    (
-                        inner.inflight.values().any(|inf| inf.worker == id),
-                        inner.workers[id].up,
-                    )
-                };
-                if !busy || !up || self.stop.load(Ordering::Acquire) {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            let (child, chan) = {
-                let mut inner = self.inner.lock();
-                let ws = &mut inner.workers[id];
-                if !ws.up {
-                    continue;
-                }
-                ws.up = false;
-                ws.draining = false;
-                ws.last_hb = None;
-                ws.rmem = None;
-                (ws.child.take(), ws.chan.take())
+                workers[id].generation
             };
-            if let Some(ch) = &chan {
-                let _ = ch.send(&ToWorker::Exit.encode());
-            }
-            drop(chan);
-            if let Some(mut c) = child {
-                reap_with_timeout(&mut c, Duration::from_secs(5));
-            }
-            if let Some(m) = self.m() {
-                m.restarts.incr();
-            }
-            {
-                let mut inner = self.inner.lock();
-                inner.workers[id].restarts += 1;
-                self.set_pool_gauges(&inner);
-            }
+            self.ctx().drive(|d, _| d.retire(id));
+            // A death meanwhile empties it too (and `take_down` then
+            // skips it).
+            self.ctx().wait(|d| d.load(id) == 0);
+            let Some((_, child, chan)) = self.take_down(id, generation) else {
+                continue;
+            };
+            self.workers.lock()[id].restarts += 1;
+            exit_worker(child, &chan);
+            self.bump("cluster.restarts", 1);
             if let Err(e) = self.spawn_worker(id) {
                 eprintln!("romp-cluster: rolling restart of worker {id} failed: {e}");
             }
+            self.set_pool_gauges();
         }
-    }
-
-    /// Final drain: wait for the in-flight map to empty, stop the
-    /// supervisor, `Exit` every worker, reap, clean the directory.
-    fn drain(&self) {
-        {
-            let mut inner = self.inner.lock();
-            while !inner.inflight.is_empty() {
-                let _ = self.cv.wait_for(&mut inner, Duration::from_millis(100));
-            }
-        }
-        self.stop.store(true, Ordering::Release);
-        self.cv.notify_all();
-        let teardown: Vec<(Option<Child>, Option<Arc<WireChan>>)> = {
-            let mut inner = self.inner.lock();
-            inner
-                .workers
-                .iter_mut()
-                .map(|ws| {
-                    ws.up = false;
-                    ws.rmem = None;
-                    (ws.child.take(), ws.chan.take())
-                })
-                .collect()
-        };
-        for (child, chan) in teardown {
-            if let Some(ch) = &chan {
-                let _ = ch.send(&ToWorker::Exit.encode());
-            }
-            drop(chan);
-            if let Some(mut c) = child {
-                reap_with_timeout(&mut c, Duration::from_secs(5));
-            }
-        }
-        let _ = std::fs::remove_dir_all(&self.dir);
     }
 }
 
 impl Dispatch for Router {
-    fn run(&self, ctx: DispatchCtx) {
+    fn shape(&self) -> (usize, u32) {
+        (self.cfg.workers.max(1), INFLIGHT_PER_WORKER)
+    }
+
+    /// Register the `cluster.*` metrics, spawn every worker, start the
+    /// supervisor.
+    fn open(&self, ctx: &DispatchCtx) {
         if self.ctx.set(ctx.clone()).is_err() {
-            return; // a Router runs once
+            return; // a Router opens once
         }
-        let reg = ctx.runtime();
-        let reg = reg.tracer().metrics();
-        let _ = self.metrics.set(ClusterMetrics {
-            dispatched: reg.counter("cluster.dispatched"),
-            retries: reg.counter("cluster.retries"),
-            restarts: reg.counter("cluster.restarts"),
-            escalations: reg.counter("cluster.escalations"),
-            inline_results: reg.counter("cluster.rmem.inline"),
-            rmem_fetched: reg.counter("cluster.rmem.bytes_fetched"),
-            workers_up: reg.gauge("cluster.workers_up"),
-            inflight: reg.gauge("cluster.inflight"),
-            slots_held: reg.gauge("cluster.rmem.slots_held"),
-        });
-        let n = self.cfg.workers.max(1);
-        for id in 0..n {
+        let rt = ctx.runtime();
+        let reg = rt.tracer().metrics();
+        let _ = (
+            COUNTERS.map(|n| reg.counter(n)),
+            GAUGES.map(|n| reg.gauge(n)),
+        );
+        for id in 0..self.shape().0 {
             if let Err(e) = self.spawn_worker(id) {
                 eprintln!("romp-cluster: worker {id} failed to start: {e}");
             }
@@ -907,60 +609,87 @@ impl Dispatch for Router {
             .name("cluster-supervisor".into())
             .spawn(move || me.supervisor_loop())
             .expect("spawn supervisor");
-        while let Some(qjob) = ctx.pop() {
-            self.dispatch_job(qjob, 0);
-        }
-        self.drain();
-        let _ = supervisor.join();
+        *self.supervisor.lock() = Some(supervisor);
     }
 
-    fn escalate(&self, job: u64) -> bool {
-        let target = {
-            let inner = self.inner.lock();
-            inner
-                .inflight
-                .get(&job)
-                .map(|inf| (inf.worker, inf.generation))
-        };
-        let Some((w, generation)) = target else {
-            return false;
-        };
-        if !self.kill_worker(w, generation) {
+    /// Send the job to its worker.  A failed send means the worker is
+    /// dying: kill it, and its death hands the job back to the
+    /// dispatcher.
+    fn start(&self, _ctx: &DispatchCtx, exec: usize, gen: u64, job: &QueuedJob) {
+        let pkt = ToWorker::Dispatch {
+            job: job.id,
+            spec: job.spec,
+        }
+        .encode();
+        if self.chan(exec, gen).is_some_and(|c| c.send(&pkt).is_ok()) {
+            self.bump("cluster.dispatched", 1);
+        } else {
+            self.kill_worker(exec, gen);
+        }
+        self.set_pool_gauges();
+    }
+
+    fn cancel(&self, exec: usize, gen: u64, job: u64, deadline: bool) {
+        if let Some(chan) = self.chan(exec, gen) {
+            let _ = chan.send(&ToWorker::Cancel { job, deadline }.encode());
+        }
+    }
+
+    fn escalate(&self, exec: usize, gen: u64, job: u64) -> bool {
+        if !self.kill_worker(exec, gen) {
             return false;
         }
-        if let Some(m) = self.m() {
-            m.escalations.incr();
-        }
-        eprintln!("romp-cluster: job {job} unresponsive to cancellation; killing worker {w}");
+        self.bump("cluster.escalations", 1);
+        eprintln!("romp-cluster: job {job} unresponsive to cancellation; killing worker {exec}");
         true
     }
 
-    /// Each in-flight job with its worker's last reported activity.
-    fn job_activity(&self) -> Vec<(u64, u64)> {
-        let inner = self.inner.lock();
-        inner
-            .inflight
-            .iter()
-            .map(|(&job, inf)| (job, inner.workers[inf.worker].activity))
-            .collect()
+    /// Stop the supervisor, `Exit` every worker, reap, clean the
+    /// directory.
+    fn close(&self) {
+        self.stop.store(true, Ordering::Release);
+        if let Some(h) = self.supervisor.lock().take() {
+            let _ = h.join();
+        }
+        let teardown: Vec<_> = self
+            .workers
+            .lock()
+            .iter_mut()
+            .filter_map(|ws| {
+                (ws.up, ws.rmem) = (false, None);
+                Some((ws.child.take()?, ws.chan.take()?))
+            })
+            .collect();
+        for (child, chan) in teardown {
+            exit_worker(child, &chan);
+        }
+        let _ = std::fs::remove_dir_all(&self.dir);
     }
 
     fn rolling_restart(&self) -> Option<u64> {
-        let n = { self.inner.lock().workers.len() as u64 };
+        let n = self.workers.lock().len() as u64;
         self.restart_requested.store(true, Ordering::Release);
         Some(n)
     }
 
     fn stats_json(&self) -> Option<String> {
-        let inner = self.inner.lock();
-        let workers: Vec<String> = inner
+        let loads: Vec<u32> = self.ctx.get().map_or_else(Vec::new, |ctx| {
+            ctx.drive(|d, _| (0..self.shape().0).map(|i| d.load(i)).collect())
+        });
+        let workers: Vec<String> = self
             .workers
+            .lock()
             .iter()
             .enumerate()
             .map(|(i, ws)| {
                 format!(
                     "{{\"id\":{i},\"up\":{},\"pid\":{},\"generation\":{},\"inflight\":{},\"executed\":{},\"restarts\":{}}}",
-                    ws.up, ws.pid, ws.generation, ws.inflight, ws.executed, ws.restarts
+                    ws.up,
+                    ws.pid,
+                    ws.generation,
+                    loads.get(i).copied().unwrap_or(0),
+                    ws.executed,
+                    ws.restarts
                 )
             })
             .collect();
@@ -980,30 +709,6 @@ impl Dispatch for Router {
     fn rmem_leaked(&self) -> u64 {
         self.slots_outstanding.load(Ordering::Acquire).max(0) as u64
     }
-}
-
-/// Choose a dispatch target: the affinity-preferred worker (the key's
-/// [`mix64`] placement, as for runtime shards) when it is eligible (up,
-/// not draining, has window), else the least-loaded eligible worker.
-/// `None` when the pool is saturated or empty.
-fn pick_worker(inner: &Inner, affinity: u64) -> Option<usize> {
-    let eligible = |ws: &WorkerSlot| {
-        ws.up && !ws.draining && ws.chan.is_some() && ws.inflight < INFLIGHT_PER_WORKER
-    };
-    let n = inner.workers.len();
-    if affinity != 0 {
-        let pref = (mix64(affinity) % n as u64) as usize;
-        if eligible(&inner.workers[pref]) {
-            return Some(pref);
-        }
-    }
-    inner
-        .workers
-        .iter()
-        .enumerate()
-        .filter(|(_, ws)| eligible(ws))
-        .min_by_key(|(i, ws)| (ws.inflight, *i))
-        .map(|(i, _)| i)
 }
 
 /// Find `romp-worker` next to the current executable (cargo puts all
@@ -1027,101 +732,17 @@ pub fn locate_worker_bin() -> Option<PathBuf> {
     None
 }
 
-/// Wait for a child with a timeout, then SIGKILL it.
-fn reap_with_timeout(child: &mut Child, timeout: Duration) {
-    let deadline = Instant::now() + timeout;
-    loop {
-        match child.try_wait() {
-            Ok(Some(_)) => return,
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return;
-                }
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
+/// Ask a worker to exit gracefully and reap it; SIGKILL it if it has not
+/// exited within 5 s.
+fn exit_worker(mut child: Child, chan: &WireChan) {
+    let _ = chan.send(&ToWorker::Exit.encode());
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while matches!(child.try_wait(), Ok(None)) {
+        if Instant::now() >= deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            return;
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    use std::sync::atomic::AtomicUsize;
-
-    static SOCK_SEQ: AtomicUsize = AtomicUsize::new(0);
-
-    fn pool(states: &[(bool, bool, u32)]) -> Inner {
-        Inner {
-            workers: states
-                .iter()
-                .map(|&(up, draining, inflight)| {
-                    let mut ws = WorkerSlot::new();
-                    ws.up = up;
-                    ws.draining = draining;
-                    ws.inflight = inflight;
-                    ws
-                })
-                .collect(),
-            inflight: HashMap::new(),
-        }
-    }
-
-    // pick_worker requires chan.is_some(); build a loopback pair per
-    // live worker (the tests never send on it).
-    fn with_chans(mut inner: Inner) -> Inner {
-        let dir = std::env::temp_dir().join(format!("romp-cluster-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        for ws in inner.workers.iter_mut() {
-            if ws.up {
-                let seq = SOCK_SEQ.fetch_add(1, Ordering::Relaxed);
-                let sock = dir.join(format!("pick-{seq}.sock"));
-                let _ = std::fs::remove_file(&sock);
-                let listener = WireListener::bind(&sock).unwrap();
-                let client = std::thread::spawn({
-                    let sock = sock.clone();
-                    move || WireChan::connect(&sock, Duration::from_secs(5))
-                });
-                let server = listener.accept(Duration::from_secs(5)).unwrap();
-                let _ = client.join().unwrap();
-                ws.chan = Some(Arc::new(server));
-                let _ = std::fs::remove_file(&sock);
-            }
-        }
-        inner
-    }
-
-    #[test]
-    fn pick_prefers_least_loaded_eligible() {
-        let inner = with_chans(pool(&[
-            (true, false, 2),
-            (true, false, 0),
-            (false, false, 0),
-        ]));
-        assert_eq!(pick_worker(&inner, 0), Some(1));
-    }
-
-    #[test]
-    fn pick_skips_draining_and_saturated() {
-        let inner = with_chans(pool(&[(true, true, 0), (true, false, 2)]));
-        assert_eq!(pick_worker(&inner, 0), None);
-    }
-
-    #[test]
-    fn affinity_is_stable_and_falls_back() {
-        let inner = with_chans(pool(&[(true, false, 0), (true, false, 0)]));
-        let key = 0xFEED_F00Du64;
-        let first = pick_worker(&inner, key).unwrap();
-        for _ in 0..10 {
-            assert_eq!(pick_worker(&inner, key), Some(first));
-        }
-        // Saturate the preferred worker: the key falls back to the other.
-        let mut inner = inner;
-        inner.workers[first].inflight = INFLIGHT_PER_WORKER;
-        let other = pick_worker(&inner, key).unwrap();
-        assert_ne!(other, first);
+        std::thread::sleep(Duration::from_millis(5));
     }
 }

@@ -266,11 +266,7 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
                 exec.jobs.lock().insert(job, (CancelToken::new(), received));
                 // The packet itself is the task's input.
                 if let Err(e) = job_handle.start(pkt) {
-                    let outcome = JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: format!("task start: {e}"),
-                    };
+                    let outcome = JobOutcome::unrun(&format!("task start: {e}"));
                     exec.send_done(job, JobState::Failed, outcome, received);
                 }
             }

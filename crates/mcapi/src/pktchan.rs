@@ -164,7 +164,7 @@ impl PktRx {
     pub fn close(self) {
         *self.ep.inner.chan.lock() = None;
         self.peer.inner.peer_closed.store(true, Ordering::Release);
-        self.ep.inner.cv.notify_all();
+        self.ep.inner.wake.notify_all();
     }
 }
 

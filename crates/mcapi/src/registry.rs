@@ -5,7 +5,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use mca_sync::{Condvar, Mutex as PlMutex, RwLock};
+use mca_sync::park::{EventCount, SpinBudget};
+use mca_sync::{Mutex as PlMutex, RwLock};
 
 use crate::status::{ensure, McapiResult, McapiStatus};
 use crate::{DEFAULT_QUEUE_CAPACITY, MCAPI_MAX_PRIORITY};
@@ -102,8 +103,9 @@ impl Queues {
 pub(crate) struct EpInner {
     pub addr: EndpointAddr,
     pub queue: PlMutex<Queues>,
-    /// Receivers wait here for deliveries; senders wait here for space.
-    pub cv: Condvar,
+    /// Receivers wait here for deliveries, senders for space; rung after
+    /// every change to the queue or the flags.
+    pub wake: EventCount,
     pub capacity: usize,
     pub chan: PlMutex<Option<ChanState>>,
     /// Set when the channel peer closed (drain-then-fail semantics).
@@ -113,14 +115,10 @@ pub(crate) struct EpInner {
 
 impl EpInner {
     /// Set one of this endpoint's flags (`peer_closed`, `deleted`) and
-    /// wake its waiters.  The store happens under the queue lock, so a
-    /// waiter that found the flag clear under that lock is already
-    /// waiting when the notify lands, not about to start.
+    /// wake its waiters.
     pub(crate) fn raise(&self, flag: &AtomicBool) {
-        let q = self.queue.lock();
         flag.store(true, Ordering::Release);
-        drop(q);
-        self.cv.notify_all();
+        self.wake.notify_all();
     }
 }
 
@@ -242,7 +240,7 @@ impl McapiNode {
         let inner = Arc::new(EpInner {
             addr,
             queue: PlMutex::new(Queues::new()),
-            cv: Condvar::new(),
+            wake: EventCount::new(),
             capacity,
             chan: PlMutex::new(None),
             peer_closed: AtomicBool::new(false),
@@ -341,30 +339,24 @@ impl Endpoint {
         timeout: Option<Duration>,
     ) -> McapiResult<()> {
         let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        let mut q = dest.queue.lock();
-        while q.len >= dest.capacity {
+        loop {
             ensure(
                 !dest.deleted.load(Ordering::Acquire),
                 McapiStatus::ErrEndpointInvalid,
             )?;
-            match deadline {
-                None => dest.cv.wait(&mut q),
-                Some(d) => {
-                    if dest.cv.wait_until(&mut q, d).timed_out() {
-                        ensure(q.len < dest.capacity, McapiStatus::Timeout)?;
-                        break;
-                    }
-                }
+            let mut q = dest.queue.lock();
+            if q.len < dest.capacity {
+                q.push(item);
+                drop(q);
+                dest.wake.notify_all();
+                return Ok(());
             }
+            drop(q);
+            let room = dest.wake.wait_until(SpinBudget::NONE, deadline, || {
+                dest.deleted.load(Ordering::Acquire) || dest.queue.lock().len < dest.capacity
+            });
+            ensure(room, McapiStatus::Timeout)?;
         }
-        ensure(
-            !dest.deleted.load(Ordering::Acquire),
-            McapiStatus::ErrEndpointInvalid,
-        )?;
-        q.push(item);
-        drop(q);
-        dest.cv.notify_all();
-        Ok(())
     }
 
     /// Try to deliver without blocking (`ErrQueueFull` when at capacity).
@@ -377,7 +369,7 @@ impl Endpoint {
         ensure(q.len < dest.capacity, McapiStatus::ErrQueueFull)?;
         q.push(item);
         drop(q);
-        dest.cv.notify_all();
+        dest.wake.notify_all();
         Ok(())
     }
 
@@ -391,28 +383,28 @@ impl Endpoint {
         convert: impl FnOnce(Item) -> T,
     ) -> McapiResult<T> {
         let deadline = timeout.map(|t| std::time::Instant::now() + t);
-        let mut q = self.inner.queue.lock();
+        let ep = &self.inner;
         loop {
             self.check_live()?;
+            let mut q = ep.queue.lock();
             if let Some(head) = q.peek() {
                 accept(head)?;
                 let item = q.pop().expect("peeked head exists");
                 drop(q);
                 // A sender may be waiting for space.
-                self.inner.cv.notify_all();
+                ep.wake.notify_all();
                 return Ok(convert(item));
             }
-            if self.inner.peer_closed.load(Ordering::Acquire) {
+            drop(q);
+            if ep.peer_closed.load(Ordering::Acquire) {
                 return Err(crate::McapiError(McapiStatus::ErrChanClosed));
             }
-            match deadline {
-                None => self.inner.cv.wait(&mut q),
-                Some(d) => {
-                    if self.inner.cv.wait_until(&mut q, d).timed_out() {
-                        ensure(q.peek().is_some(), McapiStatus::Timeout)?;
-                    }
-                }
-            }
+            let ready = ep.wake.wait_until(SpinBudget::NONE, deadline, || {
+                ep.deleted.load(Ordering::Acquire)
+                    || ep.peer_closed.load(Ordering::Acquire)
+                    || ep.queue.lock().len > 0
+            });
+            ensure(ready, McapiStatus::Timeout)?;
         }
     }
 
@@ -429,7 +421,7 @@ impl Endpoint {
                 accept(head)?;
                 let item = q.pop().expect("peeked head exists");
                 drop(q);
-                self.inner.cv.notify_all();
+                self.inner.wake.notify_all();
                 Ok(convert(item))
             }
             None if self.inner.peer_closed.load(Ordering::Acquire) => {

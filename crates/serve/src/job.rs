@@ -292,6 +292,18 @@ pub struct JobOutcome {
     pub detail: String,
 }
 
+impl JobOutcome {
+    /// The outcome of a job that did not run (to its end): not ok, no
+    /// wall time.
+    pub fn unrun(detail: &str) -> JobOutcome {
+        JobOutcome {
+            ok: false,
+            wall_us: 0,
+            detail: detail.into(),
+        }
+    }
+}
+
 /// Busy-work units inside each EPCC construct execution (the syncbench
 /// `delaylength` analogue; fixed — serving measures the service, not the
 /// construct, so no calibration loop per job).
@@ -371,12 +383,7 @@ pub fn run_guarded(
     affinity: u64,
 ) -> (JobState, JobOutcome) {
     if let Some(reason) = cancel.reason() {
-        let unrun = JobOutcome {
-            ok: false,
-            wall_us: 0,
-            detail: String::new(),
-        };
-        return terminal_for(Some(reason), unrun);
+        return terminal_for(Some(reason), JobOutcome::unrun(""));
     }
     rt.set_cancel_token(Some(cancel.clone()));
     if affinity != 0 {
@@ -422,6 +429,11 @@ fn run_diag(rt: &Runtime, diag: DiagSpec, n: usize) {
             // Master decides when to stop and the decision crosses the
             // barrier with everyone, so all members run the same number of
             // barrier phases (per-member clock reads would desync them).
+            // Members read the flag between two barriers: with one, the
+            // master could store the next round's decision before a slow
+            // member read this round's, and that member would leave one
+            // phase early, pairing the region's closing barrier with the
+            // master's explicit one — a region that never ends.
             let done = AtomicBool::new(false);
             rt.parallel(n, |w| loop {
                 if w.is_master() && Instant::now() >= until {
@@ -429,7 +441,9 @@ fn run_diag(rt: &Runtime, diag: DiagSpec, n: usize) {
                 }
                 delay(EPCC_DELAY);
                 w.barrier();
-                if done.load(Ordering::Acquire) {
+                let stop = done.load(Ordering::Acquire);
+                w.barrier();
+                if stop {
                     break;
                 }
             });
@@ -513,6 +527,24 @@ fn run_epcc(rt: &Runtime, construct: Construct, n: usize, inner: u64) {
 mod tests {
     use super::*;
     use romp::{BackendKind, Runtime};
+
+    /// Every member of a team-2 `Spin` region leaves its loop in the same
+    /// barrier phase, so each region ends: many short regions, each with
+    /// one chance for a slow member to read the stop flag a phase late,
+    /// under a timeout instead of a hang.
+    #[test]
+    fn short_team_spin_regions_always_end() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let rt = Runtime::with_config(romp::Config::default().with_num_threads(2)).unwrap();
+            for _ in 0..400 {
+                run_diag(&rt, DiagSpec::Spin { ms: 1 }, 2);
+            }
+            let _ = tx.send(());
+        });
+        rx.recv_timeout(Duration::from_secs(60))
+            .expect("a team-2 Spin region never ended");
+    }
 
     #[test]
     fn limits_reject_out_of_range_specs() {

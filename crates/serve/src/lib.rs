@@ -21,8 +21,11 @@
 //!   every socket edge-triggered, decodes frames incrementally across
 //!   partial reads, pipelines many in-flight requests per connection, and
 //!   admits each wakeup's submissions as one batch;
+//! * [`dispatcher`] — the one dispatch policy (placement, retries,
+//!   cancel forwarding, escalation target, drain) as a sans-IO state
+//!   machine the server, `romp-cluster` and `romp-sim` all drive;
 //! * [`server`] — the listener, the threads (reactor, dispatcher,
-//!   watchdog) and the in-process dispatcher behind the [`Dispatch`]
+//!   watchdog) and the in-process executor behind the [`Dispatch`]
 //!   seam; graceful drain on `shutdown` completes every accepted job,
 //!   quiesces the pool, and reports a [`DrainReport`];
 //! * [`state`] — the one [`ServeState`] (job table, queue, metrics,
@@ -72,6 +75,7 @@
 #![warn(missing_docs)]
 
 pub mod client;
+pub mod dispatcher;
 pub mod job;
 pub mod lifecycle;
 pub mod metrics;

@@ -373,11 +373,9 @@ impl JobTable {
                         idem.remove(&entry.idem_key);
                     }
                 }
-                let outcome = entry.outcome.unwrap_or(JobOutcome {
-                    ok: false,
-                    wall_us: 0,
-                    detail: String::from("terminal without outcome"),
-                });
+                let outcome = entry
+                    .outcome
+                    .unwrap_or_else(|| JobOutcome::unrun("terminal without outcome"));
                 Consumed::Result(entry.state, outcome)
             }
         }
@@ -399,11 +397,7 @@ impl JobTable {
                 self.set_terminal(
                     entry,
                     JobState::Cancelled,
-                    JobOutcome {
-                        ok: false,
-                        wall_us: 0,
-                        detail: String::from("cancelled while queued"),
-                    },
+                    JobOutcome::unrun("cancelled while queued"),
                     now,
                 );
                 CancelOutcome::KilledQueued
@@ -477,11 +471,7 @@ impl JobTable {
                         self.set_terminal(
                             entry,
                             JobState::TimedOut,
-                            JobOutcome {
-                                ok: false,
-                                wall_us: 0,
-                                detail: String::from("deadline exceeded while queued"),
-                            },
+                            JobOutcome::unrun("deadline exceeded while queued"),
                             now,
                         );
                         report.deadline_killed.push(id);

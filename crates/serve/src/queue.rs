@@ -76,7 +76,7 @@ pub fn lane_name(lane: usize) -> &'static str {
 /// Timestamps are nanoseconds on the server's [`mca_platform::Clock`] —
 /// `CLOCK_MONOTONIC` in production, the virtual clock under `romp-sim` —
 /// so the queue itself never reads a wall clock.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct QueuedJob {
     /// Server-assigned id.
     pub id: u64,

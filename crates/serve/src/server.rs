@@ -12,12 +12,15 @@
 //!
 //! The protocol-to-job-table *policy* lives in [`crate::session`] (the
 //! [`ServeCore`] provided methods), the serving state and its
-//! bookkeeping in [`crate::state`], and the job lifecycle state machine
-//! in [`crate::lifecycle`] — all shared with the deterministic simulator
+//! bookkeeping in [`crate::state`], the job lifecycle state machine in
+//! [`crate::lifecycle`], and the dispatch policy in
+//! [`crate::dispatcher`] — all shared with the deterministic simulator
 //! `romp-sim`, which drives them on a virtual clock, and with the
 //! `romp-cluster` router.  This module keeps what is irreducibly
 //! production: the TCP listener, the real threads (reactor, dispatcher,
-//! watchdog), and the [`Runtime`] binding.  Job completions flow back to
+//! watchdog), the lock around the [`Dispatcher`] with the [`Dispatch`]
+//! executor seam it drives, and the in-process executor on the
+//! [`Runtime`].  Job completions flow back to
 //! the reactor over its mailbox ([`ServeCore::on_complete`]) so parked
 //! `Await`s answer the moment a job turns terminal.
 
@@ -28,9 +31,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use mca_platform::Clock;
+use mca_sync::park::{EventCount, SpinBudget};
+use mca_sync::Mutex;
 use romp::Runtime;
 
-use crate::job::{run_guarded, JobLimits, JobOutcome, JobState};
+use crate::dispatcher::{Cmd, Dispatcher};
+use crate::job::{run_guarded, JobLimits};
 use crate::lifecycle::DedupConfig;
 use crate::metrics::Metrics;
 use crate::queue::QueuedJob;
@@ -38,35 +44,47 @@ use crate::reactor::{Mailbox, Reactor};
 use crate::session::ServeCore;
 use crate::state::ServeState;
 
-/// Where the dispatcher sends admitted jobs: the in-process executor
-/// ([`Server::start`]) runs them on the server's runtime, `romp-cluster`
-/// routes them to a pool of worker processes; admission, the job table,
-/// the watchdog and the reactor are the same for both.
+/// The executors behind the [`Dispatcher`]: what starts, cancels and
+/// escalates jobs.  The in-process executor ([`Server::start`]) runs
+/// them on the server's runtime, `romp-cluster` on a pool of worker
+/// processes; admission, the job table, the dispatch policy, the
+/// watchdog and the reactor are the same for both.
 ///
-/// The implementation's [`run`](Dispatch::run) pops jobs through the
-/// [`DispatchCtx`] until the queue closes and every accepted job has been
-/// completed via [`DispatchCtx::complete`] — the zero-dropped-jobs drain
-/// contract is the implementor's to keep.
+/// Executors report back through [`DispatchCtx::drive`]: each one up or
+/// down, each started job's end, and (optionally) activity.
 pub trait Dispatch: Send + Sync + 'static {
-    /// The dispatcher body; called once on the `serve-dispatch` thread.
-    /// Must not return until the queue is closed **and** every popped
-    /// job has been completed.
-    fn run(&self, ctx: DispatchCtx);
+    /// `(executors, window)`: how many executors there are and how many
+    /// jobs each may hold at once.
+    fn shape(&self) -> (usize, u32) {
+        (1, 1)
+    }
+
+    /// Bring the executors up, reporting each with [`Dispatcher::up`];
+    /// called once on the `serve-dispatch` thread before the first pop.
+    /// The default reports every executor up as incarnation 1.
+    fn open(&self, ctx: &DispatchCtx) {
+        for exec in 0..self.shape().0 {
+            ctx.drive(|d, core| d.up(core, exec, 1));
+        }
+    }
+
+    /// Start `job` on executor `exec`, incarnation `gen`, and report its
+    /// end with [`Dispatcher::finished`] — possibly before returning:
+    /// the in-process executor runs the job inline.
+    fn start(&self, ctx: &DispatchCtx, exec: usize, gen: u64, job: &QueuedJob);
+
+    /// `job`'s token fired: pass it on to its executor.  The default does
+    /// nothing (an executor that shares the token sees it itself).
+    fn cancel(&self, _exec: usize, _gen: u64, _job: u64, _deadline: bool) {}
 
     /// The watchdog found `job` unresponsive to cancellation past the
-    /// escalation grace.  Return `true` if the dispatcher took an
-    /// escalating action (poisoned the backend, killed the worker
-    /// process running it).
-    fn escalate(&self, job: u64) -> bool;
+    /// escalation grace.  Return `true` if an escalating action was taken
+    /// against its executor (the backend poisoned, the worker process
+    /// killed).
+    fn escalate(&self, exec: usize, gen: u64, job: u64) -> bool;
 
-    /// `(job, counter)` for each job in flight on a runtime other than
-    /// the server's (a worker process), with that runtime's activity
-    /// counter: the watchdog judges those jobs' progress by it.  Must not
-    /// call back into the serving state.  Empty (the default) when every
-    /// job runs on the server's runtime.
-    fn job_activity(&self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
+    /// Every accepted job has finished: tear the executors down.
+    fn close(&self) {}
 
     /// Operator-triggered rolling restart; `Some(n)` = scheduled across
     /// `n` workers.  `None` = unsupported.
@@ -86,48 +104,58 @@ pub trait Dispatch: Send + Sync + 'static {
     }
 }
 
-/// The dispatcher's window into the serving stack, handed to
-/// [`Dispatch::run`]: every dispatcher pops and completes through the
-/// server's one [`ServeState`], so all of them keep the same books.
+/// The executors' handle on the server's one [`Dispatcher`].
 #[derive(Clone)]
 pub struct DispatchCtx {
     shared: Arc<Shared>,
 }
 
 impl DispatchCtx {
-    /// Claim the next job to run (blocking; see [`ServeState::pop`]).
-    /// `None` means the queue is closed and empty — the drain signal;
-    /// finish outstanding work and return from `run`.
-    pub fn pop(&self) -> Option<QueuedJob> {
-        self.shared.state.pop()
+    /// Apply one dispatcher input: take the dispatcher's lock, run
+    /// `input` (which records terminal states through the serving core),
+    /// let go, carry out the commands it issued on the [`Dispatch`]
+    /// executors, and wake whoever [`wait`](DispatchCtx::wait)s.
+    pub fn drive<R>(&self, input: impl FnOnce(&mut Dispatcher, &dyn ServeCore) -> R) -> R {
+        let (r, cmds) = {
+            let mut d = self.shared.dispatcher.lock();
+            let r = input(&mut d, &*self.shared);
+            (r, d.take_cmds())
+        };
+        self.apply(cmds);
+        r
     }
 
-    /// Record a popped job's terminal state: metrics, the service-time
-    /// estimators feeding admission backpressure and the shed gate
-    /// (`label` is the job's [`crate::JobSpec::label`]; a zero `exec_ns`
-    /// — a job that never ran — leaves them untouched), the table entry,
-    /// and the completion broadcast that answers parked `Await`s.  Call
-    /// exactly once per job [`pop`](DispatchCtx::pop) returned.
-    pub fn complete(
-        &self,
-        job: u64,
-        label: &str,
-        state: JobState,
-        outcome: JobOutcome,
-        exec_ns: u64,
-    ) {
-        self.shared.finish_job(job, label, state, outcome, exec_ns);
+    /// Carry out `cmds` on the executors, hand the buffer back, and wake
+    /// the waiters.
+    fn apply(&self, mut cmds: Vec<Cmd>) {
+        let shared = &*self.shared;
+        for cmd in cmds.drain(..) {
+            match cmd {
+                Cmd::Start(exec, gen, job) => shared.dispatch.start(self, exec, gen, &job),
+                Cmd::Cancel(exec, gen, job, dl) => shared.dispatch.cancel(exec, gen, job, dl),
+                Cmd::Escalate(exec, gen, job) => {
+                    if shared.dispatch.escalate(exec, gen, job) {
+                        shared.state.metrics().wd_escalations.incr();
+                    }
+                }
+            }
+        }
+        shared.dispatcher.lock().recycle(cmds);
+        shared.moved.notify_all();
+    }
+
+    /// Block until `ready` holds of the dispatcher; every
+    /// [`drive`](DispatchCtx::drive) re-checks it.
+    pub fn wait(&self, ready: impl Fn(&Dispatcher) -> bool) {
+        let shared = &*self.shared;
+        let ready = || ready(&shared.dispatcher.lock());
+        shared.moved.wait_until(SpinBudget::NONE, None, ready);
     }
 
     /// The server's shared runtime handle (cheap clone) — the metrics
     /// registry lives on its tracer.
     pub fn runtime(&self) -> Runtime {
         self.shared.rt.clone()
-    }
-
-    /// Current clock nanoseconds (the table's clock).
-    pub fn now_ns(&self) -> u64 {
-        self.shared.state.clock().now_ns()
     }
 }
 
@@ -200,6 +228,10 @@ pub(crate) struct Shared {
     pub(crate) mailbox: Mailbox,
     /// Where admitted jobs run.
     pub(crate) dispatch: Arc<dyn Dispatch>,
+    /// The dispatch policy's state.
+    pub(crate) dispatcher: Mutex<Dispatcher>,
+    /// Rung after every dispatcher transition ([`DispatchCtx::wait`]).
+    pub(crate) moved: EventCount,
 }
 
 impl ServeCore for Shared {
@@ -229,10 +261,6 @@ impl ServeCore for Shared {
 
     fn rolling_restart(&self) -> Option<u64> {
         self.dispatch.rolling_restart()
-    }
-
-    fn job_activity(&self) -> Vec<(u64, u64)> {
-        self.dispatch.job_activity()
     }
 }
 
@@ -310,8 +338,8 @@ impl Server {
         Self::start_with_dispatch(addr, cfg, rt, dispatch)
     }
 
-    /// [`Server::start`], but jobs route to `dispatch` instead of the
-    /// in-process execution loop — the cluster mode.  The runtime is
+    /// [`Server::start`], but jobs run on `dispatch`'s executors instead
+    /// of the server's runtime — the cluster mode.  The runtime is
     /// still required: its tracer hosts the metrics registry and the
     /// reactor's admission policy reads its activity counter; it just
     /// never runs job kernels.
@@ -324,12 +352,15 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let metrics = Metrics::new(rt.tracer().metrics());
+        let (executors, window) = dispatch.shape();
         let shared = Arc::new(Shared {
             state: ServeState::new(Clock::real(), cfg.dedup(), metrics, &cfg),
             stopped: AtomicBool::new(false),
             wd_stop: AtomicBool::new(false),
             mailbox: Mailbox::new()?,
             dispatch,
+            dispatcher: Mutex::new(Dispatcher::new(executors, window)),
+            moved: EventCount::new(),
             cfg,
             rt,
         });
@@ -337,14 +368,14 @@ impl Server {
         let ctx = DispatchCtx {
             shared: Arc::clone(&shared),
         };
+        let wd_ctx = ctx.clone();
         let dispatcher = std::thread::Builder::new()
             .name("serve-dispatch".into())
-            .spawn(move || Arc::clone(&ctx.shared.dispatch).run(ctx))?;
+            .spawn(move || dispatch_loop(&ctx))?;
 
-        let wd_shared = Arc::clone(&shared);
         let watchdog = std::thread::Builder::new()
             .name("serve-watchdog".into())
-            .spawn(move || watchdog_loop(&wd_shared))?;
+            .spawn(move || watchdog_loop(&wd_ctx))?;
 
         // The epoll set is built here so setup failures surface to the
         // caller, not inside a dead thread.
@@ -419,32 +450,45 @@ impl ServerHandle {
     }
 }
 
-/// The in-process dispatcher: the queue's single consumer, running every
-/// job on the shared runtime's persistent pool.  Exits only when the
-/// queue is closed *and* empty — i.e. after the graceful drain has
-/// finished every accepted job (to completion or to a supervised kill).
-///
-/// Every job runs through [`run_guarded`]: a panicking kernel becomes a
-/// `Failed` job carrying the panic message, never a dead dispatcher.
+/// The dispatcher thread: wait for a free window slot, pop, hand the
+/// job to the [`Dispatcher`]; once the queue is closed and empty, wait
+/// for the dispatcher to go idle — every accepted job finished — before
+/// the executors close.  (With no executor up at all, a closed queue is
+/// noticed at the watchdog's next tick.)
+fn dispatch_loop(ctx: &DispatchCtx) {
+    let shared = &*ctx.shared;
+    shared.dispatch.open(ctx);
+    loop {
+        ctx.wait(|d| d.can_pop() || shared.state.queue().is_closed());
+        let Some(job) = shared.state.pop() else { break };
+        ctx.drive(|d, core| d.popped(core, job));
+    }
+    ctx.wait(Dispatcher::idle);
+    shared.dispatch.close();
+}
+
+/// The in-process executor: one executor, one job at a time, run inline
+/// on the `serve-dispatch` thread on the shared runtime's persistent
+/// pool.  Every job runs through [`run_guarded`]: a panicking kernel
+/// becomes a `Failed` job carrying the panic message, never a dead
+/// dispatcher.  The runtime shares each job's token, so cancels need no
+/// forwarding.
 struct InProcess {
     rt: Runtime,
 }
 
 impl Dispatch for InProcess {
-    fn run(&self, ctx: DispatchCtx) {
-        while let Some(qjob) = ctx.pop() {
-            let started = ctx.now_ns();
-            let (state, outcome) = run_guarded(&self.rt, &qjob.spec, &qjob.cancel, qjob.affinity);
-            let exec_ns = ctx.now_ns().saturating_sub(started);
-            ctx.complete(qjob.id, &qjob.spec.label(), state, outcome, exec_ns);
-        }
+    fn start(&self, ctx: &DispatchCtx, exec: usize, gen: u64, job: &QueuedJob) {
+        let (state, outcome) = run_guarded(&self.rt, &job.spec, &job.cancel, job.affinity);
+        let exec_ns = outcome.wall_us * 1000;
+        ctx.drive(|d, core| d.finished(core, exec, gen, job.id, state, outcome, exec_ns));
     }
 
     /// Poison the backend so a wedged MRAPI wait flips to the native
     /// fallback at its next timeout lap, after which the job unwinds
     /// normally; then swap the fallback in now rather than at the next
     /// region boundary, so later jobs never touch the poisoned backend.
-    fn escalate(&self, job: u64) -> bool {
+    fn escalate(&self, _exec: usize, _gen: u64, job: u64) -> bool {
         let poisoned = self
             .rt
             .poison_backend(&format!("watchdog: job {job} unresponsive to cancellation"));
@@ -456,14 +500,13 @@ impl Dispatch for InProcess {
 }
 
 /// The watchdog: every tick it fires deadlines, watches cancelled jobs
-/// unwind, escalates the ones that don't, and bounds the dedup map.
-///
-/// The decisions live in [`crate::lifecycle::JobTable::sweep`] and the
-/// bookkeeping in [`ServeState::sweep`] (both shared with `romp-sim`);
-/// escalating a job whose workers are flat past the grace is the
-/// dispatcher's ([`Dispatch::escalate`]).  Runs outside the jobs lock:
-/// escalation takes backend-internal locks.
-fn watchdog_loop(shared: &Shared) {
+/// unwind, and bounds the dedup map ([`ServeCore::watchdog_sweep`]),
+/// then hands the tick to the dispatcher, which forwards fired tokens
+/// and escalates the sweep's stalled job ([`Dispatcher::tick`]).  Each
+/// job's progress is its executor's reported activity, read before the
+/// sweep takes the jobs lock.
+fn watchdog_loop(ctx: &DispatchCtx) {
+    let shared = &*ctx.shared;
     let tick = Duration::from_millis(shared.cfg.watchdog_interval_ms.max(1));
     let grace_ns = shared
         .cfg
@@ -471,12 +514,9 @@ fn watchdog_loop(shared: &Shared) {
         .max(1)
         .saturating_mul(1_000_000);
     while !shared.wd_stop.load(Ordering::Acquire) {
-        let report = shared.watchdog_sweep(grace_ns);
-        if let Some(id) = report.escalate {
-            if shared.dispatch.escalate(id) {
-                shared.state.metrics().wd_escalations.incr();
-            }
-        }
+        let remote = ctx.drive(|d, _| d.job_activity());
+        let report = shared.watchdog_sweep(&remote, grace_ns);
+        ctx.drive(|d, core| d.tick(core, report.escalate));
         std::thread::sleep(tick);
     }
 }

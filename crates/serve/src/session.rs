@@ -83,14 +83,6 @@ pub trait ServeCore {
         None
     }
 
-    /// `(job, counter)` for each job running on another runtime (a
-    /// cluster worker), whose activity counter stands in for
-    /// [`ServeCore::activity`] when the watchdog judges that job's
-    /// progress.  Empty when every job runs on the serving runtime.
-    fn job_activity(&self) -> Vec<(u64, u64)> {
-        Vec::new()
-    }
-
     /// Record a dispatched job's terminal state ([`ServeState::finish`])
     /// and answer the `Await`s parked on it.  Call exactly once per job
     /// the dispatcher began to run.
@@ -101,14 +93,13 @@ pub trait ServeCore {
 
     /// One watchdog pass ([`ServeState::sweep`]) that also answers the
     /// `Await`s parked on queued jobs it deadline-killed.  A job's
-    /// progress is its own runtime's counter ([`ServeCore::job_activity`],
-    /// else [`ServeCore::activity`]).  Escalating the report's stalled
-    /// job is the caller's.
-    fn watchdog_sweep(&self, grace_ns: u64) -> SweepReport {
+    /// progress is its executor's counter from `remote`
+    /// ([`Dispatcher::job_activity`](crate::dispatcher::Dispatcher::job_activity),
+    /// read before the sweep takes the jobs lock), else
+    /// [`ServeCore::activity`].  Escalating the report's stalled job is
+    /// the dispatcher's ([`Dispatcher::tick`](crate::dispatcher::Dispatcher::tick)).
+    fn watchdog_sweep(&self, remote: &[(u64, u64)], grace_ns: u64) -> SweepReport {
         let local = self.activity();
-        // Read before the sweep takes the jobs lock: the remote counters
-        // sit behind the dispatcher's own lock.
-        let remote = self.job_activity();
         let activity = |job| remote.iter().find(|r| r.0 == job).map_or(local, |r| r.1);
         let report = self.state().sweep(activity, grace_ns);
         for &id in &report.deadline_killed {

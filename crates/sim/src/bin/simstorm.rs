@@ -13,7 +13,7 @@
 
 use std::process::ExitCode;
 
-use romp_sim::{run_scenario, Scenario};
+use romp_sim::{run_scenario, Scenario, SimStats};
 
 struct Args {
     scenario: String,
@@ -102,22 +102,8 @@ fn main() -> ExitCode {
                 print!("{trace}");
                 println!("--- end trace ---");
             }
-            println!(
-                "{name} seed={seed}: {} (accepted={} resolved={} rejected={} sheds={} \
-                 idem_hits={} idem_pending={} retractions={} escalations={} events={} \
-                 vtime={}ms)",
-                if report.ok() { "OK" } else { "FAIL" },
-                report.stats.accepted,
-                report.stats.resolved,
-                report.stats.rejected,
-                report.stats.sheds,
-                report.stats.idem_hits,
-                report.stats.idem_pending_hits,
-                report.stats.retractions,
-                report.stats.escalations,
-                report.stats.events,
-                report.stats.virtual_ms,
-            );
+            let verdict = if report.ok() { "OK" } else { "FAIL" };
+            println!("{name} seed={seed}: {verdict} {:?}", report.stats);
             for v in &report.violations {
                 println!("  violation: {v}");
                 failed = true;
@@ -135,22 +121,10 @@ fn main() -> ExitCode {
     for sc in scenarios {
         let name = sc.name;
         let mut failures = 0u64;
-        let mut accepted = 0u64;
-        let mut resolved = 0u64;
-        let mut rejected = 0u64;
-        let mut sheds = 0u64;
-        let mut idem = 0u64;
-        let mut escalations = 0u64;
-        let mut events = 0u64;
+        let mut t = SimStats::default();
         for seed in args.base..args.base + args.seeds {
             let report = run_scenario(sc.clone(), seed, false);
-            accepted += report.stats.accepted;
-            resolved += report.stats.resolved;
-            rejected += report.stats.rejected;
-            sheds += report.stats.sheds;
-            idem += report.stats.idem_hits;
-            escalations += report.stats.escalations;
-            events += report.stats.events;
+            t.accumulate(&report.stats);
             if !report.ok() {
                 any_failed = true;
                 failures += 1;
@@ -164,11 +138,20 @@ fn main() -> ExitCode {
             }
         }
         println!(
-            "{name}: {}/{} seeds ok (accepted={accepted} resolved={resolved} \
-             rejected={rejected} sheds={sheds} idem_hits={idem} \
-             escalations={escalations} events={events})",
+            "{name}: {}/{} seeds ok (accepted={} resolved={} completed={} timed_out={} \
+             rejected={} sheds={} idem_hits={} escalations={} retries={} events={})",
             args.seeds - failures,
             args.seeds,
+            t.accepted,
+            t.resolved,
+            t.completed,
+            t.timed_out,
+            t.rejected,
+            t.sheds,
+            t.idem_hits,
+            t.escalations,
+            t.retries,
+            t.events,
         );
     }
     if any_failed {

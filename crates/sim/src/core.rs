@@ -7,11 +7,11 @@
 //! estimator — and implements [`ServeCore`], so admission, idempotency,
 //! fetch/await consumption, cancel, drain, job completion and the
 //! watchdog sweep run the production code paths verbatim.  Only the
-//! hooks differ: activity is a counter the event loop bumps, and
-//! completions are collected for the event loop to deliver instead of
-//! broadcast over mailboxes.
+//! hooks differ: the core has no runtime of its own (every job's progress
+//! is its virtual executor's heartbeat), and completions are collected
+//! for the event loop to deliver instead of broadcast over mailboxes.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 
 use mca_platform::Clock;
 use romp_serve::session::ServeCore;
@@ -34,7 +34,6 @@ pub struct SimCoreConfig {
 pub struct SimCore {
     state: ServeState,
     registry: MetricsRegistry,
-    activity: Cell<u64>,
     completions: RefCell<Vec<u64>>,
 }
 
@@ -55,15 +54,8 @@ impl SimCore {
         SimCore {
             state: ServeState::new(clock, cfg.dedup, Metrics::new(&registry), &serve),
             registry,
-            activity: Cell::new(0),
             completions: RefCell::new(Vec::new()),
         }
-    }
-
-    /// Bump the activity counter (the watchdog's progress signal; the
-    /// production runtime bumps it per region/task milestone).
-    pub fn bump_activity(&self) {
-        self.activity.set(self.activity.get() + 1);
     }
 
     /// Drain the completion notifications queued by
@@ -78,8 +70,10 @@ impl ServeCore for SimCore {
         &self.state
     }
 
+    /// No serving runtime: every in-flight job is judged by its
+    /// executor's reported activity instead.
     fn activity(&self) -> u64 {
-        self.activity.get()
+        0
     }
 
     fn on_complete(&self, job: u64) {

@@ -21,16 +21,19 @@
 //!   one [`romp_serve::ServeState`] the
 //!   production server and the cluster router also drive: job table
 //!   (deadlines, sweep, dedup bounds), EDF queue, `serve.*` metrics,
-//!   service-time estimators, and the dispatcher's pop / finish and the
-//!   watchdog's sweep bookkeeping — the exact code production runs.
+//!   service-time estimators, the watchdog's sweep bookkeeping, and the
+//!   [`romp_serve::dispatcher::Dispatcher`] the server and the cluster
+//!   router drive: placement, orphan retries, cancel forwarding, the
+//!   escalation choice and the drain condition — the exact code
+//!   production runs.
 //! * **Modelled**: threads (event sources), sockets ([`net`]: seeded
 //!   delays, ordered delivery, partitions; each server-side connection's
-//!   transport is an inbox plus a write window), kernel
-//!   execution (seeded durations/outcomes, with `mca-mrapi` fault-plan
-//!   probes deciding failures), watchdog escalation (backend
-//!   poisoning), and time itself ([`mca_platform::VirtualClock`]).
+//!   transport is an inbox plus a write window), the executors under the
+//!   dispatcher (seeded durations, outcomes, wedges, unwinds and deaths,
+//!   with `mca-mrapi` fault-plan probes deciding failures), and time
+//!   itself ([`mca_platform::VirtualClock`]).
 //!
-//! The [`scenario`] module defines five storm classes and the invariant
+//! The [`scenario`] module defines six storm classes and the invariant
 //! checks every seed must satisfy — no accepted job dropped, no double
 //! terminal state, duplicate submissions never yield two jobs, every
 //! parked await answered, bounded dedup map, graceful drain always

@@ -1,6 +1,6 @@
 //! Scenario definitions, the per-run report, and the sweep driver.
 //!
-//! A [`Scenario`] is a bundle of world knobs; five classes cover the
+//! A [`Scenario`] is a bundle of world knobs; six classes cover the
 //! serving stack's hazard surface:
 //!
 //! * **`fault_storm`** — a timed persistent `mca-mrapi` fault arms
@@ -23,6 +23,13 @@
 //!   the EDF/priority dispatcher and the shed gate — Hi jobs are never
 //!   shed, and no accepted job misses its deadline by more than the
 //!   watchdog's enforcement granularity.
+//! * **`cluster_storm`** — the cluster router's dispatcher: two
+//!   executors with a window of two, seeded executor deaths, heavy
+//!   cancels, jobs longer than the escalation grace.  Focus: orphan
+//!   retries (no job starts more than `1 + MAX_RETRIES` times, each
+//!   reaches one terminal state) and the watchdog judging a job that
+//!   waits behind a busy one by that executor's progress (it is never
+//!   escalated).
 //!
 //! Every class also checks the bookkeeping the simulator shares with
 //! production: each fired deadline counts as a `serve.sched.deadline_miss`
@@ -114,6 +121,14 @@ pub struct Scenario {
     /// tight explicit deadlines; with `hi_clients > 0` every other
     /// non-hammer client submits at Batch priority.
     pub hi_clients: usize,
+    /// Virtual executors behind the dispatcher (1 = the in-process
+    /// server; more = a cluster of workers).
+    pub executors: usize,
+    /// Jobs each executor may hold at once (the dispatch window).
+    pub exec_window: u32,
+    /// P(the executor dies while a job it was just given runs),
+    /// per-mille.
+    pub death_pm: u64,
 }
 
 impl Scenario {
@@ -153,6 +168,9 @@ impl Scenario {
             horizon_ms: 300_000,
             shed: false,
             hi_clients: 0,
+            executors: 1,
+            exec_window: 1,
+            death_pm: 0,
         }
     }
 
@@ -247,6 +265,26 @@ impl Scenario {
         }
     }
 
+    /// The cluster dispatcher: two executors holding two jobs each, so a
+    /// job can wait on an executor behind a running one, with seeded
+    /// executor deaths.  Jobs run longer than the escalation grace, so a
+    /// job cancelled while it waits stays stalled past the grace: judged
+    /// by its own executor's progress it is never escalated.
+    pub fn cluster_storm() -> Scenario {
+        Scenario {
+            name: "cluster_storm",
+            executors: 2,
+            exec_window: 2,
+            death_pm: 80,
+            cancel_pm: 300,
+            exec_ns: (5_000_000, 90_000_000),
+            default_deadline_ms: 1_500,
+            deadline_ms: (100, 600),
+            jobs_per_client: 6,
+            ..Scenario::base()
+        }
+    }
+
     /// Every scenario class, sweep order.
     pub fn all() -> Vec<Scenario> {
         vec![
@@ -255,6 +293,7 @@ impl Scenario {
             Scenario::slow_client(),
             Scenario::cancel_storm(),
             Scenario::overload_storm(),
+            Scenario::cluster_storm(),
         ]
     }
 
@@ -395,6 +434,11 @@ pub struct SimStats {
     pub gave_up: u64,
     /// Jobs abandoned to a drain refusal.
     pub abandoned: u64,
+    /// Jobs orphaned by an executor death and requeued by the dispatcher.
+    pub retries: u64,
+    /// Jobs whose token fired while they waited on an executor, settled
+    /// there without running.
+    pub unrun: u64,
     /// Events processed.
     pub events: u64,
     /// Final virtual time, ms.
@@ -424,6 +468,8 @@ impl SimStats {
         self.stats_seen += o.stats_seen;
         self.gave_up += o.gave_up;
         self.abandoned += o.abandoned;
+        self.retries += o.retries;
+        self.unrun += o.unrun;
         self.events += o.events;
         self.virtual_ms = self.virtual_ms.max(o.virtual_ms);
     }
@@ -456,6 +502,7 @@ pub fn run_scenario(sc: Scenario, seed: u64, capture_trace: bool) -> SimReport {
     let name = sc.name;
     let mut w = World::new(sc, seed, capture_trace);
     let (violations, trace) = w.run();
+    let (retries, unrun) = w.dispatch_stats();
     let st = w.core().state();
     let m = st.metrics();
     let t = st.table();
@@ -479,6 +526,8 @@ pub fn run_scenario(sc: Scenario, seed: u64, capture_trace: bool) -> SimReport {
         stats_seen: w.clients().iter().map(|c| c.stats_seen).sum(),
         gave_up: w.clients().iter().map(|c| u64::from(c.gave_up)).sum(),
         abandoned: w.clients().iter().map(|c| u64::from(c.abandoned)).sum(),
+        retries,
+        unrun,
         events: w.events(),
         virtual_ms: w.virtual_ns() / 1_000_000,
     };

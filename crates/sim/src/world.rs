@@ -11,32 +11,31 @@
 //!   to `WouldBlock`, and a write window stands in for the socket send
 //!   buffer (returning `WouldBlock` exactly like a full socket, so
 //!   backpressure and decode deferral run their production paths);
-//! * the **dispatcher** becomes `DispatcherPop`/`JobDone` events calling
-//!   the production [`ServeState::try_pop`](romp_serve::ServeState::try_pop)
-//!   and [`ServeCore::finish_job`] — queue-wait, lane gauges, latency,
-//!   estimators, counters and the table transition are production's
-//!   bookkeeping; only execution is modelled (a seeded duration and
-//!   outcome, with `mca-mrapi` [`FaultPlan`] probes deciding failures),
-//!   since the simulation tests the *serving* machinery, not the kernels;
-//! * the **watchdog** becomes a `WatchdogTick` event running the
-//!   production [`ServeCore::watchdog_sweep`] — deadline kills, sweep
-//!   metrics, dedup bounds; escalation is modelled as backend poisoning;
+//! * the **dispatcher** is the production [`Dispatcher`]: a
+//!   `DispatcherPop` event runs its non-blocking pop loop, and its
+//!   start / cancel / escalate commands go to the seeded virtual
+//!   executors of `world::executor` — the only modelled part — whose
+//!   `Done` and `Death` events report back to it.  Placement, retries,
+//!   cancel forwarding, escalation targets and the drain condition are
+//!   production's, as are the pop / finish bookkeeping underneath;
+//! * the **watchdog** becomes a `WatchdogTick` event: the executors'
+//!   heartbeats, the production [`ServeCore::watchdog_sweep`] (deadline
+//!   kills, sweep metrics, dedup bounds) and the dispatcher's tick;
 //! * each **client** is a seeded state machine from [`crate::client`].
 //!
 //! Same seed ⇒ same event sequence ⇒ byte-identical trace: all state is
 //! in `BTreeMap`s/`Vec`s, ties break on insertion order, and the single
 //! [`SmallRng`] is consumed in event order.
 
+use std::collections::BTreeMap;
 use std::io::{self, Read, Write};
 
-use mca_mrapi::{FaultPlan, FaultProbe, FaultSite};
+use mca_mrapi::{FaultPlan, FaultSite};
 use mca_platform::{Clock, VirtualClock};
 use mca_sync::SmallRng;
-use romp::CancelToken;
-use romp_serve::job::ClassLabel;
-use romp_serve::lifecycle::terminal_for;
+use romp_serve::dispatcher::Dispatcher;
+use romp_serve::lane_name;
 use romp_serve::session::{Engine, ServeCore};
-use romp_serve::{lane_name, JobOutcome, JobState};
 
 use crate::client::{ClientCmd, SimClient};
 use crate::core::SimCore;
@@ -44,9 +43,8 @@ use crate::net::{Payload, SimNet};
 use crate::scenario::Scenario;
 use crate::sched::EventQueue;
 
-/// Cooperative-cancel unwind latency: virtual ns from a cancelled
-/// running job noticing the token to reaching its terminal state.
-const UNWIND_NS: u64 = 200_000;
+mod executor;
+use executor::Exec;
 
 /// Global event-count backstop (a livelocked schedule must terminate
 /// with a violation, not hang the sweep).
@@ -64,37 +62,18 @@ enum Event {
     /// The client read `n` delivered bytes: the server's write window
     /// for the connection regains that budget.
     Ack(u64, usize),
-    /// The dispatcher looks for the next queued job.
+    /// The dispatcher pops what its free window slots allow.
     DispatcherPop,
-    /// The running execution identified by `(exec, gen)` finishes.
-    JobDone { exec: u64, gen: u64 },
+    /// Run `run` of executor `exec`, incarnation `gen`, ends.
+    Done { exec: usize, gen: u64, run: u64 },
+    /// Executor `exec`, incarnation `gen`, dies.
+    Death { exec: usize, gen: u64 },
     /// One watchdog sweep.
     WatchdogTick,
     /// Cut the configured connections (both directions).
     PartitionStart,
     /// Heal them, releasing held traffic in order.
     PartitionHeal,
-}
-
-/// The modelled execution of one dispatched job.
-struct Running {
-    job: u64,
-    exec: u64,
-    gen: u64,
-    cancel: CancelToken,
-    /// Job-class label (feeds the per-class service-time EWMA).
-    label: ClassLabel,
-    /// Absolute deadline, if the job carries one (the overload
-    /// scenario's miss-bound check).
-    deadline_ns: Option<u64>,
-    /// Outcome if it runs to completion untouched.
-    ok: bool,
-    panics: bool,
-    /// Stuck in an abandoned-lock wait: never finishes on its own, only
-    /// deadline → escalation ends it.
-    wedged: bool,
-    unwinding: bool,
-    started_ns: u64,
 }
 
 /// One server-side connection's transport: the simulated socket.
@@ -151,11 +130,15 @@ pub struct World {
     core: SimCore,
     engine: Engine<SimPipe>,
     clients: Vec<SimClient>,
-    running: Option<Running>,
-    exec_seq: u64,
-    dispatcher_done: bool,
-    backend_poisoned: bool,
+    dispatcher: Dispatcher,
+    execs: Vec<Exec>,
     fault: Option<FaultPlan>,
+    /// Starts per job id.
+    starts: BTreeMap<u64, u32>,
+    /// Orphaned jobs the dispatcher requeued.
+    retries: u64,
+    /// Jobs whose token fired before their turn on an executor came.
+    unrun: u64,
     sc: Scenario,
     events: u64,
     trace: Option<String>,
@@ -169,6 +152,15 @@ impl World {
         let clock = vclock.clock();
         let mut rng = SmallRng::seed_from_u64(seed ^ 0x005E_ED51_0000 ^ sc.salt());
         let core = SimCore::new(clock.clone(), sc.core_config());
+        let mut dispatcher = Dispatcher::new(sc.executors, sc.exec_window);
+        for exec in 0..sc.executors {
+            dispatcher.up(&core, exec, 1);
+        }
+        let fault = sc.fault_at_ms.map(|at_ms| {
+            let site = FaultSite::MutexLock;
+            let status = site.legal_statuses()[0];
+            FaultPlan::new(seed).with_persistent_at(site, status, at_ms * 1_000_000, clock.clone())
+        });
 
         let mut evq = EventQueue::new();
         let mut net = SimNet::new();
@@ -195,15 +187,6 @@ impl World {
             evq.push(start_ms * 1_000_000, Event::PartitionStart);
             evq.push(heal_ms * 1_000_000, Event::PartitionHeal);
         }
-        let fault = sc.fault_at_ms.map(|at_ms| {
-            FaultPlan::new(seed).with_persistent_at(
-                FaultSite::MutexLock,
-                FaultSite::MutexLock.legal_statuses()[0],
-                at_ms * 1_000_000,
-                clock.clone(),
-            )
-        });
-
         World {
             vclock,
             clock,
@@ -213,11 +196,12 @@ impl World {
             core,
             engine,
             clients,
-            running: None,
-            exec_seq: 0,
-            dispatcher_done: false,
-            backend_poisoned: false,
+            dispatcher,
+            execs: (0..sc.executors).map(|_| Exec::new(1)).collect(),
             fault,
+            starts: BTreeMap::new(),
+            retries: 0,
+            unrun: 0,
             sc,
             events: 0,
             trace: capture_trace.then(String::new),
@@ -258,10 +242,10 @@ impl World {
             self.vclock.advance_to(t);
             if self.trace.is_some() {
                 let line = format!(
-                    "t={t} seq={seq} ev={ev:?} q={} live={} running={:?}",
+                    "t={t} seq={seq} ev={ev:?} q={} live={} inflight={}",
                     self.core.state().queue().len(),
                     self.core.state().table().live_jobs(),
-                    self.running.as_ref().map(|r| r.job),
+                    self.dispatcher.inflight(),
                 );
                 self.trace_line(&line);
             }
@@ -317,8 +301,12 @@ impl World {
                     self.service_conn(conn);
                 }
             }
-            Event::DispatcherPop => self.dispatcher_pop(),
-            Event::JobDone { exec, gen } => self.job_done(exec, gen),
+            Event::DispatcherPop => {
+                self.dispatcher.pump(&self.core);
+                self.after_dispatch();
+            }
+            Event::Done { exec, gen, run } => self.exec_done(exec, gen, run),
+            Event::Death { exec, gen } => self.exec_death(exec, gen),
             Event::WatchdogTick => self.watchdog_tick(),
             Event::PartitionStart => {
                 let now = self.now();
@@ -354,29 +342,17 @@ impl World {
     fn apply_cmds(&mut self, client_idx: usize, cmds: Vec<ClientCmd>) {
         let conn = self.clients[client_idx].conn;
         for cmd in cmds {
+            let payload = match cmd {
+                ClientCmd::Send(bytes) => Payload::Bytes(bytes),
+                ClientCmd::SendEof => Payload::Eof,
+                ClientCmd::WakeAt(at) => {
+                    self.evq.push(at, Event::ClientWake(client_idx));
+                    continue;
+                }
+            };
             let now = self.now();
-            match cmd {
-                ClientCmd::Send(bytes) => {
-                    if let Some((at, p)) =
-                        self.net
-                            .link(conn)
-                            .up
-                            .send(now, &mut self.rng, Payload::Bytes(bytes))
-                    {
-                        self.evq.push(at, Event::NetToServer(conn, p));
-                    }
-                }
-                ClientCmd::SendEof => {
-                    if let Some((at, p)) =
-                        self.net
-                            .link(conn)
-                            .up
-                            .send(now, &mut self.rng, Payload::Eof)
-                    {
-                        self.evq.push(at, Event::NetToServer(conn, p));
-                    }
-                }
-                ClientCmd::WakeAt(at) => self.evq.push(at, Event::ClientWake(client_idx)),
+            if let Some((at, p)) = self.net.link(conn).up.send(now, &mut self.rng, payload) {
+                self.evq.push(at, Event::NetToServer(conn, p));
             }
         }
     }
@@ -432,16 +408,15 @@ impl World {
         }
     }
 
-    /// After any pass through the core: deliver cancel-completions,
-    /// notice a cancelled running job, and kick the dispatcher if work
-    /// is waiting.
+    /// After any pass through the core: deliver completions, let the
+    /// executors notice fired tokens, and kick the dispatcher if it has
+    /// room and work is waiting.
     fn after_core_interaction(&mut self) {
         for job in self.core.take_completions() {
             self.deliver_completion(job);
         }
-        self.maybe_unwind_running();
-        if self.running.is_none() && !self.dispatcher_done && !self.core.state().queue().is_empty()
-        {
+        self.poll_tokens();
+        if self.dispatcher.can_pop() && !self.core.state().queue().is_empty() {
             let now = self.now();
             self.evq.push(now, Event::DispatcherPop);
         }
@@ -455,186 +430,18 @@ impl World {
         }
     }
 
-    /// The dispatcher: the production pop, then the seeded execution
-    /// plan and its scheduled completion.
-    fn dispatcher_pop(&mut self) {
-        if self.running.is_some() || self.dispatcher_done {
-            return;
-        }
-        let st = self.core.state();
-        let Some(qjob) = st.try_pop() else {
-            if st.queue().is_closed() {
-                self.dispatcher_done = true;
-            }
-            return;
-        };
-        let now = self.now();
-        self.core.bump_activity();
-        let (dur_ns, ok, panics, wedged) = self.plan_exec(qjob.deadline_ns.is_some());
-        self.exec_seq += 1;
-        let exec = self.exec_seq;
-        self.trace_line(&format!(
-            "t={now} dispatch job={} dur={dur_ns} ok={ok} panic={panics} wedge={wedged}",
-            qjob.id
-        ));
-        if !wedged {
-            self.evq.push(now + dur_ns, Event::JobDone { exec, gen: 0 });
-        }
-        self.running = Some(Running {
-            job: qjob.id,
-            exec,
-            gen: 0,
-            label: qjob.spec.label(),
-            deadline_ns: qjob.deadline_ns,
-            cancel: qjob.cancel,
-            ok,
-            panics,
-            wedged,
-            unwinding: false,
-            started_ns: now,
-        });
-    }
-
-    /// Seeded execution plan: duration plus one of ok / verification
-    /// failure / panic / wedge.  An `mca-mrapi` fault probe (the timed
-    /// persistent fault scenarios arm) turns lock acquisitions into
-    /// failures once the virtual clock passes the arm time.
-    fn plan_exec(&mut self, has_deadline: bool) -> (u64, bool, bool, bool) {
-        let dur = self.rng.gen_range(self.sc.exec_ns.0, self.sc.exec_ns.1 + 1);
-        let mrapi_fault = self
-            .fault
-            .as_ref()
-            .map(|p| p.decide(FaultSite::MutexLock).fail.is_some())
-            .unwrap_or(false);
-        let roll = self.rng.gen_range(0, 1000);
-        // Wedges model a worker stuck on an abandoned MCA lock: only a
-        // deadline (→ escalation) can end one, and a poisoned backend
-        // has already fallen back to native sync, which cannot wedge.
-        if has_deadline && !self.backend_poisoned && roll < self.sc.wedge_pm {
-            return (dur, false, false, true);
-        }
-        if mrapi_fault || roll < self.sc.wedge_pm + self.sc.fail_pm {
-            let panics = self.rng.gen_range(0, 1000) < 300;
-            return (dur, false, panics, false);
-        }
-        (dur, true, false, false)
-    }
-
-    /// A modelled execution reached its end (or finished unwinding).
-    fn job_done(&mut self, exec: u64, gen: u64) {
-        let stale = self
-            .running
-            .as_ref()
-            .map(|r| r.exec != exec || r.gen != gen)
-            .unwrap_or(true);
-        if stale {
-            return;
-        }
-        let r = self.running.take().expect("checked above");
-        let now = self.now();
-        let exec_ns = now.saturating_sub(r.started_ns);
-        let wall_us = exec_ns / 1_000;
-        let (state, outcome) = if r.panics && r.cancel.reason().is_none() {
-            (
-                JobState::Failed,
-                JobOutcome {
-                    ok: false,
-                    wall_us,
-                    detail: "panicked: simulated kernel fault".into(),
-                },
-            )
-        } else {
-            terminal_for(
-                r.cancel.reason(),
-                JobOutcome {
-                    ok: r.ok,
-                    wall_us,
-                    detail: if r.ok {
-                        "ok".into()
-                    } else {
-                        "verification failed".into()
-                    },
-                },
-            )
-        };
-        self.core
-            .finish_job(r.job, &r.label, state, outcome, exec_ns);
-        self.core.bump_activity();
-        // Overload invariant: an accepted job reaches its terminal state
-        // within the deadline-enforcement granularity — a watchdog tick
-        // to notice the deadline, one maximal execution that started
-        // just before the kill, and the cooperative unwind.
-        if self.sc.shed {
-            if let Some(dl) = r.deadline_ns {
-                let grace = self.sc.watchdog_tick_ms * 1_000_000
-                    + self.sc.exec_ns.1
-                    + UNWIND_NS
-                    + 1_000_000;
-                if now > dl.saturating_add(grace) {
-                    self.violations.push(format!(
-                        "job {} finished {}ns past its deadline (grace {grace}ns)",
-                        r.job,
-                        now - dl
-                    ));
-                }
-            }
-        }
-        self.trace_line(&format!("t={now} done job={} state={state:?}", r.job));
-        for job in self.core.take_completions() {
-            self.deliver_completion(job);
-        }
-        if !self.dispatcher_done {
-            self.evq.push(now, Event::DispatcherPop);
-        }
-    }
-
-    /// A cancelled, non-wedged running job unwinds at its next
-    /// cooperative checkpoint — shortly, in virtual time.
-    fn maybe_unwind_running(&mut self) {
-        let now = self.now();
-        if let Some(r) = self.running.as_mut() {
-            if !r.unwinding && !r.wedged && r.cancel.is_cancelled() {
-                r.unwinding = true;
-                r.gen += 1;
-                let (exec, gen) = (r.exec, r.gen);
-                self.evq.push(now + UNWIND_NS, Event::JobDone { exec, gen });
-            }
-        }
-    }
-
-    /// The watchdog: the production sweep, then escalation of a stalled
-    /// cancel (modelled as backend poisoning).
+    /// The watchdog: executor heartbeats, the production sweep, then the
+    /// dispatcher's tick (cancel forwarding, escalation).
     fn watchdog_tick(&mut self) {
         let now = self.now();
-        let report = self
-            .core
-            .watchdog_sweep(self.sc.escalation_grace_ms * 1_000_000);
+        self.heartbeat();
+        let (remote, grace_ms) = (self.dispatcher.job_activity(), self.sc.escalation_grace_ms);
+        let report = self.core.watchdog_sweep(&remote, grace_ms * 1_000_000);
         for job in &report.deadline_killed {
             self.trace_line(&format!("t={now} wd kill queued job={job}"));
         }
-        for job in self.core.take_completions() {
-            self.deliver_completion(job);
-        }
-        if let Some(stalled) = report.escalate {
-            if !self.backend_poisoned {
-                self.backend_poisoned = true;
-                self.core.state().metrics().wd_escalations.incr();
-            }
-            self.trace_line(&format!("t={now} wd escalate job={stalled}"));
-            // Poisoning abandons the MCA wait: the wedged job's unwind
-            // finally runs.
-            if let Some(r) = self.running.as_mut() {
-                if r.job == stalled && !r.unwinding {
-                    r.unwinding = true;
-                    r.wedged = false;
-                    r.gen += 1;
-                    let (exec, gen) = (r.exec, r.gen);
-                    self.evq.push(now + UNWIND_NS, Event::JobDone { exec, gen });
-                }
-            }
-        }
-        // A running job whose deadline just fired unwinds cooperatively.
-        self.maybe_unwind_running();
+        self.dispatcher.tick(&self.core, report.escalate);
+        self.after_dispatch();
         if !self.quiescent() {
             self.evq.push(
                 now + self.sc.watchdog_tick_ms * 1_000_000,
@@ -645,12 +452,7 @@ impl World {
 
     /// Whether nothing will ever happen again (the watchdog may stop).
     fn quiescent(&self) -> bool {
-        // The dispatcher is done once the queue is closed and dry — it
-        // may never see another `DispatcherPop` to notice it itself.
-        let queue = self.core.state().queue();
-        (self.dispatcher_done || (queue.is_closed() && queue.is_empty()))
-            && self.running.is_none()
-            && queue.is_empty()
+        self.dispatcher.drained(&self.core)
             && self.engine.parked_awaits() == 0
             && self.clients.iter().all(|c| c.quiescent())
     }
@@ -753,6 +555,12 @@ impl World {
     /// The clients, for post-run report extraction.
     pub fn clients(&self) -> &[SimClient] {
         &self.clients
+    }
+
+    /// `(retries, unrun)`: orphaned jobs requeued, and jobs whose token
+    /// fired before their turn on an executor came.
+    pub fn dispatch_stats(&self) -> (u64, u64) {
+        (self.retries, self.unrun)
     }
 
     /// Events processed.

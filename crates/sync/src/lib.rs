@@ -4,10 +4,9 @@
 //! crates.io access, so the concurrency vocabulary the runtime needs is
 //! implemented here from `std` and atomics alone:
 //!
-//! * [`Mutex`] / [`Condvar`] / [`RwLock`] — thin non-poisoning wrappers over
-//!   the `std::sync` primitives with the guard-based API the rest of the
-//!   workspace uses (`lock()` returns the guard directly, condvars take
-//!   `&mut MutexGuard` and offer deadline waits);
+//! * [`Mutex`] / [`RwLock`] — thin non-poisoning wrappers over the
+//!   `std::sync` primitives with the guard-based API the rest of the
+//!   workspace uses (`lock()` returns the guard directly);
 //! * [`CachePadded`] — aligns a value to 128 bytes so hot atomics never
 //!   share a cache line (two lines, matching modern prefetch pairing);
 //! * [`SpinMutex`] — a tiny spin-then-yield lock for short critical
@@ -24,7 +23,7 @@
 //!   bindings, an [`park::EventCount`] whose `notify` makes a syscall only
 //!   when a waiter is registered, and the [`park::SpinBudget`] each
 //!   blocking site spins through before it parks.  Every blocking wait in
-//!   `romp`, MRAPI, MTAPI and the serving queue is built on it.
+//!   the workspace is built on it.
 
 pub mod deque;
 pub mod mutex;
@@ -32,7 +31,7 @@ pub mod park;
 pub mod queue;
 pub mod rng;
 
-pub use mutex::{Condvar, Mutex, MutexGuard, RwLock, WaitTimeoutResult};
+pub use mutex::{Mutex, MutexGuard, RwLock};
 pub use rng::SmallRng;
 
 use std::ops::{Deref, DerefMut};

@@ -1,7 +1,6 @@
 //! Non-poisoning wrappers over `std::sync` with the guard-based API the
-//! workspace was written against (`lock()` returns the guard directly,
-//! condvar waits borrow the guard mutably, deadline waits report timeouts
-//! through [`WaitTimeoutResult`]).
+//! workspace was written against (`lock()` returns the guard directly).
+//! Blocking waits live in [`crate::park`], not on a condition variable.
 //!
 //! Panic poisoning is deliberately ignored: the runtime captures member
 //! panics itself (`romp`'s teams re-throw on the master after the region),
@@ -9,17 +8,15 @@
 //! second, less useful one.
 
 use std::ops::{Deref, DerefMut};
-use std::time::{Duration, Instant};
 
 /// A mutual-exclusion lock around a value.
 pub struct Mutex<T: ?Sized> {
     inner: std::sync::Mutex<T>,
 }
 
-/// RAII guard for [`Mutex`]; the inner `Option` is only vacated briefly
-/// while a [`Condvar`] wait holds the std guard.
+/// RAII guard for [`Mutex`].
 pub struct MutexGuard<'a, T: ?Sized> {
-    guard: Option<std::sync::MutexGuard<'a, T>>,
+    guard: std::sync::MutexGuard<'a, T>,
 }
 
 impl<T> Mutex<T> {
@@ -46,15 +43,15 @@ impl<T: ?Sized> Mutex<T> {
             Ok(g) => g,
             Err(p) => p.into_inner(),
         };
-        MutexGuard { guard: Some(guard) }
+        MutexGuard { guard }
     }
 
     /// Acquire without blocking; `None` if the lock is held.
     pub fn try_lock(&self) -> Option<MutexGuard<'_, T>> {
         match self.inner.try_lock() {
-            Ok(g) => Some(MutexGuard { guard: Some(g) }),
+            Ok(guard) => Some(MutexGuard { guard }),
             Err(std::sync::TryLockError::Poisoned(p)) => Some(MutexGuard {
-                guard: Some(p.into_inner()),
+                guard: p.into_inner(),
             }),
             Err(std::sync::TryLockError::WouldBlock) => None,
         }
@@ -70,17 +67,13 @@ impl<T: Default> Default for Mutex<T> {
 impl<T: ?Sized> Deref for MutexGuard<'_, T> {
     type Target = T;
     fn deref(&self) -> &T {
-        self.guard
-            .as_deref()
-            .expect("guard present outside condvar wait")
+        &self.guard
     }
 }
 
 impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
     fn deref_mut(&mut self) -> &mut T {
-        self.guard
-            .as_deref_mut()
-            .expect("guard present outside condvar wait")
+        &mut self.guard
     }
 }
 
@@ -90,87 +83,6 @@ impl<T: std::fmt::Debug> std::fmt::Debug for Mutex<T> {
             Some(g) => f.debug_tuple("Mutex").field(&&*g).finish(),
             None => f.write_str("Mutex(<locked>)"),
         }
-    }
-}
-
-/// Whether a deadline wait ended by timeout.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(pub(crate) bool);
-
-impl WaitTimeoutResult {
-    /// `true` when the wait returned because the deadline passed.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable operating on [`MutexGuard`]s.
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Default for Condvar {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Condvar {
-    /// A new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Block until notified, releasing the guard's lock while waiting.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let g = guard.guard.take().expect("guard present");
-        guard.guard = Some(match self.inner.wait(g) {
-            Ok(g) => g,
-            Err(p) => p.into_inner(),
-        });
-    }
-
-    /// Block until notified or `timeout` elapses.
-    pub fn wait_for<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        timeout: Duration,
-    ) -> WaitTimeoutResult {
-        let g = guard.guard.take().expect("guard present");
-        let (g, res) = match self.inner.wait_timeout(g, timeout) {
-            Ok((g, res)) => (g, res),
-            Err(p) => {
-                let (g, res) = p.into_inner();
-                (g, res)
-            }
-        };
-        guard.guard = Some(g);
-        WaitTimeoutResult(res.timed_out())
-    }
-
-    /// Block until notified or `deadline` is reached.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let now = Instant::now();
-        if now >= deadline {
-            return WaitTimeoutResult(true);
-        }
-        self.wait_for(guard, deadline - now)
-    }
-
-    /// Wake one waiter.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
     }
 }
 
@@ -273,36 +185,6 @@ mod tests {
         assert!(m.try_lock().is_none());
         drop(g);
         assert!(m.try_lock().is_some());
-    }
-
-    #[test]
-    fn condvar_wait_notify() {
-        let pair = Arc::new((Mutex::new(false), Condvar::new()));
-        let p2 = Arc::clone(&pair);
-        let h = thread::spawn(move || {
-            let (m, cv) = &*p2;
-            let mut started = m.lock();
-            *started = true;
-            cv.notify_one();
-        });
-        let (m, cv) = &*pair;
-        let mut started = m.lock();
-        while !*started {
-            cv.wait(&mut started);
-        }
-        h.join().unwrap();
-        assert!(*started);
-    }
-
-    #[test]
-    fn condvar_wait_for_times_out() {
-        let m = Mutex::new(());
-        let cv = Condvar::new();
-        let mut g = m.lock();
-        let res = cv.wait_for(&mut g, Duration::from_millis(10));
-        assert!(res.timed_out());
-        let res = cv.wait_until(&mut g, Instant::now() - Duration::from_millis(1));
-        assert!(res.timed_out());
     }
 
     #[test]
