@@ -21,6 +21,7 @@ use std::time::{Duration, Instant};
 use mca_mcapi::WireChan;
 use mca_mrapi::{DomainId, MrapiSystem, NodeId, RmemAttributes, RmemHandle};
 use mca_mtapi::Mtapi;
+use mca_sync::park::{EventCount, SpinBudget};
 use mca_sync::Mutex;
 use romp::{BackendKind, CancelToken, Config, Runtime};
 use romp_serve::job::run_guarded;
@@ -74,6 +75,8 @@ struct Exec {
     /// In-flight jobs: each one's cancel token and the instant its
     /// `Dispatch` arrived (the start of the `Done.wall_us` span).
     jobs: Mutex<HashMap<u64, (CancelToken, Instant)>>,
+    /// Notified each time a job leaves `jobs` (the graceful exit's wait).
+    retired: EventCount,
     /// Free result slots (indices into the rmem segment).
     free_slots: Mutex<Vec<u32>>,
 }
@@ -114,6 +117,7 @@ impl Exec {
         };
         let sent = self.chan.send(&msg.encode());
         self.jobs.lock().remove(&job);
+        self.retired.notify_all();
         if sent.is_err() {
             std::process::exit(3);
         }
@@ -205,6 +209,7 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
         chan: Arc::clone(&chan),
         rmem: node.rmem_get(cfg.worker_id).expect("own segment"),
         jobs: Mutex::new(HashMap::new()),
+        retired: EventCount::new(),
         free_slots: Mutex::new((0..SLOTS).rev().collect()),
     });
     let action_exec = Arc::clone(&exec);
@@ -299,9 +304,8 @@ pub fn run_worker(cfg: WorkerConfig) -> i32 {
 
     // Graceful exit: let in-flight jobs finish (each action answers its
     // own Done before leaving the job map), then tear down.
-    while !exec.jobs.lock().is_empty() {
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    exec.retired
+        .wait_until(SpinBudget::NONE, None, || exec.jobs.lock().is_empty());
     let _ = rmem.delete();
     let _ = std::fs::remove_file(&cfg.rmem_path);
     0

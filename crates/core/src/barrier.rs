@@ -1,25 +1,26 @@
-//! Team barriers: centralized and combining-tree algorithms.
+//! Team barriers: one arrival tree, three shapes.
 //!
 //! The barrier is the hottest synchronization construct in an OpenMP runtime
-//! (every `parallel`, worksharing loop and `single` ends in one), so the
-//! runtime offers two algorithms behind one interface:
+//! (every `parallel`, worksharing loop and `single` ends in one).  Every
+//! barrier here is the same arrival tree held as data — padded nodes, each
+//! with its expected arrival count and its parent — and one climb: a member
+//! increments its leaf; the last arrival at a node resets it and carries
+//! one arrival to the parent; the last arrival at the root fires the
+//! release.  Only the shape differs:
 //!
-//! * [`BarrierKind::Centralized`] — one generation counter and one arrival
-//!   counter (sense reversal via the generation); O(n) contention on a
-//!   single cache line, minimal latency at small team sizes;
-//! * [`BarrierKind::Tree`] — arrivals combine up a tree of the given arity
+//! * [`BarrierKind::Centralized`] — the root alone, expecting all `n`
+//!   members: one RMW on one padded counter per arrival, no heap; O(n)
+//!   contention on a single cache line, minimal latency at small teams;
+//! * [`BarrierKind::Tree`] — members combine in groups of the given arity
 //!   (default 4, matching the T4240's four-core clusters: a cluster's
 //!   arrivals meet in its shared L2 before one representative crosses the
-//!   CoreNet fabric), release broadcast through the shared generation.
-//!
-//! On a sharded runtime (see [`mca_platform::ShardLayout`]) the team's
-//! barrier is built with [`Barrier::with_layout`] and becomes
-//! *hierarchical*: each shard counts its own arrivals on a private padded
-//! counter (the per-shard phase), the last arriver in each shard is
-//! elected as that shard's representative into a top-level counter, and
-//! the last representative fires the shared release.  Intra-shard
-//! arrivals thus stay inside the cluster's cache domain; exactly
-//! `num_shards - 1` + 1 writes cross it per phase.
+//!   CoreNet fabric), and so on up to the root;
+//! * [`Barrier::with_layout`] on a sharded runtime (see
+//!   [`mca_platform::ShardLayout`]) — one node per shard under the root:
+//!   each shard counts its own arrivals on its own line, the last arriver
+//!   in each shard carries the shard's arrival to the root, and the last
+//!   shard fires the release.  Intra-shard arrivals stay inside the
+//!   cluster's cache domain; exactly `num_shards` writes cross it per phase.
 //!
 //! Waiting is spin, then yield, then sleep, with an *idle callback* so the
 //! team can drain explicit tasks while blocked — the OpenMP rule that
@@ -138,112 +139,110 @@ impl Release {
 pub struct Barrier {
     n: usize,
     release: Release,
-    algo: Algo,
+    /// The root of the arrival tree, inline: a centralized barrier is this
+    /// node alone, with no heap behind it.
+    root: CachePadded<Node>,
+    /// The other nodes, leaves first.
+    nodes: Vec<CachePadded<Node>>,
+    /// `leaf[tid]` — the node `tid` arrives at; empty when every member
+    /// arrives at the root.
+    leaf: Vec<usize>,
+    /// Built over a layout of more than one shard.
+    hierarchical: bool,
 }
 
-enum Algo {
-    Central {
-        arrived: CachePadded<AtomicUsize>,
-    },
-    Tree {
-        arity: usize,
-        /// `levels[l][node]` counts arrivals at that tree node.  Nodes are
-        /// cache-padded so sibling subtrees combine without stealing each
-        /// other's lines (the point of the tree shape in the first place).
-        levels: Vec<Vec<CachePadded<AtomicUsize>>>,
-        /// Expected arrivals per node (the last level expects the number of
-        /// children that actually exist).
-        expected: Vec<Vec<usize>>,
-    },
-    /// Two-level shard hierarchy: per-shard arrival counters electing one
-    /// representative each into a top-level counter.
-    Hier {
-        /// `shard_of[tid]` — which per-shard counter `tid` arrives at.
-        shard_of: Vec<usize>,
-        /// Arrivals per shard, padded so shards don't share lines.
-        shard_arrived: Vec<CachePadded<AtomicUsize>>,
-        /// Members per shard (the per-shard arrival target).
-        shard_expected: Vec<usize>,
-        /// Representatives arrived at the top level.
-        top_arrived: CachePadded<AtomicUsize>,
-    },
+/// The `parent` of a node directly under the root (and the root's own
+/// index in the climb).
+const ROOT: usize = usize::MAX;
+
+/// One arrival-tree node.  Padded so sibling subtrees combine without
+/// stealing each other's lines (the point of the tree shape in the first
+/// place); `expected` and `parent` are read-only and ride on the
+/// counter's line.
+struct Node {
+    arrived: AtomicUsize,
+    /// Arrivals that complete the node: its members or child nodes.
+    expected: usize,
+    parent: usize,
+}
+
+impl Node {
+    fn new(expected: usize) -> CachePadded<Node> {
+        CachePadded::new(Node {
+            arrived: AtomicUsize::new(0),
+            expected,
+            parent: ROOT,
+        })
+    }
 }
 
 impl Barrier {
     /// Build a barrier for `n` participants using `kind`.
     pub fn new(n: usize, kind: BarrierKind) -> Self {
-        assert!(n > 0, "a barrier needs at least one participant");
-        let algo = match kind {
-            BarrierKind::Centralized => Algo::Central {
-                arrived: CachePadded::new(AtomicUsize::new(0)),
-            },
+        match kind {
+            BarrierKind::Centralized => Barrier::shaped(n, |_| 0, usize::MAX),
             BarrierKind::Tree { arity } => {
                 let arity = arity.max(2);
-                let mut levels = Vec::new();
-                let mut expected = Vec::new();
-                let mut width = n;
-                loop {
-                    let nodes = width.div_ceil(arity);
-                    levels.push(
-                        (0..nodes)
-                            .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                            .collect::<Vec<_>>(),
-                    );
-                    expected.push(
-                        (0..nodes)
-                            .map(|i| {
-                                let lo = i * arity;
-                                let hi = ((i + 1) * arity).min(width);
-                                hi - lo
-                            })
-                            .collect::<Vec<_>>(),
-                    );
-                    if nodes == 1 {
-                        break;
-                    }
-                    width = nodes;
-                }
-                Algo::Tree {
-                    arity,
-                    levels,
-                    expected,
-                }
+                Barrier::shaped(n, |tid| tid / arity, arity)
             }
-        };
-        Barrier {
-            n,
-            release: Release::new(),
-            algo,
         }
     }
 
-    /// Build the barrier for a sharded team: hierarchical (per-shard
-    /// phase + top-level representative phase) whenever the layout has
-    /// more than one shard, falling back to `kind` on a single shard.
+    /// Build the barrier for a sharded team: hierarchical (one node per
+    /// shard under the root) whenever the layout has more than one shard,
+    /// falling back to `kind` on a single shard.
     pub fn with_layout(n: usize, kind: BarrierKind, layout: &ShardLayout) -> Self {
         if layout.num_shards() <= 1 || layout.num_members() != n {
             return Barrier::new(n, kind);
         }
-        let num_shards = layout.num_shards();
+        Barrier {
+            hierarchical: true,
+            ..Barrier::shaped(n, |tid| layout.shard_of(tid), usize::MAX)
+        }
+    }
+
+    /// Build the arrival tree: member `tid` arrives at node `group(tid)`
+    /// of the lowest level, and each level's nodes then combine `arity` at
+    /// a time into the next, until one node (the root) remains.
+    fn shaped(n: usize, group: impl Fn(usize) -> usize, arity: usize) -> Self {
+        assert!(n > 0, "a barrier needs at least one participant");
+        let mut nodes = Vec::new();
+        let mut leaf = Vec::new();
+        // The level being grouped: `width` children, the first of them at
+        // `nodes[first]` (members, on the lowest level).
+        let (mut width, mut first, mut lowest) = (n, 0, true);
+        loop {
+            let up = |c: usize| if lowest { group(c) } else { c / arity };
+            let groups = (0..width).map(up).max().unwrap_or(0) + 1;
+            if groups == 1 {
+                break;
+            }
+            let base = nodes.len();
+            nodes.extend((0..groups).map(|_| Node::new(0)));
+            for c in 0..width {
+                let parent = base + up(c);
+                nodes[parent].expected += 1;
+                if lowest {
+                    leaf.push(parent);
+                } else {
+                    nodes[first + c].parent = parent;
+                }
+            }
+            (width, first, lowest) = (groups, base, false);
+        }
         Barrier {
             n,
             release: Release::new(),
-            algo: Algo::Hier {
-                shard_of: (0..n).map(|tid| layout.shard_of(tid)).collect(),
-                shard_arrived: (0..num_shards)
-                    .map(|_| CachePadded::new(AtomicUsize::new(0)))
-                    .collect(),
-                shard_expected: (0..num_shards)
-                    .map(|s| layout.members_of(s).len())
-                    .collect(),
-                top_arrived: CachePadded::new(AtomicUsize::new(0)),
-            },
+            root: Node::new(width),
+            nodes,
+            leaf,
+            hierarchical: false,
         }
     }
 
     /// Whether this barrier uses the two-level shard hierarchy.
     pub fn is_hierarchical(&self) -> bool {
-        matches!(self.algo, Algo::Hier { .. })
+        self.hierarchical
     }
 
     /// Number of participants.
@@ -269,7 +268,7 @@ impl Barrier {
     }
 
     /// Arrive and wait until all `n` participants have arrived.  `tid` is
-    /// the caller's dense team index (needed by the tree to find its leaf).
+    /// the caller's dense team index (it picks the caller's leaf).
     /// `idle` is invoked while waiting; return `true` from it after doing
     /// useful work to re-check immediately.
     pub fn wait_idle(&self, tid: usize, idle: impl FnMut() -> bool) {
@@ -284,68 +283,23 @@ impl Barrier {
             return;
         }
         let gen = self.release.current();
-        let is_last = match &self.algo {
-            Algo::Central { arrived } => {
-                let me = arrived.fetch_add(1, Ordering::AcqRel) + 1;
-                if me == self.n {
-                    arrived.store(0, Ordering::Relaxed);
-                    true
-                } else {
-                    false
-                }
+        let mut at = self.leaf.get(tid).copied().unwrap_or(ROOT);
+        loop {
+            let node = if at == ROOT {
+                &self.root
+            } else {
+                &self.nodes[at]
+            };
+            if node.arrived.fetch_add(1, Ordering::AcqRel) + 1 < node.expected {
+                return self.release.await_change(gen, idle);
             }
-            Algo::Tree {
-                arity,
-                levels,
-                expected,
-            } => {
-                let mut idx = tid;
-                let mut level = 0;
-                loop {
-                    let node = idx / arity;
-                    let got = levels[level][node].fetch_add(1, Ordering::AcqRel) + 1;
-                    if got < expected[level][node] {
-                        break false;
-                    }
-                    // Last arriver at this node: reset it and carry upward.
-                    levels[level][node].store(0, Ordering::Relaxed);
-                    if level + 1 == levels.len() {
-                        break true;
-                    }
-                    idx = node;
-                    level += 1;
-                }
+            // Last arrival here: reset the node (safe — everyone below it
+            // waits for the release) and carry one arrival upward.
+            node.arrived.store(0, Ordering::Relaxed);
+            if at == ROOT {
+                return self.release.fire();
             }
-            Algo::Hier {
-                shard_of,
-                shard_arrived,
-                shard_expected,
-                top_arrived,
-            } => {
-                // Per-shard phase: arrivals stay on the shard's counter.
-                let s = shard_of[tid];
-                let got = shard_arrived[s].fetch_add(1, Ordering::AcqRel) + 1;
-                if got < shard_expected[s] {
-                    false
-                } else {
-                    // Elected representative: reset the shard phase (safe —
-                    // every shard-mate is parked in `await_change` until the
-                    // release fires) and carry one arrival to the top.
-                    shard_arrived[s].store(0, Ordering::Relaxed);
-                    let top = top_arrived.fetch_add(1, Ordering::AcqRel) + 1;
-                    if top == shard_arrived.len() {
-                        top_arrived.store(0, Ordering::Relaxed);
-                        true
-                    } else {
-                        false
-                    }
-                }
-            }
-        };
-        if is_last {
-            self.release.fire();
-        } else {
-            self.release.await_change(gen, idle);
+            at = node.parent;
         }
     }
 
@@ -362,8 +316,30 @@ pub(crate) mod tests {
     use std::sync::Arc;
     use std::thread;
 
-    fn phase_check(kind: BarrierKind, n: usize, rounds: u64) {
-        let b = Arc::new(Barrier::new(n, kind));
+    /// Check `b`'s arrival tree is well formed (every node expects
+    /// exactly the members and child nodes that arrive at it), then run
+    /// `rounds` phases on it: nobody may leave a barrier before everyone
+    /// has arrived.
+    fn phase_check(b: Barrier, rounds: u64) {
+        let n = b.participants();
+        // One slot per node, the root last.
+        let mut arrivals = vec![0; b.nodes.len() + 1];
+        let leaves = (0..n).map(|tid| b.leaf.get(tid).copied().unwrap_or(ROOT));
+        for p in leaves.chain(b.nodes.iter().map(|node| node.parent)) {
+            arrivals[p.min(b.nodes.len())] += 1;
+        }
+        let expected: Vec<usize> = b
+            .nodes
+            .iter()
+            .chain([&b.root])
+            .map(|node| node.expected)
+            .collect();
+        assert_eq!(
+            arrivals, expected,
+            "arrivals per node of an {n}-member tree"
+        );
+
+        let b = Arc::new(b);
         let phase = Arc::new(Au64::new(0));
         let errs = Arc::new(Au64::new(0));
         let handles: Vec<_> = (0..n)
@@ -392,25 +368,27 @@ pub(crate) mod tests {
         assert_eq!(
             errs.load(Ordering::SeqCst),
             0,
-            "{kind:?} leaked a thread through"
+            "{n}-member barrier ({} nodes, hierarchical: {}) leaked a thread through",
+            b.nodes.len(),
+            b.is_hierarchical()
         );
         assert_eq!(phase.load(Ordering::SeqCst), rounds * n as u64);
     }
 
     #[test]
     fn centralized_is_a_barrier() {
-        phase_check(BarrierKind::Centralized, 6, 50);
+        phase_check(Barrier::new(6, BarrierKind::Centralized), 50);
     }
 
     #[test]
     fn tree_is_a_barrier() {
-        phase_check(BarrierKind::Tree { arity: 4 }, 9, 50);
+        phase_check(Barrier::new(9, BarrierKind::Tree { arity: 4 }), 50);
     }
 
     #[test]
     fn tree_odd_sizes() {
         for n in [1, 2, 3, 5, 7, 13] {
-            phase_check(BarrierKind::Tree { arity: 3 }, n, 10);
+            phase_check(Barrier::new(n, BarrierKind::Tree { arity: 3 }), 10);
         }
     }
 
@@ -474,36 +452,9 @@ pub(crate) mod tests {
     /// `phase_check` against a hierarchical barrier built from a layout.
     fn hier_phase_check(shards: usize, n: usize, rounds: u64) {
         let layout = ShardLayout::uniform(shards, n);
-        let b = Arc::new(Barrier::with_layout(n, BarrierKind::Centralized, &layout));
+        let b = Barrier::with_layout(n, BarrierKind::Centralized, &layout);
         assert_eq!(b.is_hierarchical(), layout.num_shards() > 1);
-        let phase = Arc::new(Au64::new(0));
-        let errs = Arc::new(Au64::new(0));
-        let handles: Vec<_> = (0..n)
-            .map(|tid| {
-                let b = Arc::clone(&b);
-                let phase = Arc::clone(&phase);
-                let errs = Arc::clone(&errs);
-                thread::spawn(move || {
-                    for r in 0..rounds {
-                        phase.fetch_add(1, Ordering::SeqCst);
-                        b.wait(tid);
-                        if phase.load(Ordering::SeqCst) < (r + 1) * n as u64 {
-                            errs.fetch_add(1, Ordering::SeqCst);
-                        }
-                        b.wait(tid);
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(
-            errs.load(Ordering::SeqCst),
-            0,
-            "{shards}-shard hierarchical barrier leaked a thread through"
-        );
-        assert_eq!(phase.load(Ordering::SeqCst), rounds * n as u64);
+        phase_check(b, rounds);
     }
 
     #[test]
@@ -653,5 +604,51 @@ pub(crate) mod tests {
         let layout = ShardLayout::single(4);
         let b = Barrier::with_layout(4, BarrierKind::Tree { arity: 2 }, &layout);
         assert!(!b.is_hierarchical());
+    }
+
+    #[test]
+    fn tree_is_a_barrier_at_every_size_and_arity() {
+        for n in 1..=24 {
+            for arity in 2..=5 {
+                phase_check(Barrier::new(n, BarrierKind::Tree { arity }), 4);
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchical_is_a_barrier_over_uniform_layouts() {
+        for shards in 2..=4 {
+            for n in 1..=24 {
+                hier_phase_check(shards, n, 4);
+            }
+        }
+    }
+
+    #[test]
+    fn hierarchical_is_a_barrier_on_the_t4240() {
+        let topo = mca_platform::Topology::t4240rdb();
+        for n in [6, 12, 24] {
+            let layout = ShardLayout::from_topology(&topo, n);
+            let b = Barrier::with_layout(n, BarrierKind::Tree { arity: 4 }, &layout);
+            assert!(b.is_hierarchical());
+            assert_eq!(b.nodes.len(), layout.num_shards());
+            phase_check(b, 10);
+        }
+    }
+
+    #[test]
+    fn flat_shapes_hold_only_the_root() {
+        for n in 1..=8 {
+            let shapes = [
+                BarrierKind::Centralized,
+                BarrierKind::Tree { arity: n.max(2) },
+                BarrierKind::Tree { arity: n + 3 },
+            ];
+            for kind in shapes {
+                let b = Barrier::new(n, kind);
+                assert!(b.nodes.is_empty() && b.leaf.is_empty(), "{kind:?} at {n}");
+                assert_eq!(b.root.expected, n);
+            }
+        }
     }
 }

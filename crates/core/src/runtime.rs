@@ -189,19 +189,25 @@ impl RtInner {
         true
     }
 
-    /// Create a lock through the active backend, swapping in the fallback
-    /// backend and retrying once on persistent failure.
-    pub(crate) fn backend_new_lock(&self) -> Result<Arc<dyn RegionLock>, RompError> {
-        match self.backend().new_lock() {
-            Ok(l) => Ok(l),
-            Err(e) => {
-                if self.heal_backend() {
-                    self.backend().new_lock()
-                } else {
-                    Err(e)
-                }
+    /// Run `op` on the active backend; on failure, swap in the fallback
+    /// backend if the active one has poisoned itself and run `op` once
+    /// more on it.
+    fn with_healing<T>(
+        &self,
+        op: impl Fn(&dyn Backend) -> Result<T, RompError>,
+    ) -> Result<T, RompError> {
+        op(&*self.backend()).or_else(|e| {
+            if self.heal_backend() {
+                op(&*self.backend())
+            } else {
+                Err(e)
             }
-        }
+        })
+    }
+
+    /// Create a lock through the active backend, with heal-and-retry.
+    pub(crate) fn backend_new_lock(&self) -> Result<Arc<dyn RegionLock>, RompError> {
+        self.with_healing(|be| be.new_lock())
     }
 
     /// Wait until no pool worker is mid-region, so a trace drain observes
@@ -214,18 +220,9 @@ impl RtInner {
         }
     }
 
-    /// Allocate shared words, with the same heal-and-retry policy.
+    /// Allocate shared words, with heal-and-retry.
     fn backend_alloc(&self, words: usize) -> Result<Arc<dyn SharedWords>, RompError> {
-        match self.backend().alloc_shared_words(words) {
-            Ok(w) => Ok(w),
-            Err(e) => {
-                if self.heal_backend() {
-                    self.backend().alloc_shared_words(words)
-                } else {
-                    Err(e)
-                }
-            }
-        }
+        self.with_healing(|be| be.alloc_shared_words(words))
     }
 
     /// The published lock backing `critical(name)` (`tag` = the name's
@@ -335,23 +332,10 @@ impl RtInner {
         while pool.len() < n {
             let slot = PoolSlot::new(Arc::as_ptr(self));
             let label = format!("romp-worker-{}", pool.len() + 1);
-            let s2 = Arc::clone(&slot);
-            let join = match self
-                .backend()
-                .spawn_worker(label.clone(), Box::new(move || s2.worker_loop()))
-            {
-                Ok(j) => j,
-                Err(e) => {
-                    if !self.heal_backend() {
-                        return Err(e);
-                    }
-                    // A failed creation consumed its closure; rebuild it
-                    // around the same slot for the fallback backend.
-                    let s3 = Arc::clone(&slot);
-                    self.backend()
-                        .spawn_worker(label, Box::new(move || s3.worker_loop()))?
-                }
-            };
+            let join = self.with_healing(|be| {
+                let slot = Arc::clone(&slot);
+                be.spawn_worker(label.clone(), Box::new(move || slot.worker_loop()))
+            })?;
             self.joins.lock().push(join);
             pool.push(slot);
         }

@@ -393,40 +393,24 @@ impl TeamShared {
         }
     }
 
-    /// Queue a task on behalf of member `tid`: local ring first, the
-    /// member's shard injector on overflow.  When the region runs under
-    /// an ambient affinity key and `tid` sits outside the job's home
-    /// shard, the task goes straight to the home shard's injector
-    /// instead, so the job's task graph stays concentrated there.
-    pub(crate) fn push_task(&self, tid: usize, task: Task) {
-        self.tracer.instant(EventKind::TaskSpawn, tid as u32, 0, 0);
-        self.outstanding_tasks.fetch_add(1, Ordering::AcqRel);
-        match self.home_shard {
-            Some(home) if self.layout.shard_of(tid) != home => {
-                self.shard_injectors[home].push(task);
-            }
-            _ => {
-                if let Err(task) = self.task_rings[tid].push(task) {
-                    self.shard_injectors[self.layout.shard_of(tid)].push(task);
-                }
-            }
-        }
+    /// The home shard of a plain task spawned by member `tid`: the
+    /// region's ambient home shard if it has one, else `tid`'s own.
+    pub(crate) fn home_of(&self, tid: usize) -> usize {
+        self.home_shard.unwrap_or_else(|| self.layout.shard_of(tid))
     }
 
-    /// Queue a task with an explicit affinity key: the key hashes to a
-    /// home shard; a spawner already inside that shard keeps its local
-    /// ring fast path, anyone else submits into the home shard's
-    /// injector.
-    pub(crate) fn push_task_keyed(&self, tid: usize, key: u64, task: Task) {
+    /// Queue a task on behalf of member `tid` for shard `home` (`key` is
+    /// the task's affinity key, or 0, for the trace).  From outside the
+    /// home shard the task goes to the home shard's injector, so a job's
+    /// task graph stays concentrated there; from inside it, to `tid`'s
+    /// own ring, overflowing to the shard's injector.
+    pub(crate) fn push_task(&self, tid: usize, home: usize, key: u64, task: Task) {
         self.tracer
             .instant(EventKind::TaskSpawn, tid as u32, 0, key);
         self.outstanding_tasks.fetch_add(1, Ordering::AcqRel);
-        let home = self.layout.shard_for_key(key);
-        if self.layout.shard_of(tid) == home {
-            if let Err(task) = self.task_rings[tid].push(task) {
-                self.shard_injectors[home].push(task);
-            }
-        } else {
+        if self.layout.shard_of(tid) != home {
+            self.shard_injectors[home].push(task);
+        } else if let Err(task) = self.task_rings[tid].push(task) {
             self.shard_injectors[home].push(task);
         }
     }
@@ -828,6 +812,8 @@ mod tests {
             let h = Arc::clone(&hits);
             team.push_task(
                 0,
+                team.home_of(0),
+                0,
                 Box::new(move || {
                     h.fetch_add(1, Ordering::Relaxed);
                 }),
@@ -850,6 +836,8 @@ mod tests {
                 let h = Arc::clone(&hits);
                 team.push_task(
                     tid,
+                    team.home_of(tid),
+                    0,
                     Box::new(move || {
                         h.fetch_add(1, Ordering::Relaxed);
                     }),
@@ -869,6 +857,8 @@ mod tests {
         for _ in 0..n {
             let h = Arc::clone(&hits);
             team.push_task(
+                0,
+                team.home_of(0),
                 0,
                 Box::new(move || {
                     h.fetch_add(1, Ordering::Relaxed);
@@ -897,6 +887,8 @@ mod tests {
                 let h = Arc::clone(&hits);
                 team.push_task(
                     tid,
+                    team.home_of(tid),
+                    0,
                     Box::new(move || {
                         h.fetch_add(1, Ordering::Relaxed);
                     }),
@@ -926,6 +918,8 @@ mod tests {
             let h = Arc::clone(&hits);
             team.push_task(
                 0,
+                team.home_of(0),
+                0,
                 Box::new(move || {
                     h.fetch_add(1, Ordering::Relaxed);
                 }),
@@ -948,7 +942,7 @@ mod tests {
         // Spawn from a member of a *different* shard: the task must go
         // to the home shard's injector, not the spawner's ring.
         let spawner = layout.members_of((home + 1) % 4)[0];
-        team.push_task_keyed(spawner, key, Box::new(|| {}));
+        team.push_task(spawner, home, key, Box::new(|| {}));
         assert!(
             !team.shard_injectors[home].is_empty(),
             "keyed task staged on its home shard"
@@ -968,7 +962,7 @@ mod tests {
         // A member outside the home shard spawns a plain task: the
         // ambient key redirects it into the home shard's injector.
         let outsider = layout.members_of((home + 1) % 2)[0];
-        team.push_task(outsider, Box::new(|| {}));
+        team.push_task(outsider, team.home_of(outsider), 0, Box::new(|| {}));
         assert!(!team.shard_injectors[home].is_empty());
         assert!(team.task_rings[outsider].pop().is_none());
         assert!(team.drain_tasks(layout.members_of(home)[0]));
@@ -986,6 +980,8 @@ mod tests {
             let h = Arc::clone(&hits);
             team.push_task(
                 0,
+                team.home_of(0),
+                0,
                 Box::new(move || {
                     h.fetch_add(1, Ordering::Relaxed);
                     for _ in 0..3 {
@@ -993,10 +989,14 @@ mod tests {
                         let h = Arc::clone(&h);
                         team2.push_task(
                             1,
+                            team2.home_of(1),
+                            0,
                             Box::new(move || {
                                 h.fetch_add(1, Ordering::Relaxed);
                                 let h = Arc::clone(&h);
                                 team3.push_task(
+                                    0,
+                                    team3.home_of(0),
                                     0,
                                     Box::new(move || {
                                         h.fetch_add(1, Ordering::Relaxed);
@@ -1019,7 +1019,7 @@ mod tests {
     #[test]
     fn panicking_task_is_recorded_not_propagated() {
         let team = mk_team(2);
-        team.push_task(1, Box::new(|| panic!("task boom")));
+        team.push_task(1, team.home_of(1), 0, Box::new(|| panic!("task boom")));
         // Member 0 steals and runs it; the panic must be captured.
         assert!(team.drain_tasks(0));
         assert_eq!(team.outstanding_tasks.load(Ordering::Relaxed), 0);

@@ -596,7 +596,8 @@ impl<'a> Worker<'a> {
     /// `'static` captures (move `Arc`s/atomics in), since tasks may run on
     /// another member's stack.
     pub fn task(&self, f: impl FnOnce() + Send + 'static) {
-        self.team.push_task(self.tid, Box::new(f));
+        self.team
+            .push_task(self.tid, self.team.home_of(self.tid), 0, Box::new(f));
     }
 
     /// [`Worker::task`] with an explicit affinity key: the key hashes to
@@ -628,7 +629,8 @@ impl<'a> Worker<'a> {
     /// assert_eq!(ran.load(Ordering::Relaxed), 16);
     /// ```
     pub fn task_with_affinity(&self, key: u64, f: impl FnOnce() + Send + 'static) {
-        self.team.push_task_keyed(self.tid, key, Box::new(f));
+        let home = self.team.layout.shard_for_key(key);
+        self.team.push_task(self.tid, home, key, Box::new(f));
     }
 
     /// `#pragma omp taskloop`: split `range` into tasks of `grain`

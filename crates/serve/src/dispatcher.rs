@@ -428,7 +428,7 @@ mod tests {
 
     /// Fire a running job's token, as a `Cancel` request does.
     fn cancel(c: &TestCore, job: u64) {
-        let _ = c.state.table().cancel(job, 0);
+        let _ = c.state.table().cancel(job);
     }
 
     fn one_terminal(c: &TestCore, job: u64, state: JobState) {

@@ -82,7 +82,7 @@ struct JobEntry {
     cancel: CancelToken,
     deadline_ns: Option<u64>,
     cancel_requested_ns: Option<u64>,
-    /// Runtime activity counter observed at the last watchdog check.
+    /// The executor's activity counter at the last watchdog check.
     activity_at_check: Option<u64>,
     /// Virtual/real time since which no activity progress was seen.
     stalled_since_ns: Option<u64>,
@@ -381,11 +381,10 @@ impl JobTable {
         }
     }
 
-    /// Request cancellation of a job (client `Cancel` or drain).
-    ///
-    /// `activity_now` is the runtime activity counter at call time; it
-    /// seeds the watchdog's progress detection for running jobs.
-    pub fn cancel(&self, id: u64, activity_now: u64) -> CancelOutcome {
+    /// Request cancellation of a job (client `Cancel` or drain).  A
+    /// running job's stall clock starts now; the next
+    /// [`sweep`](Self::sweep) reads its executor's activity counter.
+    pub fn cancel(&self, id: u64) -> CancelOutcome {
         let now = self.clock.now_ns();
         let mut jobs = self.jobs.lock();
         let Some(entry) = jobs.get_mut(&id) else {
@@ -407,7 +406,6 @@ impl JobTable {
                 entry.state = JobState::Cancelling;
                 entry.cancel_requested_ns = Some(now);
                 entry.stalled_since_ns = Some(now);
-                entry.activity_at_check = Some(activity_now);
                 CancelOutcome::Cancelling
             }
             other => CancelOutcome::Unchanged(other),
@@ -488,10 +486,12 @@ impl JobTable {
                     }
                     JobState::Cancelling if !entry.escalated => {
                         let activity = activity(id);
-                        if entry.activity_at_check != Some(activity) {
-                            // The runtime made progress since we last
+                        // `None`: the first look since a cancel, whose
+                        // stall clock runs from the cancel itself.
+                        let seen = entry.activity_at_check.replace(activity);
+                        if seen.is_some_and(|seen| seen != activity) {
+                            // The executor made progress since we last
                             // looked: the job may yet unwind on its own.
-                            entry.activity_at_check = Some(activity);
                             entry.stalled_since_ns = Some(now);
                         } else if entry
                             .stalled_since_ns
@@ -783,8 +783,8 @@ mod tests {
         let run_b = t.stage(spec(), 0, 0, &limits, 0, 0, 0).expect("stage b");
         assert!(t.begin_run(run_a.id));
         assert!(t.begin_run(run_b.id));
-        assert_eq!(t.cancel(run_a.id, 5), CancelOutcome::Cancelling);
-        assert_eq!(t.cancel(run_b.id, 5), CancelOutcome::Cancelling);
+        assert_eq!(t.cancel(run_a.id), CancelOutcome::Cancelling);
+        assert_eq!(t.cancel(run_b.id), CancelOutcome::Cancelling);
         // Deadline (1 ms) passes; activity counter unchanged at 5.
         vc.advance_to(2_000_000);
         let r = t.sweep(|_| 5, 1_000_000);
@@ -796,5 +796,41 @@ mod tests {
         vc.advance_to(4_000_000);
         let r2 = t.sweep(|_| 5, 1_000_000);
         assert_eq!(r2.escalate, Some(run_a.id.max(run_b.id)));
+    }
+
+    #[test]
+    fn cancelled_job_is_judged_by_its_executor_from_the_first_sweep() {
+        let vc = VirtualClock::new(0);
+        let t = table(vc.clock(), 16, u64::MAX);
+        let limits = JobLimits::default();
+        let grace = 1_000_000;
+        let flat = t.stage(spec(), 0, 0, &limits, 0, 0, 0).expect("stage");
+        let moving = t.stage(spec(), 0, 0, &limits, 0, 0, 0).expect("stage");
+        let late = t.stage(spec(), 0, 0, &limits, 0, 0, 0).expect("stage");
+        for job in [&flat, &moving, &late] {
+            assert!(t.begin_run(job.id));
+        }
+        assert_eq!(t.cancel(flat.id), CancelOutcome::Cancelling);
+        assert_eq!(t.cancel(moving.id), CancelOutcome::Cancelling);
+        // Each job's executor counter, far from any serving runtime's:
+        // `flat` stays at 100, `moving` advances every sweep.
+        let tick = std::cell::Cell::new(1_000);
+        let executor = |id: u64| if id == moving.id { tick.get() } else { 100 };
+        vc.advance_to(grace / 2);
+        assert_eq!(t.sweep(executor, grace).escalate, None);
+        // Cancel + grace: the flat job escalates at this first sweep.
+        tick.set(tick.get() + 1);
+        vc.advance_to(grace);
+        assert_eq!(t.sweep(executor, grace).escalate, Some(flat.id));
+        for step in 2..6 {
+            tick.set(tick.get() + 1);
+            vc.advance_to(step * grace);
+            assert_eq!(t.sweep(executor, grace).escalate, None);
+        }
+        // A job first swept only after its grace ran out escalates then.
+        assert_eq!(t.cancel(late.id), CancelOutcome::Cancelling);
+        tick.set(tick.get() + 1);
+        vc.advance_to(7 * grace);
+        assert_eq!(t.sweep(executor, grace).escalate, Some(late.id));
     }
 }

@@ -271,7 +271,7 @@ pub trait ServeCore {
         match req {
             Request::Cancel { job } => {
                 m.req_cancel.incr();
-                match st.table().cancel(job, self.activity()) {
+                match st.table().cancel(job) {
                     CancelOutcome::Unknown => Response::Error {
                         code: ErrorCode::UnknownJob,
                         msg: format!("job {job}"),
