@@ -26,13 +26,14 @@
 //! scaling experiment.  The server binary is located next to this one
 //! unless `--server-bin` says otherwise.
 //!
-//! Each client thread owns one connection and keeps up to `--pipeline N`
-//! requests in flight on it: a submission is followed immediately by an
-//! `await`, and the server writes each `JobResult` the moment the job
-//! finishes — no polling, no extra round trips.  Submission responses
-//! arrive in request order; results arrive in completion order and are
-//! correlated by job id.  `--pipeline 1` (the default) degenerates to the
-//! classic closed loop, one round trip at a time.
+//! Each client is the one client core (`romp_serve::client::ClientCore`)
+//! on its own thread and connection, keeping up to `--pipeline N` jobs in
+//! flight: a submission is followed immediately by an `await`, and the
+//! server writes each `JobResult` the moment the job finishes — no
+//! polling, no extra round trips.  Submission responses arrive in request
+//! order; results arrive in completion order and are correlated by job
+//! id.  `--pipeline 1` (the default) degenerates to the classic closed
+//! loop, one round trip at a time.
 //!
 //! With `--rate R` the generator is **open-loop**: arrivals follow a
 //! fixed schedule of `R` requests/second per client, and latency is
@@ -41,21 +42,24 @@
 //! the wrk2 discipline).  Without `--rate` it is closed-loop maximum
 //! throughput and latency is submit → result.
 //!
-//! `Rejected { retry_after_ms }` answers are counted, honoured (bounded
-//! sleep) and retried — a full-queue episode shows up as rejections and
-//! latency, never as a lost request.  Any protocol-level surprise is a
-//! hard error counted in `protocol_errors`; the process exits non-zero
-//! if any occurred (the CI smoke's assertion).
+//! `Rejected { retry_after_ms }` answers are counted, honoured (a capped,
+//! jittered backoff) and retried for up to 60 s per job — a full-queue
+//! episode shows up as rejections and latency, never as a lost request.
+//! Every response is checked against what the client asked: anything it
+//! cannot explain — a lost accepted job, a duplicate answered with two
+//! ids, a malformed or unsolicited frame, a transport failure — counts in
+//! `violations`, and `protocol_errors` counts those plus any job whose
+//! retry budget ran out.  The process exits non-zero if either is
+//! non-zero (the CI smokes' assertion).
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use mca_sync::Mutex;
 use romp_epcc::Construct;
 use romp_npb::{Class, NpbKernel};
-use romp_serve::{Client, JobSpec, Request, Response};
+use romp_serve::client::{drive, ClientProfile, JobStream, LaneTally, Tally};
+use romp_serve::{lane_name, Client, JobSpec, SubmitOptions};
 
 fn usage() -> ! {
     eprintln!(
@@ -67,6 +71,19 @@ fn usage() -> ! {
          \x20      loadgen --addr HOST:PORT --ping | --shutdown"
     );
     std::process::exit(2);
+}
+
+/// `s` as a number no smaller than `min`, or usage.
+fn at_least<T: std::str::FromStr + PartialOrd>(s: &str, min: T) -> T {
+    s.parse()
+        .ok()
+        .filter(|n| *n >= min)
+        .unwrap_or_else(|| usage())
+}
+
+/// A comma-separated list of [`at_least`] numbers.
+fn list(s: &str, min: usize) -> Vec<usize> {
+    s.split(',').map(|t| at_least(t.trim(), min)).collect()
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -177,67 +194,44 @@ fn quantile_us_of(sorted_ns: &[u64], q: f64) -> f64 {
     sorted_ns[rank - 1] as f64 / 1_000.0
 }
 
-/// Per-priority-class accounting (priority mix only; class 0 = Hi,
-/// class 1 = Batch).
-#[derive(Default)]
-struct ClassTally {
-    latencies_ns: Mutex<Vec<u64>>,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    sheds: AtomicU64,
-}
+/// The lanes the priority mix reports: Hi and Batch.
+const CLASS_LANES: [usize; 2] = [0, 2];
 
-#[derive(Default)]
-struct PhaseTally {
-    latencies_ns: Mutex<Vec<u64>>,
-    completed: AtomicU64,
-    failed_verification: AtomicU64,
-    rejections: AtomicU64,
-    sheds: AtomicU64,
-    protocol_errors: AtomicU64,
-    classes: [ClassTally; 2],
-}
-
-/// One class's digest in a [`PhaseReport`].
-struct ClassReport {
-    name: &'static str,
-    completed: u64,
-    failed: u64,
-    sheds: u64,
-    latencies_ns: Vec<u64>,
-}
-
-impl ClassReport {
-    fn to_json(&self) -> String {
-        format!(
-            "\"{}\": {{\"completed\": {}, \"failed\": {}, \"sheds\": {}, \
-             \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
-            self.name,
-            self.completed,
-            self.failed,
-            self.sheds,
-            quantile_us_of(&self.latencies_ns, 0.50),
-            quantile_us_of(&self.latencies_ns, 0.99),
-        )
-    }
+fn class_json(lane: usize, l: &LaneTally) -> String {
+    format!(
+        "\"{}\": {{\"completed\": {}, \"failed\": {}, \"sheds\": {}, \
+         \"p50_us\": {:.1}, \"p99_us\": {:.1}}}",
+        lane_name(lane),
+        l.latency_ns.len(),
+        l.failed,
+        l.sheds,
+        quantile_us_of(&l.latency_ns, 0.50),
+        quantile_us_of(&l.latency_ns, 0.99),
+    )
 }
 
 struct PhaseReport {
     clients: usize,
-    completed: u64,
-    failed_verification: u64,
-    rejections: u64,
-    sheds: u64,
-    protocol_errors: u64,
+    /// The clients' tallies, every lane's latencies sorted.
+    tally: Tally,
     wall_s: f64,
+    /// Every resolved job's latency, sorted.
     latencies_ns: Vec<u64>,
-    /// `[Hi, Batch]`, present for the priority mix.
-    classes: Option<[ClassReport; 2]>,
+    /// Whether to report the Hi and Batch classes (the priority mix).
+    classes: bool,
 }
 
 impl PhaseReport {
+    fn completed(&self) -> u64 {
+        self.tally.resolved()
+    }
+
+    fn protocol_errors(&self) -> u64 {
+        self.tally.violations.len() as u64 + self.tally.gave_up
+    }
+
     fn throughput_rps(&self) -> f64 {
-        self.completed as f64 / self.wall_s.max(1e-9)
+        self.completed() as f64 / self.wall_s.max(1e-9)
     }
 
     fn quantile_us(&self, q: f64) -> f64 {
@@ -253,23 +247,25 @@ impl PhaseReport {
     }
 
     fn to_json(&self) -> String {
-        let classes = match &self.classes {
-            Some([hi, batch]) => {
-                format!(", \"classes\": {{{}, {}}}", hi.to_json(), batch.to_json())
-            }
-            None => String::new(),
+        let lanes = &self.tally.lanes;
+        let classes = if self.classes {
+            let [hi, batch] = CLASS_LANES.map(|l| class_json(l, &lanes[l]));
+            format!(", \"classes\": {{{hi}, {batch}}}")
+        } else {
+            String::new()
         };
         format!(
             "{{\"clients\": {}, \"completed\": {}, \"failed_verification\": {}, \
-             \"rejections\": {}, \"sheds\": {}, \"protocol_errors\": {}, \"wall_s\": {:.4}, \
-             \"throughput_rps\": {:.2}, \"mean_us\": {:.1}, \"p50_us\": {:.1}, \
-             \"p90_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}{classes}}}",
+             \"rejections\": {}, \"sheds\": {}, \"protocol_errors\": {}, \"violations\": {}, \
+             \"wall_s\": {:.4}, \"throughput_rps\": {:.2}, \"mean_us\": {:.1}, \
+             \"p50_us\": {:.1}, \"p90_us\": {:.1}, \"p99_us\": {:.1}, \"p999_us\": {:.1}{classes}}}",
             self.clients,
-            self.completed,
-            self.failed_verification,
-            self.rejections,
-            self.sheds,
-            self.protocol_errors,
+            self.completed(),
+            self.tally.failed(),
+            self.tally.rejections,
+            self.tally.sheds(),
+            self.protocol_errors(),
+            self.tally.violations.len(),
             self.wall_s,
             self.throughput_rps(),
             self.mean_us(),
@@ -285,26 +281,27 @@ impl PhaseReport {
             "clients={:<3} completed={:<6} rejected={:<5} shed={:<4} proto_err={:<3} \
              {:>8.1} req/s   p50={:.1}us p90={:.1}us p99={:.1}us p999={:.1}us",
             self.clients,
-            self.completed,
-            self.rejections,
-            self.sheds,
-            self.protocol_errors,
+            self.completed(),
+            self.tally.rejections,
+            self.tally.sheds(),
+            self.protocol_errors(),
             self.throughput_rps(),
             self.quantile_us(0.50),
             self.quantile_us(0.90),
             self.quantile_us(0.99),
             self.quantile_us(0.999),
         );
-        if let Some(classes) = &self.classes {
-            for c in classes {
+        if self.classes {
+            for lane in CLASS_LANES {
+                let c = &self.tally.lanes[lane];
                 line.push_str(&format!(
                     "\n  {:<5} completed={:<6} failed={:<4} shed={:<4} p50={:.1}us p99={:.1}us",
-                    c.name,
-                    c.completed,
+                    lane_name(lane),
+                    c.latency_ns.len(),
                     c.failed,
                     c.sheds,
-                    quantile_us_of(&c.latencies_ns, 0.50),
-                    quantile_us_of(&c.latencies_ns, 0.99),
+                    quantile_us_of(&c.latency_ns, 0.50),
+                    quantile_us_of(&c.latency_ns, 0.99),
                 ));
             }
         }
@@ -312,263 +309,118 @@ impl PhaseReport {
     }
 }
 
-/// Account one `JobResult` arriving on the wire.  Returns `false` for a
-/// result that matches nothing in flight (a misrouted response — counted
-/// as a protocol error by the caller).
-fn note_completion(
-    inflight: &mut HashMap<u64, (Instant, Option<usize>)>,
-    local_lat: &mut Vec<u64>,
-    tally: &PhaseTally,
-    done: &mut u64,
-    job: u64,
-    ok: bool,
-) -> bool {
-    let Some((t0, class)) = inflight.remove(&job) else {
-        return false;
-    };
-    let lat = t0.elapsed().as_nanos() as u64;
-    local_lat.push(lat);
-    *done += 1;
-    tally.completed.fetch_add(1, Ordering::Relaxed);
-    if !ok {
-        tally.failed_verification.fetch_add(1, Ordering::Relaxed);
+/// Exit 1 unless every phase completed or shed each of its `requests`,
+/// all verified, with no protocol error or violation.
+fn gate<'a>(reports: impl Iterator<Item = &'a PhaseReport> + Clone, requests: u64) {
+    let bad: u64 = reports.clone().map(|r| r.protocol_errors()).sum();
+    let violations: usize = reports.clone().map(|r| r.tally.violations.len()).sum();
+    let incomplete = reports
+        .into_iter()
+        .any(|r| r.completed() + r.tally.sheds() != requests || r.tally.failed() != 0);
+    if bad > 0 || incomplete {
+        eprintln!(
+            "loadgen: FAILED (protocol_errors={bad}, violations={violations}, \
+             incomplete={incomplete})"
+        );
+        std::process::exit(1);
     }
-    if let Some(c) = class {
-        let ct = &tally.classes[c];
-        ct.latencies_ns.lock().push(lat);
-        ct.completed.fetch_add(1, Ordering::Relaxed);
-        if !ok {
-            ct.failed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-    true
 }
 
-/// One client thread's share of a phase: a pipelined submit/await window
-/// of up to `pipeline` in-flight jobs on a single connection.
-#[allow(clippy::too_many_arguments)] // one knob per CLI flag
-fn client_worker(
-    addr: String,
-    mix: Mix,
-    hi_deadline_ms: u32,
-    client_idx: u64,
-    requests: u64,
-    rate: f64,
-    pipeline: u64,
-    tally: Arc<PhaseTally>,
-) {
-    let mut client = match Client::connect(addr.as_str()) {
-        Ok(c) => c,
-        Err(e) => {
-            eprintln!("loadgen: connect failed: {e}");
-            tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-    };
-    let start = Instant::now();
-    let interval = if rate > 0.0 {
-        Some(Duration::from_secs_f64(1.0 / rate))
-    } else {
-        None
-    };
-    let mut local_lat = Vec::with_capacity(requests as usize);
-    let mut inflight: HashMap<u64, (Instant, Option<usize>)> = HashMap::new();
-    let mut sent = 0u64;
-    let mut done = 0u64;
-    let fail = |what: &str, tally: &PhaseTally| {
-        eprintln!("loadgen: {what}");
-        tally.protocol_errors.fetch_add(1, Ordering::Relaxed);
-    };
-    'phase: while done < requests {
-        if sent < requests && (inflight.len() as u64) < pipeline {
-            // Open-loop: the k-th request is *due* at start + k·interval;
-            // latency accrues from the due time even if we are behind.
-            let due = interval.map(|iv| start + iv * (sent as u32));
-            if let Some(due) = due {
-                let now = Instant::now();
-                if due > now {
-                    std::thread::sleep(due - now);
-                }
-            }
-            let t0 = due.unwrap_or_else(Instant::now);
-            let k = client_idx.wrapping_mul(7919).wrapping_add(sent);
-            let spec = mix.job(k);
-            // The priority mix: Hi jobs carry a tight deadline on lane 1,
-            // everything else floods the Batch lane.
-            let class = match mix {
-                Mix::Priority { .. } => Some(if mix.is_hi(k) { 0 } else { 1 }),
-                _ => None,
-            };
-            let (deadline_ms, priority) = match class {
-                Some(0) => (hi_deadline_ms, 1u8),
-                Some(_) => (0, 2u8),
-                None => (0, 0u8),
-            };
-            let submit = Request::Submit {
-                spec,
-                deadline_ms,
-                idem_key: 0,
-                affinity: client_idx.wrapping_add(1),
-                priority,
-            };
-            let retry_until = Instant::now() + Duration::from_secs(60);
-            // Send the submission, then read until its (request-ordered)
-            // answer arrives; any JobResult met on the way is a completed
-            // await from earlier in the pipeline.  `None` = shed (the job
-            // is abandoned, never retried).
-            let job = loop {
-                if let Err(e) = client.send(&submit) {
-                    fail(&format!("submit send failed: {e}"), &tally);
-                    break 'phase;
-                }
-                let sync = loop {
-                    match client.recv() {
-                        Ok(Response::JobResult { job, ok, .. }) => {
-                            if !note_completion(
-                                &mut inflight,
-                                &mut local_lat,
-                                &tally,
-                                &mut done,
-                                job,
-                                ok,
-                            ) {
-                                fail(&format!("unexpected result for job {job}"), &tally);
-                                break 'phase;
-                            }
-                        }
-                        Ok(resp) => break resp,
-                        Err(e) => {
-                            fail(&format!("recv failed: {e}"), &tally);
-                            break 'phase;
-                        }
-                    }
-                };
-                match sync {
-                    Response::Accepted { job } => break Some(job),
-                    Response::Rejected { retry_after_ms } => {
-                        tally.rejections.fetch_add(1, Ordering::Relaxed);
-                        if Instant::now() >= retry_until {
-                            fail("admission retry budget exhausted", &tally);
-                            break 'phase;
-                        }
-                        std::thread::sleep(Duration::from_millis(
-                            u64::from(retry_after_ms).clamp(1, 250),
-                        ));
-                    }
-                    Response::ShedDeadline { .. } => break None,
-                    other => {
-                        fail(&format!("unexpected submit answer: {other:?}"), &tally);
-                        break 'phase;
-                    }
-                }
-            };
-            let Some(job) = job else {
-                tally.sheds.fetch_add(1, Ordering::Relaxed);
-                if let Some(c) = class {
-                    tally.classes[c].sheds.fetch_add(1, Ordering::Relaxed);
-                }
-                sent += 1;
-                done += 1;
-                continue;
-            };
-            inflight.insert(job, (t0, class));
-            if let Err(e) = client.send(&Request::Await { job }) {
-                fail(&format!("await send failed: {e}"), &tally);
-                break 'phase;
-            }
-            sent += 1;
-        } else {
-            // Window full (or all submitted): block for the next result.
-            match client.recv() {
-                Ok(Response::JobResult { job, ok, .. }) => {
-                    if !note_completion(&mut inflight, &mut local_lat, &tally, &mut done, job, ok) {
-                        fail(&format!("unexpected result for job {job}"), &tally);
-                        break 'phase;
-                    }
-                }
-                Ok(other) => {
-                    fail(
-                        &format!("unexpected frame awaiting results: {other:?}"),
-                        &tally,
-                    );
-                    break 'phase;
-                }
-                Err(e) => {
-                    fail(&format!("recv failed: {e}"), &tally);
-                    break 'phase;
-                }
-            }
-        }
-    }
-    tally.latencies_ns.lock().extend_from_slice(&local_lat);
-}
-
+/// One phase: `requests` spread over `clients` client cores, client `c`
+/// taking the mix's jobs `c·7919 + j` on its own shard key.
 fn run_phase(
-    addr: &str,
+    addr: SocketAddr,
     mix: Mix,
     hi_deadline_ms: u32,
     clients: usize,
     requests: u64,
     rate: f64,
-    pipeline: u64,
+    pipeline: u32,
 ) -> PhaseReport {
-    let tally = Arc::new(PhaseTally::default());
     let per = requests / clients as u64;
     let extra = requests % clients as u64;
-    let t0 = Instant::now();
-    let handles: Vec<_> = (0..clients)
+    let interval_ns = if rate > 0.0 {
+        Duration::from_secs_f64(1.0 / rate).as_nanos() as u64
+    } else {
+        0
+    };
+    let profiles = (0..clients as u64)
         .map(|c| {
-            let addr = addr.to_string();
-            let tally = Arc::clone(&tally);
-            let n = per + u64::from((c as u64) < extra);
-            std::thread::spawn(move || {
-                client_worker(
-                    addr,
-                    mix,
-                    hi_deadline_ms,
-                    c as u64,
-                    n,
-                    rate,
-                    pipeline,
-                    tally,
-                )
-            })
+            let job: JobStream = Arc::new(move |j| {
+                let k = c.wrapping_mul(7919).wrapping_add(j);
+                // The priority mix: Hi jobs carry a tight deadline on
+                // lane 1, everything else floods the Batch lane.
+                let (deadline_ms, priority) = match mix {
+                    Mix::Priority { .. } if mix.is_hi(k) => (hi_deadline_ms, 1),
+                    Mix::Priority { .. } => (0, 2),
+                    _ => (0, 0),
+                };
+                let opts = SubmitOptions {
+                    deadline_ms,
+                    idem_key: 0,
+                    affinity: c + 1,
+                    priority,
+                };
+                (mix.job(k), opts)
+            });
+            let n = per + u64::from(c < extra);
+            ClientProfile {
+                pipeline,
+                interval_ns,
+                ..ClientProfile::driven(n.try_into().expect("--requests fits u32"), job)
+            }
         })
         .collect();
-    for h in handles {
-        let _ = h.join();
-    }
+    let t0 = Instant::now();
+    let mut tally = drive(addr, profiles, 0x10AD_6E4E);
     let wall_s = t0.elapsed().as_secs_f64();
-    let mut latencies_ns = std::mem::take(&mut *tally.latencies_ns.lock());
+    for v in &tally.violations {
+        eprintln!("loadgen: {v}");
+    }
+    for lane in &mut tally.lanes {
+        lane.latency_ns.sort_unstable();
+    }
+    let mut latencies_ns: Vec<u64> = tally
+        .lanes
+        .iter()
+        .flat_map(|l| l.latency_ns.iter().copied())
+        .collect();
     latencies_ns.sort_unstable();
-    let classes = matches!(mix, Mix::Priority { .. }).then(|| {
-        let digest = |name: &'static str, ct: &ClassTally| {
-            let mut lat = std::mem::take(&mut *ct.latencies_ns.lock());
-            lat.sort_unstable();
-            ClassReport {
-                name,
-                completed: ct.completed.load(Ordering::Relaxed),
-                failed: ct.failed.load(Ordering::Relaxed),
-                sheds: ct.sheds.load(Ordering::Relaxed),
-                latencies_ns: lat,
-            }
-        };
-        [
-            digest("hi", &tally.classes[0]),
-            digest("batch", &tally.classes[1]),
-        ]
-    });
     PhaseReport {
         clients,
-        completed: tally.completed.load(Ordering::Relaxed),
-        failed_verification: tally.failed_verification.load(Ordering::Relaxed),
-        rejections: tally.rejections.load(Ordering::Relaxed),
-        sheds: tally.sheds.load(Ordering::Relaxed),
-        protocol_errors: tally.protocol_errors.load(Ordering::Relaxed),
+        tally,
         wall_s,
         latencies_ns,
-        classes,
+        classes: matches!(mix, Mix::Priority { .. }),
     }
+}
+
+/// The `--json` document: `head`'s (key, JSON value) pairs, then one
+/// line per phase.
+fn json_doc(head: &[(&str, String)], phases: Vec<String>) -> String {
+    let head: String = head
+        .iter()
+        .map(|(k, v)| format!("  \"{k}\": {v},\n"))
+        .collect();
+    format!(
+        "{{\n{head}  \"phases\": [\n    {}\n  ]\n}}",
+        phases.join(",\n    ")
+    )
+}
+
+fn host_parallelism() -> usize {
+    std::thread::available_parallelism().map_or(1, |v| v.get())
+}
+
+/// Resolve `HOST:PORT`, or exit 1.
+fn resolve(addr: &str) -> SocketAddr {
+    addr.to_socket_addrs()
+        .ok()
+        .and_then(|mut a| a.next())
+        .unwrap_or_else(|| {
+            eprintln!("loadgen: cannot resolve {addr}");
+            std::process::exit(1);
+        })
 }
 
 /// Locate `romp-serve` next to this executable (cargo puts workspace
@@ -633,7 +485,7 @@ fn main() {
     let mut server_bin: Option<std::path::PathBuf> = None;
     let mut requests = 200u64;
     let mut rate = 0.0f64;
-    let mut pipeline = 1u64;
+    let mut pipeline = 1u32;
     let mut mix = Mix::Epcc;
     let mut hi_deadline_ms = 150u32;
     let mut hi_p99_max_us = 0f64;
@@ -641,92 +493,24 @@ fn main() {
     let mut ping = false;
     let mut shutdown = false;
 
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |j: usize| args.get(j).cloned().unwrap_or_else(|| usage());
-        match args[i].as_str() {
-            "--addr" => {
-                addr = Some(need(i + 1));
-                i += 2;
-            }
-            "--clients" => {
-                clients = need(i + 1)
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--sweep" => {
-                let v: Option<Vec<usize>> = need(i + 1)
-                    .split(',')
-                    .map(|t| t.trim().parse().ok().filter(|&n| n >= 1))
-                    .collect();
-                sweep = Some(v.unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--workers-sweep" => {
-                let v: Option<Vec<usize>> = need(i + 1)
-                    .split(',')
-                    .map(|t| t.trim().parse().ok())
-                    .collect();
-                workers_sweep = Some(v.unwrap_or_else(|| usage()));
-                i += 2;
-            }
-            "--server-bin" => {
-                server_bin = Some(need(i + 1).into());
-                i += 2;
-            }
-            "--requests" => {
-                requests = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--rate" => {
-                rate = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--pipeline" => {
-                pipeline = need(i + 1)
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--mix" => {
-                mix = Mix::parse(&need(i + 1)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--hi-deadline-ms" => {
-                hi_deadline_ms = need(i + 1)
-                    .parse()
-                    .ok()
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--hi-p99-max-us" => {
-                hi_p99_max_us = need(i + 1)
-                    .parse()
-                    .ok()
-                    .filter(|&n: &f64| n > 0.0)
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--json" => {
-                json = true;
-                i += 1;
-            }
-            "--ping" => {
-                ping = true;
-                i += 1;
-            }
-            "--shutdown" => {
-                shutdown = true;
-                i += 1;
-            }
-            "--help" | "-h" => usage(),
+    let mut args = std::env::args().skip(1);
+    while let Some(flag) = args.next() {
+        let mut value = || args.next().unwrap_or_else(|| usage());
+        match flag.as_str() {
+            "--addr" => addr = Some(value()),
+            "--clients" => clients = at_least(&value(), 1),
+            "--sweep" => sweep = Some(list(&value(), 1)),
+            "--workers-sweep" => workers_sweep = Some(list(&value(), 0)),
+            "--server-bin" => server_bin = Some(value().into()),
+            "--requests" => requests = u64::from(at_least::<u32>(&value(), 0)),
+            "--rate" => rate = value().parse().unwrap_or_else(|_| usage()),
+            "--pipeline" => pipeline = at_least(&value(), 1),
+            "--mix" => mix = Mix::parse(&value()).unwrap_or_else(|| usage()),
+            "--hi-deadline-ms" => hi_deadline_ms = at_least(&value(), 1),
+            "--hi-p99-max-us" => hi_p99_max_us = at_least(&value(), f64::MIN_POSITIVE),
+            "--json" => json = true,
+            "--ping" => ping = true,
+            "--shutdown" => shutdown = true,
             _ => usage(),
         }
     }
@@ -749,7 +533,7 @@ fn main() {
             }
             let (mut child, srv_addr) = spawn_server(&bin, w);
             let report = run_phase(
-                &srv_addr,
+                resolve(&srv_addr),
                 mix,
                 hi_deadline_ms,
                 clients,
@@ -768,38 +552,23 @@ fn main() {
             phases.push((w, report));
         }
         if json {
-            let mut s = String::from("{\n  \"benchmark\": \"cluster_loadgen\",\n");
-            s.push_str(&format!(
-                "  \"host_cores\": {},\n",
-                std::thread::available_parallelism()
-                    .map(|v| v.get())
-                    .unwrap_or(1)
-            ));
-            s.push_str(&format!("  \"mix\": \"{}\",\n", mix.label()));
-            s.push_str(&format!("  \"requests_per_phase\": {requests},\n"));
-            s.push_str(&format!("  \"clients\": {clients},\n"));
-            s.push_str(&format!("  \"pipeline\": {pipeline},\n"));
-            s.push_str("  \"phases\": [\n");
-            for (i, (w, r)) in phases.iter().enumerate() {
-                s.push_str(&format!("    {{\"workers\": {w}, "));
-                s.push_str(&r.to_json()[1..]);
-                s.push_str(if i + 1 == phases.len() { "\n" } else { ",\n" });
-            }
-            s.push_str("  ]\n}");
-            println!("{s}");
+            let head = [
+                ("benchmark", "\"cluster_loadgen\"".to_string()),
+                ("host_cores", host_parallelism().to_string()),
+                ("mix", format!("\"{}\"", mix.label())),
+                ("requests_per_phase", requests.to_string()),
+                ("clients", clients.to_string()),
+                ("pipeline", pipeline.to_string()),
+            ];
+            let rows = phases.iter();
+            let rows = rows.map(|(w, r)| format!("{{\"workers\": {w}, {}", &r.to_json()[1..]));
+            println!("{}", json_doc(&head, rows.collect()));
         } else {
             for (w, r) in &phases {
                 println!("workers={w:<2} {}", r.render());
             }
         }
-        let bad: u64 = phases.iter().map(|(_, r)| r.protocol_errors).sum();
-        let incomplete = phases
-            .iter()
-            .any(|(_, r)| r.completed + r.sheds != requests || r.failed_verification != 0);
-        if bad > 0 || incomplete {
-            eprintln!("loadgen: FAILED (protocol_errors={bad}, incomplete={incomplete})");
-            std::process::exit(1);
-        }
+        gate(phases.iter().map(|(_, r)| r), requests);
         return;
     }
 
@@ -831,13 +600,14 @@ fn main() {
     }
 
     let concurrencies = sweep.unwrap_or_else(|| vec![clients]);
+    let sock = resolve(&addr);
     let mut reports = Vec::new();
     for &c in &concurrencies {
         if !json {
             eprintln!("loadgen: phase clients={c} requests={requests} pipeline={pipeline} ...");
         }
         reports.push(run_phase(
-            &addr,
+            sock,
             mix,
             hi_deadline_ms,
             c,
@@ -848,48 +618,35 @@ fn main() {
     }
 
     if json {
-        let mut s = String::from("{\n  \"benchmark\": \"serve_loadgen\",\n");
-        s.push_str(&format!(
-            "  \"host_parallelism\": {},\n",
-            std::thread::available_parallelism()
-                .map(|v| v.get())
-                .unwrap_or(1)
-        ));
-        s.push_str(&format!("  \"mix\": \"{}\",\n", mix.label()));
-        s.push_str(&format!("  \"requests_per_phase\": {requests},\n"));
-        s.push_str(&format!("  \"pipeline\": {pipeline},\n"));
-        s.push_str(&format!("  \"open_loop_rate_per_client\": {rate},\n"));
-        s.push_str("  \"phases\": [\n");
-        for (i, r) in reports.iter().enumerate() {
-            s.push_str("    ");
-            s.push_str(&r.to_json());
-            s.push_str(if i + 1 == reports.len() { "\n" } else { ",\n" });
-        }
-        s.push_str("  ]\n}");
-        println!("{s}");
+        let head = [
+            ("benchmark", "\"serve_loadgen\"".to_string()),
+            ("host_parallelism", host_parallelism().to_string()),
+            ("mix", format!("\"{}\"", mix.label())),
+            ("requests_per_phase", requests.to_string()),
+            ("pipeline", pipeline.to_string()),
+            ("open_loop_rate_per_client", rate.to_string()),
+        ];
+        println!(
+            "{}",
+            json_doc(&head, reports.iter().map(PhaseReport::to_json).collect())
+        );
     } else {
         for r in &reports {
             println!("{}", r.render());
         }
     }
 
-    let bad: u64 = reports.iter().map(|r| r.protocol_errors).sum();
-    let incomplete = reports
-        .iter()
-        .any(|r| r.completed + r.sheds != requests || r.failed_verification != 0);
-    if bad > 0 || incomplete {
-        eprintln!("loadgen: FAILED (protocol_errors={bad}, incomplete={incomplete})");
-        std::process::exit(1);
-    }
+    gate(reports.iter(), requests);
     // The overload gate: the Hi class must finish everything it was
     // admitted for (no deadline kills, no sheds) within the p99 bound.
     if hi_p99_max_us > 0.0 {
         for r in &reports {
-            let Some([hi, _]) = &r.classes else {
+            if !r.classes {
                 eprintln!("loadgen: --hi-p99-max-us requires --mix hi=..,batch=..");
                 std::process::exit(2);
-            };
-            let p99 = quantile_us_of(&hi.latencies_ns, 0.99);
+            }
+            let hi = &r.tally.lanes[CLASS_LANES[0]];
+            let p99 = quantile_us_of(&hi.latency_ns, 0.99);
             if hi.failed != 0 || hi.sheds != 0 || p99 > hi_p99_max_us {
                 eprintln!(
                     "loadgen: FAILED hi-class gate (failed={}, sheds={}, p99={p99:.1}us, \

@@ -1,6 +1,15 @@
-//! The blocking client: one TCP connection, request/response framing,
-//! and the submit-retry-poll-fetch convenience loop `loadgen` and the
-//! tests drive.
+//! The clients.
+//!
+//! * [`Client`] — the blocking client: one TCP connection,
+//!   request/response framing, and the submit-retry-poll-fetch
+//!   convenience calls the tests and operator tools use;
+//! * [`ClientCore`] — the one load-driving client: a sans-IO state
+//!   machine that checks every response, with the job stream, pipeline
+//!   window, arrival schedule and cancel policy as [`ClientProfile`]
+//!   fields and its counts in a [`Tally`];
+//! * [`drive`] — runs [`ClientCore`]s over blocking sockets, one thread
+//!   per client (`loadgen`, the chaos-test load drivers); `romp-sim`
+//!   drives the same core on virtual time.
 
 use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
@@ -10,6 +19,12 @@ use mca_sync::SmallRng;
 
 use crate::job::{JobOutcome, JobSpec, JobState};
 use crate::protocol::{read_frame, write_frame, ErrorCode, FrameError, Request, Response};
+
+mod drive;
+mod machine;
+
+pub use drive::drive;
+pub use machine::{ClientCmd, ClientCore, ClientProfile, Hammer, JobStream, LaneTally, Tally};
 
 /// A jitter source seeded from wall-clock entropy and `salt`, so many
 /// clients backing off from the same event do not re-collide in lockstep.

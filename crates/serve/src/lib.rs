@@ -31,9 +31,10 @@
 //! * [`state`] — the one [`ServeState`] (job table, queue, metrics,
 //!   service-time estimators) and its pop / finish / sweep / stats
 //!   bookkeeping, shared by the server, `romp-cluster` and `romp-sim`;
-//! * [`client`] — the blocking client used by `loadgen`, the chaos tests
-//!   and the CI smoke, including the split [`Client::send`] /
-//!   [`Client::recv`] halves pipelining load generators drive;
+//! * [`client`] — the blocking [`Client`] the tests and the CI smoke
+//!   use, and the one sans-IO client core ([`client::ClientCore`]) that
+//!   checks every response, which `loadgen`, the chaos-test load
+//!   drivers ([`client::drive`]) and `romp-sim` all drive;
 //! * [`job`] — job specs, admission limits, and execution on the shared
 //!   runtime.
 //!

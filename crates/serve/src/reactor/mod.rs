@@ -31,7 +31,7 @@
 //!   so a slow reader stalls itself, not the server.
 
 mod conn;
-mod sys;
+pub(crate) mod sys;
 
 pub use conn::{Fill, Flush, RecvBuf, SendBuf};
 

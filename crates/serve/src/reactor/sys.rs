@@ -1,4 +1,4 @@
-//! Hermetic epoll/eventfd bindings.
+//! Hermetic epoll/eventfd/ppoll bindings.
 //!
 //! The workspace invariant is `std`-only (`--offline`, no registry
 //! crates), so the readiness syscalls the reactor needs are declared
@@ -58,6 +58,50 @@ extern "C" {
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut EpollEvent) -> i32;
     fn epoll_wait(epfd: i32, events: *mut EpollEvent, maxevents: i32, timeout: i32) -> i32;
     fn eventfd(initval: u32, flags: i32) -> i32;
+    fn ppoll(fds: *mut PollFd, nfds: u64, timeout: *const Timespec, sigmask: *const u8) -> i32;
+}
+
+/// `struct pollfd`.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+/// `struct timespec`.
+#[repr(C)]
+struct Timespec {
+    tv_sec: i64,
+    tv_nsec: i64,
+}
+
+/// Block until `fd` is readable (data, EOF or error) or `timeout`
+/// passes; `None` waits indefinitely.  Returns whether it is readable;
+/// a signal interruption reports `false`.  Unlike a socket read timeout,
+/// which the kernel rounds to scheduler ticks (milliseconds), `ppoll`
+/// sleeps on a high-resolution timer, so a client's timers fire on time.
+pub(crate) fn wait_readable(fd: RawFd, timeout: Option<std::time::Duration>) -> io::Result<bool> {
+    const POLLIN: i16 = 0x001;
+    let mut pfd = PollFd {
+        fd,
+        events: POLLIN,
+        revents: 0,
+    };
+    let ts = timeout.map(|d| Timespec {
+        tv_sec: d.as_secs() as i64,
+        tv_nsec: i64::from(d.subsec_nanos()),
+    });
+    let ts_ptr = ts
+        .as_ref()
+        .map_or(std::ptr::null(), |t| t as *const Timespec);
+    // SAFETY: pfd and ts outlive the call; a null timeout and a null
+    // signal mask are both valid arguments.
+    match cvt(unsafe { ppoll(&mut pfd, 1, ts_ptr, std::ptr::null()) }) {
+        Ok(n) => Ok(n > 0),
+        Err(e) if e.kind() == io::ErrorKind::Interrupted => Ok(false),
+        Err(e) => Err(e),
+    }
 }
 
 fn cvt(rc: i32) -> io::Result<i32> {

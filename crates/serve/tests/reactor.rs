@@ -137,12 +137,18 @@ fn send_buf_survives_short_writes() {
     }
 }
 
-/// Garbage bytes must never panic the decoder: every outcome is either a
-/// decoded (possibly meaningless) frame or a typed protocol error.
+/// Garbage bytes must never panic the decoders: every outcome is either
+/// a decoded (possibly meaningless) frame or a typed protocol error.
+/// Each seed feeds two streams: uniform random bytes (which exercise the
+/// length-prefix guard, since a random prefix almost never fits under
+/// the cap) and in-range prefixes of 1..=64 over random bodies, which
+/// reach `Request::decode` and `Response::decode` — the latter is what
+/// the client core parses.
 #[test]
 fn garbage_input_never_panics_decoder() {
     for seed in 0..50u64 {
         let mut rng = SmallRng::seed_from_u64(0xda7a ^ seed);
+        let mut decoded = 0u32;
         let mut rb = RecvBuf::new();
         'stream: for _ in 0..200 {
             let n = rng.gen_index(1, 64);
@@ -154,12 +160,28 @@ fn garbage_input_never_panics_decoder() {
                         // A frame that happened to parse; decoding may
                         // fail but must not panic.
                         let _ = Request::decode(&body);
+                        let _ = Response::decode(&body);
+                        decoded += 1;
                     }
                     Ok(None) => break,
                     Err(_) => break 'stream, // stream out of sync: drop conn
                 }
             }
         }
+        let mut rb = RecvBuf::new();
+        for _ in 0..200 {
+            let len = rng.gen_index(1, 65);
+            rb.extend(&(len as u32).to_be_bytes());
+            let body: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
+            rb.extend(&body);
+            let frame = rb.next_frame().expect("in-range prefix");
+            let frame = frame.expect("whole frame buffered");
+            assert_eq!(frame, body, "seed {seed}");
+            let _ = Request::decode(&frame);
+            let _ = Response::decode(&frame);
+            decoded += 1;
+        }
+        assert!(decoded > 0, "seed {seed} never reached the decoders");
     }
 }
 

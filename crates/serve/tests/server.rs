@@ -215,28 +215,32 @@ fn cancel_raced_against_every_job_state_settles_exactly_once() {
             priority: (r % 3) as u8,
         };
         match c.submit_opts(&spec, opts).unwrap() {
-            SubmitOutcome::Accepted(id) => {
-                accepted.push(id);
-                // Cancel a random earlier-or-current job at a random
-                // moment: depending on the draw this races admission,
-                // dispatch, execution, or completion.
-                if rng.gen_index(0, 3) == 0 {
-                    let victim = accepted[rng.gen_index(0, accepted.len())];
-                    std::thread::sleep(Duration::from_micros(rng.gen_range(0, 500)));
-                    c.cancel(victim).unwrap();
-                    cancels += 1;
-                    // Sometimes cancel the same victim again: must stay
-                    // acknowledged, never flip a terminal state.
-                    if rng.gen_index(0, 4) == 0 {
-                        c.cancel(victim).unwrap();
-                    }
-                }
-            }
+            SubmitOutcome::Accepted(id) => accepted.push(id),
             SubmitOutcome::Rejected { .. } => {
                 std::thread::sleep(Duration::from_millis(2));
             }
             SubmitOutcome::Draining => panic!("not draining"),
             SubmitOutcome::ShedDeadline { .. } => panic!("shedding is off by default"),
+        }
+        // Cancel a random earlier-or-current job at a random moment:
+        // depending on the draw this races admission, dispatch,
+        // execution, or completion.  Every draw is made whatever the
+        // submit outcome, so the seed alone fixes the draw sequence (and
+        // the first submit to the empty queue is always accepted).
+        if rng.gen_index(0, 3) == 0 {
+            let pick = rng.gen_index(0, accepted.len().max(1));
+            let pause = Duration::from_micros(rng.gen_range(0, 500));
+            // Sometimes cancel the same victim again: must stay
+            // acknowledged, never flip a terminal state.
+            let twice = rng.gen_index(0, 4) == 0;
+            if let Some(&victim) = accepted.get(pick) {
+                std::thread::sleep(pause);
+                c.cancel(victim).unwrap();
+                cancels += 1;
+                if twice {
+                    c.cancel(victim).unwrap();
+                }
+            }
         }
     }
     assert!(cancels > 0, "the seed must actually exercise cancellation");

@@ -41,7 +41,6 @@
 
 #![warn(missing_docs)]
 
-pub mod client;
 pub mod core;
 pub mod net;
 pub mod scenario;
@@ -49,7 +48,6 @@ pub mod sched;
 pub mod world;
 
 pub use crate::core::{SimCore, SimCoreConfig};
-pub use client::{ClientProfile, SimClient};
 pub use net::{DuplexLink, LinkDir, Payload, SimNet};
 pub use scenario::{run_scenario, Scenario, SimReport, SimStats};
 pub use sched::EventQueue;

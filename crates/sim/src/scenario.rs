@@ -39,10 +39,12 @@
 //! distils the [`SimReport`] the sweeps and CI gate on.
 
 use mca_sync::SmallRng;
+use romp_epcc::Construct;
+use romp_serve::client::{ClientProfile, Hammer};
 use romp_serve::session::ServeCore;
 use romp_serve::DedupConfig;
+use romp_serve::{JobSpec, SubmitOptions};
 
-use crate::client::{ClientProfile, Hammer};
 use crate::core::SimCoreConfig;
 use crate::net::{DuplexLink, LinkDir};
 use crate::world::World;
@@ -337,9 +339,9 @@ impl Scenario {
         }
     }
 
-    /// Draw client `i`'s profile.  Client 0 is the controller; the last
-    /// `hammers` clients are stats hammers.
-    pub fn profile(&self, i: usize, rng: &mut SmallRng) -> ClientProfile {
+    /// Draw client `i`'s profile and read delay (ns).  Client 0 is the
+    /// controller; the last `hammers` clients are stats hammers.
+    pub fn profile(&self, i: usize, rng: &mut SmallRng) -> (ClientProfile, u64) {
         let hammer = i != 0 && i >= self.clients.saturating_sub(self.hammers);
         // Clients 1..=hi_clients run the Hi lane with explicit tight
         // deadlines; everyone else is Batch in a mixed-priority run,
@@ -351,9 +353,30 @@ impl Scenario {
             (_, false) => 2,
         };
         let (alo, ahi) = self.ack_delay_ns;
-        ClientProfile {
-            jobs: self.jobs_per_client,
-            priority,
+        let ack_delay_ns = if hammer {
+            ahi
+        } else {
+            rng.gen_range(alo, ahi + 1)
+        };
+        // One fixed job, keyed per client, cycling through a few shard
+        // keys (0 = no preference) so the sharded submit path is
+        // exercised under simulation.
+        let idem_base = (i as u64 + 1) << 32;
+        let job = std::sync::Arc::new(move |j: u64| {
+            let spec = JobSpec::Epcc {
+                construct: Construct::Barrier,
+                threads: 2,
+                inner_reps: 8,
+            };
+            let opts = SubmitOptions {
+                deadline_ms: 0,
+                idem_key: idem_base + j + 1,
+                affinity: j % 4,
+                priority,
+            };
+            (spec, opts)
+        });
+        let profile = ClientProfile {
             cancel_pm: self.cancel_pm,
             dup_pm: self.dup_pm,
             late_dup_pm: self.late_dup_pm,
@@ -367,20 +390,20 @@ impl Scenario {
             } else {
                 self.think_ns
             },
-            ack_delay_ns: if hammer {
-                ahi
-            } else {
-                rng.gen_range(alo, ahi + 1)
-            },
             max_retries: self.max_retries,
-            idem_base: (i as u64 + 1) << 32,
+            // Virtual time bounds neither retries nor awaits: the
+            // horizon and the end-of-run checks catch a stalled client.
+            retry_for_ns: 0,
+            await_for_ns: 0,
             controller: i == 0,
             shutdown_early_pm: self.shutdown_early_pm,
             hammer: hammer.then_some(Hammer {
                 bursts: self.hammer_bursts,
                 pipeline: self.hammer_pipeline,
             }),
-        }
+            ..ClientProfile::driven(self.jobs_per_client, job)
+        };
+        (profile, ack_delay_ns)
     }
 
     /// The connections a partition cuts (never the controller's).
@@ -520,12 +543,12 @@ pub fn run_scenario(sc: Scenario, seed: u64, capture_trace: bool) -> SimReport {
         idem_pending_hits: t.idem_pending_hits(),
         retractions: t.retractions(),
         sheds: m.sched_sheds.iter().map(|c| c.get()).sum(),
-        client_sheds: w.clients().iter().map(|c| c.shed).sum(),
+        client_sheds: w.clients().iter().map(|c| c.tally.sheds()).sum(),
         double_terminal: t.double_terminal(),
-        resolved: w.clients().iter().map(|c| c.resolved).sum(),
-        stats_seen: w.clients().iter().map(|c| c.stats_seen).sum(),
-        gave_up: w.clients().iter().map(|c| u64::from(c.gave_up)).sum(),
-        abandoned: w.clients().iter().map(|c| u64::from(c.abandoned)).sum(),
+        resolved: w.clients().iter().map(|c| c.tally.resolved()).sum(),
+        stats_seen: w.clients().iter().map(|c| c.tally.stats_seen).sum(),
+        gave_up: w.clients().iter().map(|c| c.tally.gave_up).sum(),
+        abandoned: w.clients().iter().map(|c| c.tally.abandoned).sum(),
         retries,
         unrun,
         events: w.events(),

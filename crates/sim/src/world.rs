@@ -21,7 +21,9 @@
 //! * the **watchdog** becomes a `WatchdogTick` event: the executors'
 //!   heartbeats, the production [`ServeCore::watchdog_sweep`] (deadline
 //!   kills, sweep metrics, dedup bounds) and the dispatcher's tick;
-//! * each **client** is a seeded state machine from [`crate::client`].
+//! * each **client** is the production client core
+//!   ([`romp_serve::client::ClientCore`]), the one `loadgen` and the
+//!   chaos-test load drivers run over real sockets.
 //!
 //! Same seed ⇒ same event sequence ⇒ byte-identical trace: all state is
 //! in `BTreeMap`s/`Vec`s, ties break on insertion order, and the single
@@ -33,11 +35,11 @@ use std::io::{self, Read, Write};
 use mca_mrapi::{FaultPlan, FaultSite};
 use mca_platform::{Clock, VirtualClock};
 use mca_sync::SmallRng;
+use romp_serve::client::{ClientCmd, ClientCore};
 use romp_serve::dispatcher::Dispatcher;
-use romp_serve::lane_name;
 use romp_serve::session::{Engine, ServeCore};
+use romp_serve::{lane_name, lane_of};
 
-use crate::client::{ClientCmd, SimClient};
 use crate::core::SimCore;
 use crate::net::{Payload, SimNet};
 use crate::scenario::Scenario;
@@ -129,7 +131,9 @@ pub struct World {
     net: SimNet,
     core: SimCore,
     engine: Engine<SimPipe>,
-    clients: Vec<SimClient>,
+    clients: Vec<ClientCore>,
+    /// Per client: how long it takes to read a delivery, virtual ns.
+    ack_delay_ns: Vec<u64>,
     dispatcher: Dispatcher,
     execs: Vec<Exec>,
     fault: Option<FaultPlan>,
@@ -165,6 +169,7 @@ impl World {
         let mut evq = EventQueue::new();
         let mut net = SimNet::new();
         let mut clients = Vec::new();
+        let mut ack_delay_ns = Vec::new();
         let mut engine = Engine::new();
         for i in 0..sc.clients {
             let conn = (i as u64) + 1;
@@ -178,7 +183,9 @@ impl World {
                     out: Vec::new(),
                 },
             );
-            clients.push(SimClient::new(conn, sc.profile(i, &mut rng)));
+            let (profile, ack_delay) = sc.profile(i, &mut rng);
+            clients.push(ClientCore::new(conn, profile));
+            ack_delay_ns.push(ack_delay);
             // Staggered starts.
             evq.push(rng.gen_range(0, 200_000), Event::ClientWake(i));
         }
@@ -196,6 +203,7 @@ impl World {
             core,
             engine,
             clients,
+            ack_delay_ns,
             dispatcher,
             execs: (0..sc.executors).map(|_| Exec::new(1)).collect(),
             fault,
@@ -275,13 +283,13 @@ impl World {
             }
             Event::NetToClient(i, payload) => {
                 let now = self.now();
-                let conn = self.clients[i].conn;
+                let conn = self.clients[i].id;
                 match payload {
                     Payload::Bytes(b) => {
                         let n = b.len();
                         let cmds = self.clients[i].on_bytes(now, &mut self.rng, &b);
                         self.apply_cmds(i, cmds);
-                        let ack_at = now + self.clients[i].profile.ack_delay_ns;
+                        let ack_at = now + self.ack_delay_ns[i];
                         self.evq.push(ack_at, Event::Ack(conn, n));
                     }
                     Payload::Eof => self.clients[i].on_server_eof(),
@@ -340,7 +348,7 @@ impl World {
     }
 
     fn apply_cmds(&mut self, client_idx: usize, cmds: Vec<ClientCmd>) {
-        let conn = self.clients[client_idx].conn;
+        let conn = self.clients[client_idx].id;
         for cmd in cmds {
             let payload = match cmd {
                 ClientCmd::Send(bytes) => Payload::Bytes(bytes),
@@ -460,7 +468,7 @@ impl World {
     /// End-of-run invariants: the properties every seed must satisfy.
     fn finish_checks(&mut self) {
         for (i, c) in self.clients.iter_mut().enumerate() {
-            self.violations.append(&mut c.violations);
+            self.violations.append(&mut c.tally.violations);
             if !c.done {
                 self.violations
                     .push(format!("client {i} never finished (stalled schedule)"));
@@ -536,8 +544,7 @@ impl World {
             let hi_client_sheds: u64 = self
                 .clients
                 .iter()
-                .filter(|c| c.profile.priority == 1)
-                .map(|c| c.shed)
+                .map(|c| c.tally.lanes[lane_of(1)].sheds)
                 .sum();
             if hi_client_sheds != 0 {
                 self.violations.push(format!(
@@ -553,7 +560,7 @@ impl World {
     }
 
     /// The clients, for post-run report extraction.
-    pub fn clients(&self) -> &[SimClient] {
+    pub fn clients(&self) -> &[ClientCore] {
         &self.clients
     }
 

@@ -19,6 +19,11 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: chaos [--seeds N] [--seed-base S] [--teams 1,4] [--backend both|native|mca]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut n_seeds = 8usize;
     let mut seed_base = 0xC0FFEEu64;
@@ -28,39 +33,32 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
+        let need = |i: usize| args.get(i + 1).unwrap_or_else(|| usage());
         match args[i].as_str() {
             "--seeds" => {
-                n_seeds = need(i).parse().expect("--seeds takes a count");
+                n_seeds = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
             "--seed-base" => {
-                seed_base = parse_u64(need(i)).expect("--seed-base takes a u64");
+                seed_base = parse_u64(need(i)).unwrap_or_else(|| usage());
                 i += 2;
             }
             "--teams" => {
                 teams = need(i)
                     .split(',')
-                    .map(|t| t.trim().parse().expect("--teams takes sizes"))
-                    .collect();
+                    .map(|t| t.trim().parse().ok())
+                    .collect::<Option<_>>()
+                    .unwrap_or_else(|| usage());
                 i += 2;
             }
             "--backend" => {
                 kinds = match need(i).as_str() {
                     "both" => vec![BackendKind::Native, BackendKind::Mca],
-                    s => vec![BackendKind::parse(s).expect("--backend native|mca|both")],
+                    s => vec![BackendKind::parse(s).unwrap_or_else(|| usage())],
                 };
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            _ => usage(),
         }
     }
 

@@ -29,6 +29,11 @@ fn parse_u64(s: &str) -> Option<u64> {
     }
 }
 
+fn usage() -> ! {
+    eprintln!("usage: soak [--secs N] [--clients N] [--seed S]");
+    std::process::exit(2);
+}
+
 fn main() {
     let mut secs = 20u64;
     let mut clients = 4usize;
@@ -37,29 +42,21 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
     while i < args.len() {
-        let need = |i: usize| {
-            args.get(i + 1).unwrap_or_else(|| {
-                eprintln!("missing value for {}", args[i]);
-                std::process::exit(2);
-            })
-        };
+        let need = |i: usize| args.get(i + 1).unwrap_or_else(|| usage());
         match args[i].as_str() {
             "--secs" => {
-                secs = need(i).parse().expect("--secs takes seconds");
+                secs = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
             "--clients" => {
-                clients = need(i).parse().expect("--clients takes a count");
+                clients = need(i).parse().unwrap_or_else(|_| usage());
                 i += 2;
             }
             "--seed" => {
-                seed = parse_u64(need(i)).expect("--seed takes a u64");
+                seed = parse_u64(need(i)).unwrap_or_else(|| usage());
                 i += 2;
             }
-            other => {
-                eprintln!("unknown argument: {other}");
-                std::process::exit(2);
-            }
+            _ => usage(),
         }
     }
 

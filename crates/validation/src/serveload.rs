@@ -7,12 +7,12 @@
 //! that driver so each test does not re-implement it.
 
 use std::net::SocketAddr;
-use std::time::Duration;
+use std::sync::Arc;
 
-use mca_sync::SmallRng;
 use romp_epcc::Construct;
 use romp_npb::{Class, NpbKernel};
-use romp_serve::{Client, ClientError, JobSpec, SubmitOptions};
+use romp_serve::client::{drive, ClientProfile, JobStream, Tally};
+use romp_serve::{JobSpec, SubmitOptions};
 
 /// Aggregate result of one [`drive_mixed_load`] run.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -25,7 +25,7 @@ pub struct LoadReport {
     pub failed: u64,
     /// Admission rejections absorbed by retry before acceptance.
     pub rejections: u64,
-    /// Submissions refused because the server was draining.
+    /// Jobs left unsubmitted because the server began draining.
     pub drain_refusals: u64,
 }
 
@@ -34,14 +34,6 @@ impl LoadReport {
     /// serving test asserts is zero.
     pub fn lost(&self) -> u64 {
         self.accepted - self.completed - self.failed
-    }
-
-    fn absorb(&mut self, other: LoadReport) {
-        self.accepted += other.accepted;
-        self.completed += other.completed;
-        self.failed += other.failed;
-        self.rejections += other.rejections;
-        self.drain_refusals += other.drain_refusals;
     }
 }
 
@@ -83,57 +75,55 @@ pub fn mixed_specs() -> Vec<JobSpec> {
     ]
 }
 
+/// Job `r` of client `k`'s stream: the [`mixed_specs`] rotation, offset
+/// per client so the wire sees interleaved job kinds.
+fn rotation(k: usize, opts: impl Fn(u64) -> SubmitOptions + Send + Sync + 'static) -> JobStream {
+    let specs = mixed_specs();
+    Arc::new(move |r| (specs[(k + r as usize) % specs.len()], opts(r)))
+}
+
+/// Run `profiles` against `addr`, panicking on anything the client core
+/// cannot explain — in a test, those are failures, not data.
+fn drive_checked(addr: SocketAddr, profiles: Vec<ClientProfile>, seed: u64) -> Tally {
+    let t = drive(addr, profiles, seed);
+    assert!(
+        t.violations.is_empty() && t.gave_up == 0 && t.sheds() == 0,
+        "load driver: {} gave up, {} shed, violations: {:?}",
+        t.gave_up,
+        t.sheds(),
+        t.violations
+    );
+    t
+}
+
 /// Drive `clients` concurrent connections, each submitting
-/// `requests_per_client` jobs from the [`mixed_specs`] rotation (offset
-/// per client so the wire sees interleaved job kinds), waiting for every
-/// result.  Admission rejections are retried until accepted; only a
-/// draining server makes a submission count as refused.
+/// `requests_per_client` jobs from the [`mixed_specs`] rotation and
+/// awaiting every result.  Admission rejections are retried (jittered
+/// backoff, 60 s budget); only a draining server makes the client stop,
+/// counting its unsubmitted jobs as refused.
 ///
-/// Panics on transport or protocol errors — in a test, those are
-/// failures, not data.
+/// Panics on transport or protocol errors, an exhausted retry budget or
+/// an accepted job with no result within 120 s.
 pub fn drive_mixed_load(
     addr: SocketAddr,
     clients: usize,
     requests_per_client: usize,
 ) -> LoadReport {
-    let handles: Vec<_> = (0..clients)
+    let jobs = u32::try_from(requests_per_client).expect("request count fits u32");
+    let profiles = (0..clients)
         .map(|k| {
-            std::thread::spawn(move || {
-                let specs = mixed_specs();
-                let mut c = Client::connect(addr).expect("connect");
-                let mut local = LoadReport::default();
-                for r in 0..requests_per_client {
-                    let spec = specs[(k + r) % specs.len()];
-                    match c.submit_with_retry(&spec, Duration::from_secs(60)) {
-                        Ok(Some((id, rejections))) => {
-                            local.accepted += 1;
-                            local.rejections += u64::from(rejections);
-                            let out = c
-                                .wait_result(id, Duration::from_secs(120))
-                                .expect("result for accepted job");
-                            if out.ok {
-                                local.completed += 1;
-                            } else {
-                                local.failed += 1;
-                            }
-                        }
-                        Ok(None) => local.drain_refusals += 1,
-                        Err(ClientError::Closed) => {
-                            // Server went away mid-run; stop this client.
-                            break;
-                        }
-                        Err(e) => panic!("client {k} request {r}: {e}"),
-                    }
-                }
-                local
-            })
+            let stream = rotation(k, |_| SubmitOptions::default());
+            ClientProfile::driven(jobs, stream)
         })
         .collect();
-    let mut report = LoadReport::default();
-    for h in handles {
-        report.absorb(h.join().expect("load client panicked"));
+    let t = drive_checked(addr, profiles, 0x10AD);
+    LoadReport {
+        accepted: t.accepted,
+        completed: t.resolved() - t.failed(),
+        failed: t.failed(),
+        rejections: t.rejections,
+        drain_refusals: t.abandoned,
     }
-    report
 }
 
 /// Aggregate result of one [`drive_cancel_storm`] run.
@@ -149,7 +139,7 @@ pub struct StormReport {
     pub failed: u64,
     /// Cancel requests issued.
     pub cancels_sent: u64,
-    /// Submissions refused because the server was draining.
+    /// Jobs left unsubmitted because the server began draining.
     pub drain_refusals: u64,
 }
 
@@ -158,92 +148,54 @@ impl StormReport {
     pub fn lost(&self) -> u64 {
         self.accepted - self.completed - self.killed - self.failed
     }
-
-    fn absorb(&mut self, other: StormReport) {
-        self.accepted += other.accepted;
-        self.completed += other.completed;
-        self.killed += other.killed;
-        self.failed += other.failed;
-        self.cancels_sent += other.cancels_sent;
-        self.drain_refusals += other.drain_refusals;
-    }
 }
 
 /// A cancellation storm: `clients` concurrent connections each submit
 /// `requests_per_client` jobs from the [`mixed_specs`] rotation with
 /// idempotency keys and (one in three) a short deadline, then cancel
-/// roughly 20% of them at a random moment — so Cancel races every
+/// 20% of them after a random 0–800 µs — so Cancel races every
 /// lifecycle state: still queued, mid-dispatch, mid-execution, already
-/// complete, even already fetched.  Every accepted job must still reach
-/// exactly one terminal outcome; the caller asserts `lost() == 0`.
+/// complete.  Every accepted job must still reach exactly one terminal
+/// outcome; the caller asserts `lost() == 0`.
 pub fn drive_cancel_storm(
     addr: SocketAddr,
     clients: usize,
     requests_per_client: usize,
     seed: u64,
 ) -> StormReport {
-    let handles: Vec<_> = (0..clients)
+    let jobs = u32::try_from(requests_per_client).expect("request count fits u32");
+    let profiles = (0..clients)
         .map(|k| {
-            std::thread::spawn(move || {
-                let specs = mixed_specs();
-                let mut rng = SmallRng::seed_from_u64(seed ^ (0xD00D_F00D << 1) ^ k as u64);
-                let mut c = Client::connect(addr).expect("connect");
-                let mut local = StormReport::default();
-                for r in 0..requests_per_client {
-                    let spec = specs[(k + r) % specs.len()];
-                    let opts = SubmitOptions {
-                        // One in three jobs carries a real (but generous
-                        // vs. job length) deadline; the rest are open.
-                        deadline_ms: if rng.gen_index(0, 3) == 0 {
-                            rng.gen_range(2_000, 10_000) as u32
-                        } else {
-                            0
-                        },
-                        // Unique non-zero key per (client, request).
-                        idem_key: ((k as u64) << 32) | (r as u64 + 1),
-                        // Per-client shard key: each client's jobs share a
-                        // home shard, so the storm exercises both pinned
-                        // and cross-shard scheduling.
-                        affinity: k as u64 + 1,
-                        // Rotate across all three lanes so the storm also
-                        // exercises weighted lane dispatch.
-                        priority: ((k + r) % 3) as u8,
-                    };
-                    match c.submit_with_retry_opts(&spec, opts, Duration::from_secs(60)) {
-                        Ok(Some((id, _rejections))) => {
-                            local.accepted += 1;
-                            if rng.gen_index(0, 5) == 0 {
-                                // Let the job advance a random distance
-                                // before the cancel lands.
-                                std::thread::sleep(Duration::from_micros(rng.gen_range(0, 800)));
-                                c.cancel(id).expect("cancel accepted job");
-                                local.cancels_sent += 1;
-                            }
-                            let out = c
-                                .wait_result(id, Duration::from_secs(120))
-                                .expect("result for accepted job");
-                            if out.ok {
-                                local.completed += 1;
-                            } else if out.detail.contains("cancel")
-                                || out.detail.contains("deadline")
-                            {
-                                local.killed += 1;
-                            } else {
-                                local.failed += 1;
-                            }
-                        }
-                        Ok(None) => local.drain_refusals += 1,
-                        Err(ClientError::Closed) => break,
-                        Err(e) => panic!("storm client {k} request {r}: {e}"),
-                    }
-                }
-                local
-            })
+            let stream = rotation(k, move |r| SubmitOptions {
+                deadline_ms: 0,
+                // Unique non-zero key per (client, request).
+                idem_key: ((k as u64) << 32) | (r + 1),
+                // Per-client shard key: each client's jobs share a
+                // home shard, so the storm exercises both pinned and
+                // cross-shard scheduling.
+                affinity: k as u64 + 1,
+                // Rotate across all three lanes so the storm also
+                // exercises weighted lane dispatch.
+                priority: ((k as u64 + r) % 3) as u8,
+            });
+            ClientProfile {
+                cancel_pm: 200,
+                cancel_delay_ns: (0, 799_000),
+                // One in three jobs carries a real (but generous vs.
+                // job length) deadline; the rest are open.
+                explicit_deadline_pm: 333,
+                deadline_ms: (2_000, 9_999),
+                ..ClientProfile::driven(jobs, stream)
+            }
         })
         .collect();
-    let mut report = StormReport::default();
-    for h in handles {
-        report.absorb(h.join().expect("storm client panicked"));
+    let t = drive_checked(addr, profiles, seed ^ (0xD00D_F00D << 1));
+    StormReport {
+        accepted: t.accepted,
+        completed: t.resolved() - t.failed(),
+        killed: t.killed,
+        failed: t.failed() - t.killed,
+        cancels_sent: t.cancels_sent,
+        drain_refusals: t.abandoned,
     }
-    report
 }

@@ -14,7 +14,8 @@ against `romp-serve` built from this checkout, and writes
 Every numeric field of a phase is the median over the repeats; the
 phase's `spread` object gives `[min, max]` for each of them.  The counts
 that certify correctness are checked too: the script exits non-zero if
-any run reports a protocol error or a failed verification, a Hi job is
+any run reports a protocol error, a violation (a response the client
+core cannot explain) or a failed verification, a Hi job is
 shed or fails under overload, or a server drain drops a job.
 
     python3 scripts/serve_baselines.py [--repeats 5] [--out-dir .]
@@ -89,7 +90,7 @@ def with_server(bins, server_args, body):
 
 def check(phases, label):
     for p in phases:
-        if p["protocol_errors"] or p["failed_verification"]:
+        if p["protocol_errors"] or p.get("violations") or p["failed_verification"]:
             sys.exit("%s: %s" % (label, p))
 
 
