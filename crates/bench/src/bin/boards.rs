@@ -15,24 +15,22 @@
 
 use mca_platform::power::{energy_for_profile, PowerModel};
 use mca_platform::vtime::CostModel;
+use mca_sync::cli::Spec;
 use romp::{BackendKind, Config, Runtime};
 use romp_npb::{Class, NpbKernel};
 
+const CLI: Spec = Spec {
+    usage: "usage: boards [--class S|W|A]",
+    values: "--class",
+    switches: "",
+    positionals: 0,
+};
+
 fn main() {
-    let mut class = Class::S;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--class" => {
-                class = Class::parse(&args.next().expect("--class needs a value"))
-                    .expect("class must be S, W or A");
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let class = CLI
+        .parse()
+        .value_with("--class", Class::parse)
+        .unwrap_or(Class::S);
 
     let boards: Vec<(&str, CostModel, PowerModel, usize)> = vec![
         ("T4240RDB", CostModel::t4240rdb(), PowerModel::t4240(), 24),

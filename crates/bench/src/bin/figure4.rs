@@ -17,56 +17,36 @@
 //! the paper-scale run.
 
 use mca_platform::vtime::CostModel;
+use mca_sync::cli::Spec;
 use ompmca_bench::{
-    figure4_point, figure4_threads, parse_threads, render_figure4_kernel, runtime_pair_sharded,
+    figure4_point, figure4_threads, render_figure4_kernel, runtime_pair_sharded, team_size,
     Fig4Point,
 };
 use romp_npb::{Class, NpbKernel};
 
+const CLI: Spec = Spec {
+    usage: "usage: figure4 [--class S|W|A] [--threads 1,2,4,8,12,16,20,24] \
+            [--kernels EP,CG,IS,MG,FT] [--quick] [--shards N]",
+    values: "--class --threads --kernels --shards",
+    switches: "--quick",
+    positionals: 0,
+};
+
 fn main() {
-    let mut threads = figure4_threads();
-    let mut class = Class::W;
-    let mut kernels: Vec<NpbKernel> = NpbKernel::all().to_vec();
-    let mut shards: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = parse_threads(&v).expect("bad --threads list");
-            }
-            "--class" => {
-                let v = args.next().expect("--class needs a value");
-                class = Class::parse(&v).expect("class must be S, W or A");
-            }
-            "--kernels" => {
-                let v = args.next().expect("--kernels needs a value");
-                kernels = v
-                    .split(',')
-                    .map(|k| match k.trim().to_ascii_uppercase().as_str() {
-                        "EP" => NpbKernel::Ep,
-                        "CG" => NpbKernel::Cg,
-                        "IS" => NpbKernel::Is,
-                        "MG" => NpbKernel::Mg,
-                        "FT" => NpbKernel::Ft,
-                        other => panic!("unknown kernel {other}"),
-                    })
-                    .collect();
-            }
-            "--shards" => {
-                shards = Some(args.next().unwrap().parse().expect("bad --shards"));
-            }
-            "--quick" => {
-                threads = vec![1, 4, 24];
-                class = Class::S;
-                kernels = vec![NpbKernel::Ep, NpbKernel::Cg, NpbKernel::Is];
-            }
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = CLI.parse();
+    // `--quick` shrinks the defaults; an explicit value still wins.
+    let (threads, class, kernels) = if args.switch("--quick") {
+        let kernels = vec![NpbKernel::Ep, NpbKernel::Cg, NpbKernel::Is];
+        (vec![1, 4, 24], Class::S, kernels)
+    } else {
+        (figure4_threads(), Class::W, NpbKernel::all().to_vec())
+    };
+    let threads = args.list_with("--threads", team_size).unwrap_or(threads);
+    let class = args.value_with("--class", Class::parse).unwrap_or(class);
+    let kernels = args
+        .list_with("--kernels", NpbKernel::parse)
+        .unwrap_or(kernels);
+    let shards: Option<usize> = args.value("--shards");
 
     let model = CostModel::t4240rdb();
     println!(

@@ -56,34 +56,28 @@ use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use mca_sync::cli::{FromArg, Spec};
 use romp_epcc::Construct;
 use romp_npb::{Class, NpbKernel};
 use romp_serve::client::{drive, ClientProfile, JobStream, LaneTally, Tally};
 use romp_serve::{lane_name, Client, JobSpec, SubmitOptions};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: loadgen --addr HOST:PORT [--clients N | --sweep 1,4,16,64] \
-         [--requests N] [--pipeline N] [--rate R] \
-         [--mix epcc|npb|mixed|hi=10,batch=90] [--hi-deadline-ms MS] \
-         [--hi-p99-max-us US] [--json]\n\
-         \x20      loadgen --workers-sweep 0,1,2,4 [--server-bin PATH] [flags]\n\
-         \x20      loadgen --addr HOST:PORT --ping | --shutdown"
-    );
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: loadgen --addr HOST:PORT [--clients N | --sweep 1,4,16,64] \
+            [--requests N] [--pipeline N] [--rate R] \
+            [--mix epcc|npb|mixed|hi=10,batch=90] [--hi-deadline-ms MS] \
+            [--hi-p99-max-us US] [--json]\n\
+            \x20      loadgen --workers-sweep 0,1,2,4 [--server-bin PATH] [flags]\n\
+            \x20      loadgen --addr HOST:PORT --ping | --shutdown",
+    values: "--addr --clients --sweep --workers-sweep --server-bin --requests --rate \
+             --pipeline --mix --hi-deadline-ms --hi-p99-max-us",
+    switches: "--json --ping --shutdown",
+    positionals: 0,
+};
 
-/// `s` as a number no smaller than `min`, or usage.
-fn at_least<T: std::str::FromStr + PartialOrd>(s: &str, min: T) -> T {
-    s.parse()
-        .ok()
-        .filter(|n| *n >= min)
-        .unwrap_or_else(|| usage())
-}
-
-/// A comma-separated list of [`at_least`] numbers.
-fn list(s: &str, min: usize) -> Vec<usize> {
-    s.split(',').map(|t| at_least(t.trim(), min)).collect()
+/// A positive count.
+fn positive<T: FromArg + PartialOrd + From<u8>>(s: &str) -> Option<T> {
+    T::from_arg(s).filter(|n| *n >= T::from(1))
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -363,11 +357,12 @@ fn run_phase(
                 };
                 (mix.job(k), opts)
             });
-            let n = per + u64::from(c < extra);
+            // At most `requests`, which was parsed as a u32.
+            let n = (per + u64::from(c < extra)) as u32;
             ClientProfile {
                 pipeline,
                 interval_ns,
-                ..ClientProfile::driven(n.try_into().expect("--requests fits u32"), job)
+                ..ClientProfile::driven(n, job)
             }
         })
         .collect();
@@ -478,46 +473,34 @@ fn spawn_server(bin: &std::path::Path, workers: usize) -> (std::process::Child, 
 }
 
 fn main() {
-    let mut addr: Option<String> = None;
-    let mut clients = 4usize;
-    let mut sweep: Option<Vec<usize>> = None;
-    let mut workers_sweep: Option<Vec<usize>> = None;
-    let mut server_bin: Option<std::path::PathBuf> = None;
-    let mut requests = 200u64;
-    let mut rate = 0.0f64;
-    let mut pipeline = 1u32;
-    let mut mix = Mix::Epcc;
-    let mut hi_deadline_ms = 150u32;
-    let mut hi_p99_max_us = 0f64;
-    let mut json = false;
-    let mut ping = false;
-    let mut shutdown = false;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        let mut value = || args.next().unwrap_or_else(|| usage());
-        match flag.as_str() {
-            "--addr" => addr = Some(value()),
-            "--clients" => clients = at_least(&value(), 1),
-            "--sweep" => sweep = Some(list(&value(), 1)),
-            "--workers-sweep" => workers_sweep = Some(list(&value(), 0)),
-            "--server-bin" => server_bin = Some(value().into()),
-            "--requests" => requests = u64::from(at_least::<u32>(&value(), 0)),
-            "--rate" => rate = value().parse().unwrap_or_else(|_| usage()),
-            "--pipeline" => pipeline = at_least(&value(), 1),
-            "--mix" => mix = Mix::parse(&value()).unwrap_or_else(|| usage()),
-            "--hi-deadline-ms" => hi_deadline_ms = at_least(&value(), 1),
-            "--hi-p99-max-us" => hi_p99_max_us = at_least(&value(), f64::MIN_POSITIVE),
-            "--json" => json = true,
-            "--ping" => ping = true,
-            "--shutdown" => shutdown = true,
-            _ => usage(),
-        }
+    let args = CLI.parse();
+    let addr: Option<String> = args.value("--addr");
+    let clients: usize = args.value_with("--clients", positive).unwrap_or(4);
+    let sweep = args.list_with("--sweep", positive::<usize>);
+    let workers_sweep = args.list::<usize>("--workers-sweep");
+    let server_bin: Option<std::path::PathBuf> = args.value("--server-bin");
+    let requests = u64::from(args.value::<u32>("--requests").unwrap_or(200));
+    let rate: f64 = args.value("--rate").unwrap_or(0.0);
+    let pipeline: u32 = args.value_with("--pipeline", positive).unwrap_or(1);
+    let mix = args.value_with("--mix", Mix::parse).unwrap_or(Mix::Epcc);
+    let hi_deadline_ms: u32 = args.value_with("--hi-deadline-ms", positive).unwrap_or(150);
+    let hi_p99_max_us = args
+        .value_with("--hi-p99-max-us", |s| {
+            f64::from_arg(s).filter(|&us| us > 0.0)
+        })
+        .unwrap_or(0.0);
+    let (json, ping, shutdown) = (
+        args.switch("--json"),
+        args.switch("--ping"),
+        args.switch("--shutdown"),
+    );
+    if hi_p99_max_us > 0.0 && !matches!(mix, Mix::Priority { .. }) {
+        args.fail("--hi-p99-max-us requires --mix hi=..,batch=..");
     }
     // Worker-pool scaling mode: one fresh server per phase.
     if let Some(widths) = workers_sweep {
-        if ping || shutdown || sweep.is_some() || addr.is_some() || widths.is_empty() {
-            usage();
+        if ping || shutdown || sweep.is_some() || addr.is_some() {
+            args.fail("--workers-sweep spawns its own servers");
         }
         let bin = server_bin.or_else(locate_server_bin).unwrap_or_else(|| {
             eprintln!("loadgen: romp-serve binary not found (pass --server-bin PATH)");
@@ -572,7 +555,7 @@ fn main() {
         return;
     }
 
-    let addr = addr.unwrap_or_else(|| usage());
+    let addr = addr.unwrap_or_else(|| args.fail("--addr is required"));
 
     if ping {
         match Client::connect(addr.as_str()).and_then(|mut c| c.ping()) {
@@ -641,10 +624,6 @@ fn main() {
     // admitted for (no deadline kills, no sheds) within the p99 bound.
     if hi_p99_max_us > 0.0 {
         for r in &reports {
-            if !r.classes {
-                eprintln!("loadgen: --hi-p99-max-us requires --mix hi=..,batch=..");
-                std::process::exit(2);
-            }
             let hi = &r.tally.lanes[CLASS_LANES[0]];
             let p99 = quantile_us_of(&hi.latency_ns, 0.99);
             if hi.failed != 0 || hi.sheds != 0 || p99 > hi_p99_max_us {

@@ -12,6 +12,14 @@
 //! sit near β≈0.3).
 
 use mca_platform::vtime::{CostModel, RegionProfile};
+use mca_sync::cli::Spec;
+
+const CLI: Spec = Spec {
+    usage: "usage: model_sweep",
+    values: "",
+    switches: "",
+    positionals: 0,
+};
 
 fn even(total_ns: u64, workers: usize) -> RegionProfile {
     RegionProfile {
@@ -22,6 +30,7 @@ fn even(total_ns: u64, workers: usize) -> RegionProfile {
 }
 
 fn main() {
+    CLI.parse();
     let total = 2_000_000_000u64; // 2s of host CPU work
     println!("== cost-model sensitivity: modeled speedup at N threads (T4240) ==\n");
 

@@ -16,41 +16,34 @@
 //! summary after the grid — arm it with `ROMP_TRACE=1` to also get event
 //! counts, not just runtime statistics.
 
+use mca_sync::cli::Spec;
 use ompmca_bench::{
-    measure_table1_grid, parse_threads, render_table1, render_table1_json, runtime_pair_sharded,
-    table1_threads,
+    measure_table1_grid, render_table1, render_table1_json, runtime_pair_sharded, table1_threads,
+    team_size,
+};
+
+const CLI: Spec = Spec {
+    usage: "usage: table1 [--threads 4,8,12,16,20,24] [--outer N] [--inner N] [--quick] \
+            [--shards N] [--json PATH] [--report]",
+    values: "--threads --outer --inner --shards --json",
+    switches: "--quick --report",
+    positionals: 0,
 };
 
 fn main() {
-    let mut threads = table1_threads();
-    let mut outer = 10usize;
-    let mut inner = 128usize;
-    let mut json_path: Option<String> = None;
-    let mut report = false;
-    let mut shards: Option<usize> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--threads" => {
-                let v = args.next().expect("--threads needs a value");
-                threads = parse_threads(&v).expect("bad --threads list");
-            }
-            "--outer" => outer = args.next().unwrap().parse().expect("bad --outer"),
-            "--inner" => inner = args.next().unwrap().parse().expect("bad --inner"),
-            "--quick" => {
-                threads = vec![2, 4];
-                outer = 3;
-                inner = 16;
-            }
-            "--shards" => shards = Some(args.next().unwrap().parse().expect("bad --shards")),
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--report" => report = true,
-            other => {
-                eprintln!("unknown argument {other}");
-                std::process::exit(2);
-            }
-        }
-    }
+    let args = CLI.parse();
+    // `--quick` shrinks the defaults; an explicit value still wins.
+    let (threads, outer, inner) = if args.switch("--quick") {
+        (vec![2, 4], 3, 16)
+    } else {
+        (table1_threads(), 10, 128)
+    };
+    let threads = args.list_with("--threads", team_size).unwrap_or(threads);
+    let outer: usize = args.value("--outer").unwrap_or(outer);
+    let inner: usize = args.value("--inner").unwrap_or(inner);
+    let shards: Option<usize> = args.value("--shards");
+    let json_path: Option<String> = args.value("--json");
+    let report = args.switch("--report");
 
     println!("== OpenMP-MCA reproduction: Table I (EPCC overheads) ==");
     println!(
@@ -94,7 +87,10 @@ fn main() {
 
     if let Some(path) = json_path {
         let json = render_table1_json(&cells, &threads, outer, inner, shards.unwrap_or(1));
-        std::fs::write(&path, json).expect("write --json output");
+        if let Err(e) = std::fs::write(&path, json) {
+            eprintln!("table1: cannot write {path}: {e}");
+            std::process::exit(1);
+        }
         println!("\nwrote {path}");
     }
 

@@ -19,15 +19,14 @@
 pub mod harness;
 
 use mca_platform::vtime::CostModel;
+use mca_sync::cli::FromArg;
 use romp::{BackendKind, Config, Runtime};
 use romp_epcc::{Construct, EpccConfig, Measurement};
 use romp_npb::{Class, NpbKernel};
 
-/// Parse a comma-separated list of thread counts.
-pub fn parse_threads(s: &str) -> Option<Vec<usize>> {
-    let v: Result<Vec<usize>, _> = s.split(',').map(|t| t.trim().parse::<usize>()).collect();
-    v.ok()
-        .filter(|v| !v.is_empty() && v.iter().all(|&n| (1..=256).contains(&n)))
+/// Parse one team size of a `--threads` list (1..=256).
+pub fn team_size(s: &str) -> Option<usize> {
+    usize::from_arg(s).filter(|n| (1..=256).contains(n))
 }
 
 /// The paper's Table I team sizes.
@@ -276,10 +275,12 @@ mod tests {
 
     #[test]
     fn threads_parsing() {
-        assert_eq!(parse_threads("1,2, 4"), Some(vec![1, 2, 4]));
-        assert_eq!(parse_threads(""), None);
-        assert_eq!(parse_threads("0,2"), None);
-        assert_eq!(parse_threads("a"), None);
+        assert_eq!(team_size(" 4"), Some(4));
+        assert_eq!(team_size("256"), Some(256));
+        assert_eq!(team_size(""), None);
+        assert_eq!(team_size("0"), None);
+        assert_eq!(team_size("257"), None);
+        assert_eq!(team_size("a"), None);
         assert_eq!(table1_threads(), vec![4, 8, 12, 16, 20, 24]);
     }
 

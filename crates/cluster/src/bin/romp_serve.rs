@@ -22,97 +22,42 @@
 
 use std::sync::Arc;
 
+use mca_sync::cli::Spec;
 use romp::{BackendKind, Config, Runtime};
 use romp_cluster::{ClusterConfig, Router};
 use romp_serve::{JobLimits, ServeConfig, Server};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: romp-serve [--addr HOST:PORT] [--backend native|mca] \
-         [--queue-cap N] [--max-job-threads N] [--threads N] \
-         [--deadline-ms N] [--grace-ms N] [--shards N] \
-         [--allow-diag] [--shed] [--workers N] [--worker-threads N] \
-         [--worker-bin PATH]"
-    );
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: romp-serve [--addr HOST:PORT] [--backend native|mca] \
+            [--queue-cap N] [--max-job-threads N] [--threads N] \
+            [--deadline-ms N] [--grace-ms N] [--shards N] \
+            [--allow-diag] [--shed] [--workers N] [--worker-threads N] \
+            [--worker-bin PATH]",
+    values: "--addr --backend --queue-cap --max-job-threads --threads --deadline-ms \
+             --grace-ms --shards --workers --worker-threads --worker-bin",
+    switches: "--allow-diag --shed",
+    positionals: 0,
+};
 
 fn main() {
-    let mut addr = "127.0.0.1:7171".to_string();
-    let mut backend = BackendKind::Native;
-    let mut queue_cap = 64usize;
-    let mut max_job_threads = 16u8;
-    let mut num_threads: Option<usize> = None;
-    let mut default_deadline_ms = 0u32;
-    let mut escalation_grace_ms: Option<u64> = None;
-    let mut shards: Option<usize> = None;
-    let mut allow_diag = false;
-    let mut shed = false;
-    let mut workers = 0usize;
-    let mut worker_threads: Option<usize> = None;
-    let mut worker_bin: Option<std::path::PathBuf> = None;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |j: usize| args.get(j).cloned().unwrap_or_else(|| usage());
-        match args[i].as_str() {
-            "--addr" => {
-                addr = need(i + 1);
-                i += 2;
-            }
-            "--backend" => {
-                backend = BackendKind::parse(&need(i + 1)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--queue-cap" => {
-                queue_cap = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--max-job-threads" => {
-                max_job_threads = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--threads" => {
-                num_threads = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--deadline-ms" => {
-                default_deadline_ms = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--grace-ms" => {
-                escalation_grace_ms = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--shards" => {
-                shards = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--allow-diag" => {
-                allow_diag = true;
-                i += 1;
-            }
-            "--shed" => {
-                shed = true;
-                i += 1;
-            }
-            "--workers" => {
-                workers = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--worker-threads" => {
-                worker_threads = Some(need(i + 1).parse().unwrap_or_else(|_| usage()));
-                i += 2;
-            }
-            "--worker-bin" => {
-                worker_bin = Some(need(i + 1).into());
-                i += 2;
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
+    let args = CLI.parse();
+    let addr = args
+        .value("--addr")
+        .unwrap_or_else(|| "127.0.0.1:7171".to_string());
+    let backend = args
+        .value_with("--backend", BackendKind::parse)
+        .unwrap_or(BackendKind::Native);
+    let queue_cap = args.value("--queue-cap").unwrap_or(64);
+    let max_job_threads = args.value("--max-job-threads").unwrap_or(16);
+    let num_threads: Option<usize> = args.value("--threads");
+    let default_deadline_ms = args.value("--deadline-ms").unwrap_or(0);
+    let escalation_grace_ms: Option<u64> = args.value("--grace-ms");
+    let shards: Option<usize> = args.value("--shards");
+    let allow_diag = args.switch("--allow-diag");
+    let shed = args.switch("--shed");
+    let workers = args.value("--workers").unwrap_or(0);
+    let worker_threads: Option<usize> = args.value("--worker-threads");
+    let worker_bin = args.value("--worker-bin");
 
     let mut cfg = Config::from_env().with_backend(backend);
     if let Some(n) = num_threads {

@@ -11,54 +11,33 @@
 //! The rmem result segment always holds `proto::SLOTS` slots of
 //! `proto::SLOT_BYTES` bytes; the router reads it with the same constants.
 
+use mca_sync::cli::Spec;
 use romp::BackendKind;
 use romp_cluster::{run_worker, WorkerConfig};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: romp-worker --socket PATH --worker-id N --rmem-path PATH \
-         [--threads N] [--backend native|mca] [--heartbeat-ms N]"
-    );
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: romp-worker --socket PATH --worker-id N --rmem-path PATH \
+            [--threads N] [--backend native|mca] [--heartbeat-ms N]",
+    values: "--socket --worker-id --rmem-path --threads --backend --heartbeat-ms",
+    switches: "",
+    positionals: 0,
+};
 
 fn main() {
-    let mut cfg = WorkerConfig::default();
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |j: usize| args.get(j).cloned().unwrap_or_else(|| usage());
-        match args[i].as_str() {
-            "--socket" => {
-                cfg.socket = need(i + 1).into();
-                i += 2;
-            }
-            "--worker-id" => {
-                cfg.worker_id = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--threads" => {
-                cfg.threads = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--backend" => {
-                cfg.backend = BackendKind::parse(&need(i + 1)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--rmem-path" => {
-                cfg.rmem_path = need(i + 1).into();
-                i += 2;
-            }
-            "--heartbeat-ms" => {
-                cfg.heartbeat_ms = need(i + 1).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--help" | "-h" => usage(),
-            _ => usage(),
-        }
-    }
+    let args = CLI.parse();
+    let d = WorkerConfig::default();
+    let cfg = WorkerConfig {
+        socket: args.value("--socket").unwrap_or(d.socket),
+        worker_id: args.value("--worker-id").unwrap_or(d.worker_id),
+        rmem_path: args.value("--rmem-path").unwrap_or(d.rmem_path),
+        threads: args.value("--threads").unwrap_or(d.threads),
+        backend: args
+            .value_with("--backend", BackendKind::parse)
+            .unwrap_or(d.backend),
+        heartbeat_ms: args.value("--heartbeat-ms").unwrap_or(d.heartbeat_ms),
+    };
     if cfg.socket.as_os_str().is_empty() || cfg.rmem_path.as_os_str().is_empty() {
-        usage();
+        args.fail("--socket and --rmem-path are required");
     }
     std::process::exit(run_worker(cfg));
 }

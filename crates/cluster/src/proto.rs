@@ -100,7 +100,8 @@ pub enum ToRouter {
         /// Result-detail location: an rmem slot index, or
         /// [`SLOT_INLINE`].
         slot: u32,
-        /// Detail length in bytes (rmem path); ignored inline.
+        /// Detail length in bytes: at most [`SLOT_BYTES`] in a slot,
+        /// `inline.len()` inline (checked at decode).
         len: u32,
         /// The detail itself when `slot == SLOT_INLINE`, else empty.
         inline: Vec<u8>,
@@ -221,15 +222,26 @@ impl ToRouter {
                 // byte: a short message is `Truncated`, not `BadPayload`.
                 let (job, state) = (cur.u64()?, cur.u8()?);
                 let (ok, wall_us, slot, len) = (cur.u8()? != 0, cur.u64()?, cur.u32()?, cur.u32()?);
+                let state =
+                    JobState::from_u8(state).ok_or(ProtoError::BadPayload("unknown job state"))?;
+                let inline = cur.rest();
+                // The router reads `len` bytes at slot `slot` of the
+                // worker's segment: both must stay inside one slot.
+                if slot == SLOT_INLINE && len as usize != inline.len() {
+                    return Err(ProtoError::BadPayload("inline detail length mismatch"));
+                }
+                if slot != SLOT_INLINE && (slot >= SLOTS || len > SLOT_BYTES || !inline.is_empty())
+                {
+                    return Err(ProtoError::BadPayload("rmem slot reference out of range"));
+                }
                 return Ok(ToRouter::Done {
                     job,
-                    state: JobState::from_u8(state)
-                        .ok_or(ProtoError::BadPayload("unknown job state"))?,
+                    state,
                     ok,
                     wall_us,
                     slot,
                     len,
-                    inline: cur.rest().to_vec(),
+                    inline: inline.to_vec(),
                 });
             }
             other => return Err(ProtoError::UnknownOpcode(other)),
@@ -298,21 +310,26 @@ mod tests {
                     executed: rng.next_u64(),
                     activity: rng.next_u64(),
                 },
-                _ => ToRouter::Done {
-                    job: rng.next_u64(),
-                    state: JobState::from_u8(2 + (rng.next_u64() % 2) as u8).unwrap(),
-                    ok: rng.next_u64().is_multiple_of(2),
-                    wall_us: rng.next_u64(),
-                    slot: if rng.next_u64().is_multiple_of(2) {
-                        SLOT_INLINE
-                    } else {
-                        rng.next_u64() as u32 % 64
-                    },
-                    len: rng.next_u64() as u32,
-                    inline: (0..rng.gen_index(0, 40))
+                _ => {
+                    let inline: Vec<u8> = (0..rng.gen_index(0, 40))
                         .map(|_| rng.next_u64() as u8)
-                        .collect(),
-                },
+                        .collect();
+                    let (slot, len, inline) = if rng.next_u64().is_multiple_of(2) {
+                        (SLOT_INLINE, inline.len() as u32, inline)
+                    } else {
+                        let len = rng.gen_range(0, u64::from(SLOT_BYTES) + 1) as u32;
+                        (rng.next_u64() as u32 % SLOTS, len, Vec::new())
+                    };
+                    ToRouter::Done {
+                        job: rng.next_u64(),
+                        state: JobState::from_u8(2 + (rng.next_u64() % 2) as u8).unwrap(),
+                        ok: rng.next_u64().is_multiple_of(2),
+                        wall_us: rng.next_u64(),
+                        slot,
+                        len,
+                        inline,
+                    }
+                }
             };
             assert_eq!(ToRouter::decode(&msg.encode()), Ok(msg.clone()), "{msg:?}");
         }
@@ -326,6 +343,38 @@ mod tests {
             let bytes: Vec<u8> = (0..len).map(|_| rng.next_u64() as u8).collect();
             let _ = ToWorker::decode(&bytes);
             let _ = ToRouter::decode(&bytes);
+        }
+        // A `Done` whose (slot, len) would read outside one rmem slot, or
+        // whose inline detail disagrees with its length, is refused.
+        let done = |slot, len, inline: &[u8]| ToRouter::Done {
+            job: 7,
+            state: JobState::Done,
+            ok: true,
+            wall_us: 1,
+            slot,
+            len,
+            inline: inline.to_vec(),
+        };
+        let refused = |msg: ToRouter| {
+            assert!(
+                matches!(
+                    ToRouter::decode(&msg.encode()),
+                    Err(ProtoError::BadPayload(_))
+                ),
+                "{msg:?}"
+            );
+        };
+        refused(done(SLOTS, 1, b""));
+        refused(done(0, SLOT_BYTES + 1, b""));
+        refused(done(0, u32::MAX, b""));
+        refused(done(3, 2, b"xy"));
+        refused(done(SLOT_INLINE, 3, b"xy"));
+        refused(done(SLOT_INLINE, u32::MAX, b""));
+        for ok in [
+            done(SLOTS - 1, SLOT_BYTES, b""),
+            done(SLOT_INLINE, 2, b"xy"),
+        ] {
+            assert_eq!(ToRouter::decode(&ok.encode()), Ok(ok.clone()));
         }
     }
 

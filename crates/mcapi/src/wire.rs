@@ -10,7 +10,9 @@
 //! A [`WireChan`] is one *duplex* link.  Packets are framed straight
 //! onto the socket — a `u32` big-endian length prefix (bounded by
 //! [`MAX_WIRE_PKT`]) followed by the body — with no relay thread or
-//! intermediate queue on either side:
+//! intermediate queue on either side.  The prefix is written and read by
+//! the workspace's one frame module, [`mca_sync::frame`] (the same
+//! reader the `romp-serve` reactor uses), under [`WireFraming`]'s bounds:
 //!
 //! ```text
 //!   app ──send──▶ socket ──▶ peer recv ──▶ peer app
@@ -24,11 +26,12 @@
 //! [`crate::pktchan::PktRx`] reports for an in-process close.  That typed
 //! close is what a supervisor keys its failure detection on.
 
-use std::io::{IoSlice, Read, Write};
+use std::io::{IoSlice, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::time::{Duration, Instant};
 
+use mca_sync::frame::{self, FrameBuf, Framing};
 use mca_sync::Mutex;
 
 use crate::status::{McapiResult, McapiStatus};
@@ -38,12 +41,19 @@ use crate::McapiError;
 /// hostile or corrupt length prefixes.
 pub const MAX_WIRE_PKT: usize = 1 << 20;
 
-/// Bytes of the length prefix in front of every packet.
-const PREFIX: usize = 4;
+/// The wire's framing: packets of 0..=[`MAX_WIRE_PKT`] bytes; a longer
+/// prefix means the peer is broken, reported as the channel's close.
+#[derive(Debug, Default)]
+pub struct WireFraming;
 
-/// Least a receive asks the socket for, so small packets sent back to
-/// back arrive in one read.
-const READ_CHUNK: usize = 4096;
+impl Framing for WireFraming {
+    const MIN: usize = 0;
+    const MAX: usize = MAX_WIRE_PKT;
+    type Error = McapiError;
+    fn reject(_len: usize) -> McapiError {
+        McapiError(McapiStatus::ErrChanClosed)
+    }
+}
 
 /// Listening side of a wire: accepts peer processes connecting to a
 /// Unix-socket path and hands each back as a [`WireChan`].
@@ -95,67 +105,12 @@ pub struct WireChan {
     inbox: Mutex<Inbox>,
 }
 
-/// Receive-side state: bytes read off the socket but not yet returned.
-/// A frame cut short by a timeout stays here for the next call.
+/// Receive-side state: bytes read off the socket but not yet returned
+/// (a frame cut short by a timeout stays buffered for the next call),
+/// and the read timeout currently set on the socket (set only on change).
 struct Inbox {
-    buf: Vec<u8>,
-    /// The read timeout currently set on the socket (set only on change).
+    frames: FrameBuf<WireFraming>,
     timeout: Option<Duration>,
-}
-
-impl Inbox {
-    /// Length of the frame at the head of `buf`, once its prefix is in.
-    fn frame_len(&self) -> McapiResult<Option<usize>> {
-        let Some(prefix) = self.buf.get(..PREFIX) else {
-            return Ok(None);
-        };
-        let len = u32::from_be_bytes(prefix.try_into().expect("prefix is 4 bytes")) as usize;
-        if len > MAX_WIRE_PKT {
-            return Err(McapiError(McapiStatus::ErrChanClosed));
-        }
-        Ok(Some(len))
-    }
-
-    /// Remove and return the head frame's body if it is complete.
-    fn take_frame(&mut self) -> McapiResult<Option<Vec<u8>>> {
-        match self.frame_len()? {
-            Some(len) if self.buf.len() >= PREFIX + len => {
-                let pkt = self.buf[PREFIX..PREFIX + len].to_vec();
-                self.buf.drain(..PREFIX + len);
-                Ok(Some(pkt))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// One read from `stream`, waiting at most `timeout` (`None` =
-    /// forever); EOF is the typed channel close.
-    fn fill(&mut self, mut stream: &UnixStream, timeout: Option<Duration>) -> McapiResult<()> {
-        let closed = McapiError(McapiStatus::ErrChanClosed);
-        if self.timeout != timeout {
-            stream.set_read_timeout(timeout).map_err(|_| closed)?;
-            self.timeout = timeout;
-        }
-        let missing = match self.frame_len()? {
-            Some(len) => PREFIX + len - self.buf.len(),
-            None => PREFIX - self.buf.len(),
-        };
-        let old = self.buf.len();
-        self.buf.resize(old + missing.max(READ_CHUNK), 0);
-        let read = stream.read(&mut self.buf[old..]);
-        self.buf.truncate(old + *read.as_ref().unwrap_or(&0));
-        match read {
-            Ok(0) => Err(closed),
-            Ok(_) => Ok(()),
-            Err(e) => match e.kind() {
-                std::io::ErrorKind::Interrupted => Ok(()),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
-                    Err(McapiError(McapiStatus::Timeout))
-                }
-                _ => Err(closed),
-            },
-        }
-    }
 }
 
 impl WireChan {
@@ -186,7 +141,7 @@ impl WireChan {
             stream,
             send_lock: Mutex::new(()),
             inbox: Mutex::new(Inbox {
-                buf: Vec::new(),
+                frames: FrameBuf::new(),
                 timeout: None,
             }),
         })
@@ -196,10 +151,10 @@ impl WireChan {
     /// `MCAPI_ERR_CHAN_CLOSED` means the peer — or the socket under it —
     /// is gone.
     pub fn send(&self, pkt: &[u8]) -> McapiResult<()> {
-        if pkt.len() > MAX_WIRE_PKT {
+        if !frame::fits::<WireFraming>(pkt.len()) {
             return Err(McapiError(McapiStatus::ErrPktLimit));
         }
-        let prefix = (pkt.len() as u32).to_be_bytes();
+        let prefix = frame::prefix(pkt.len());
         let mut frame = [IoSlice::new(&prefix), IoSlice::new(pkt)];
         let mut rest = &mut frame[..];
         let _g = self.send_lock.lock();
@@ -228,17 +183,31 @@ impl WireChan {
     }
 
     fn recv_within(&self, timeout: Option<Duration>) -> McapiResult<Vec<u8>> {
+        let closed = McapiError(McapiStatus::ErrChanClosed);
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut wait = timeout;
         let mut inbox = self.inbox.lock();
         loop {
-            if let Some(pkt) = inbox.take_frame()? {
+            if let Some(pkt) = inbox.frames.next_frame()? {
                 return Ok(pkt);
             }
             if wait.is_some_and(|w| w.is_zero()) {
                 return Err(McapiError(McapiStatus::Timeout));
             }
-            inbox.fill(&self.stream, wait)?;
+            if inbox.timeout != wait {
+                self.stream.set_read_timeout(wait).map_err(|_| closed)?;
+                inbox.timeout = wait;
+            }
+            match inbox.frames.read_from(&mut &self.stream) {
+                Ok(0) => return Err(closed),
+                Ok(_) => {}
+                Err(e) => match e.kind() {
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => {
+                        return Err(McapiError(McapiStatus::Timeout))
+                    }
+                    _ => return Err(closed),
+                },
+            }
             wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         }
     }

@@ -4,38 +4,27 @@
 //! cargo run -p romp-npb --release --bin npb -- <EP|CG|IS|MG|FT> <S|W|A> <threads> [native|mca]
 //! ```
 
+use mca_sync::cli::{FromArg, Spec};
 use romp::{BackendKind, Config, Runtime};
 use romp_npb::{Class, NpbKernel};
 
-fn usage() -> ! {
-    eprintln!("usage: npb <EP|CG|IS|MG|FT> <S|W|A> <threads> [native|mca]");
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: npb <EP|CG|IS|MG|FT> <S|W|A> <threads> [native|mca]",
+    values: "",
+    switches: "",
+    positionals: 4,
+};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if args.len() < 3 {
-        usage();
-    }
-    let kernel = match args[0].to_ascii_uppercase().as_str() {
-        "EP" => NpbKernel::Ep,
-        "CG" => NpbKernel::Cg,
-        "IS" => NpbKernel::Is,
-        "MG" => NpbKernel::Mg,
-        "FT" => NpbKernel::Ft,
-        _ => usage(),
+    let args = CLI.parse();
+    let kernel = args.positional_with(0, NpbKernel::parse);
+    let class = args.positional_with(1, Class::parse);
+    let threads = args.positional_with(2, usize::from_arg);
+    let backend = args.positional_with(3, BackendKind::parse);
+    let (Some(kernel), Some(class), Some(threads)) = (kernel, class, threads) else {
+        args.fail("kernel, class and thread count are required")
     };
-    let Some(class) = Class::parse(&args[1]) else {
-        usage()
-    };
-    let Ok(threads) = args[2].parse::<usize>() else {
-        usage()
-    };
-    let backend = match args.get(3).map(|s| s.as_str()) {
-        None | Some("mca") => BackendKind::Mca,
-        Some("native") => BackendKind::Native,
-        _ => usage(),
-    };
+    let backend = backend.unwrap_or(BackendKind::Mca);
 
     let rt = Runtime::with_config(Config::default().with_backend(backend)).unwrap();
     println!(

@@ -66,6 +66,14 @@ impl NpbKernel {
         ]
     }
 
+    /// Parse an NPB name (`"EP"`, `"cg"`, ...; case-insensitive).
+    pub fn parse(s: &str) -> Option<NpbKernel> {
+        let s = s.trim();
+        NpbKernel::all()
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(s))
+    }
+
     /// Uppercase NPB name.
     pub fn name(self) -> &'static str {
         match self {
@@ -102,5 +110,19 @@ impl NpbKernel {
             NpbKernel::Mg => mg::run(rt, threads, class),
             NpbKernel::Ft => ft::run(rt, threads, class),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn kernel_parsing() {
+        for k in NpbKernel::all() {
+            assert_eq!(NpbKernel::parse(&k.name().to_ascii_lowercase()), Some(k));
+        }
+        assert_eq!(NpbKernel::parse(" Ft "), Some(NpbKernel::Ft));
+        assert_eq!(NpbKernel::parse("XX"), None);
     }
 }

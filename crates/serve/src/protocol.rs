@@ -12,6 +12,8 @@
 //! The length counts the body only, must be at least 1 (the opcode) and
 //! at most [`MAX_FRAME`]; anything else is a protocol error, reported as
 //! a typed [`ProtoError`] — decoding never panics, whatever the bytes.
+//! The prefix itself is written and checked by the workspace's one frame
+//! module, [`mca_sync::frame`], under [`ServeFraming`]'s bounds.
 //! Integers are big-endian; strings are UTF-8 and occupy the rest of the
 //! body (every message has at most one string, always last).
 //!
@@ -21,6 +23,7 @@
 
 use std::io::{self, Read, Write};
 
+use mca_sync::frame::{self, Framing};
 use romp_epcc::Construct;
 use romp_npb::{Class, NpbKernel};
 
@@ -29,6 +32,25 @@ use crate::job::{DiagSpec, JobSpec, JobState};
 /// Upper bound on a frame body, protecting the peer from hostile or
 /// corrupt length prefixes.
 pub const MAX_FRAME: usize = 64 * 1024;
+
+/// The serving protocol's framing: bodies of 1 (the opcode) to
+/// [`MAX_FRAME`] bytes; any other prefix is [`ProtoError::EmptyFrame`]
+/// or [`ProtoError::Oversized`].
+#[derive(Debug, Default)]
+pub struct ServeFraming;
+
+impl Framing for ServeFraming {
+    const MIN: usize = 1;
+    const MAX: usize = MAX_FRAME;
+    type Error = ProtoError;
+    fn reject(len: usize) -> ProtoError {
+        if len == 0 {
+            ProtoError::EmptyFrame
+        } else {
+            ProtoError::Oversized(len)
+        }
+    }
+}
 
 /// A malformed frame or payload (the decoding side's typed rejection).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -703,41 +725,16 @@ fn truncate_str(s: &str) -> &str {
 }
 
 fn finish_frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME);
-    let mut out = Vec::with_capacity(4 + body.len());
-    out.extend_from_slice(&(body.len() as u32).to_be_bytes());
-    out.extend_from_slice(&body);
-    out
+    debug_assert!(frame::fits::<ServeFraming>(body.len()));
+    frame::encode(&body)
 }
 
-/// Read one frame body from `r`.
-///
-/// * `Ok(Some(body))` — a complete frame;
-/// * `Ok(None)` — clean EOF at a frame boundary (peer closed);
-/// * `Err(FrameError::Proto)` — a hostile length prefix (oversized or
-///   zero); the connection should be dropped, the stream is out of sync;
-/// * `Err(FrameError::Io)` — transport error, including EOF mid-frame
-///   (`UnexpectedEof`), i.e. a truncated frame.
+/// Read one frame body from `r` (see [`frame::read_frame`]): `Ok(None)`
+/// at a clean EOF between frames; a forbidden prefix is
+/// `FrameError::Proto` and the stream is out of sync; a transport error,
+/// including EOF mid-frame (`UnexpectedEof`), is `FrameError::Io`.
 pub fn read_frame(r: &mut impl Read) -> Result<Option<Vec<u8>>, FrameError> {
-    let mut len_buf = [0u8; 4];
-    // Hand-rolled first-byte read so EOF *between* frames is clean.
-    match r.read(&mut len_buf[..1]) {
-        Ok(0) => return Ok(None),
-        Ok(_) => {}
-        Err(e) if e.kind() == io::ErrorKind::Interrupted => return read_frame(r),
-        Err(e) => return Err(FrameError::Io(e)),
-    }
-    r.read_exact(&mut len_buf[1..]).map_err(FrameError::Io)?;
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len == 0 {
-        return Err(FrameError::Proto(ProtoError::EmptyFrame));
-    }
-    if len > MAX_FRAME {
-        return Err(FrameError::Proto(ProtoError::Oversized(len)));
-    }
-    let mut body = vec![0u8; len];
-    r.read_exact(&mut body).map_err(FrameError::Io)?;
-    Ok(Some(body))
+    frame::read_frame::<ServeFraming>(r)
 }
 
 /// Write one already-encoded frame.
@@ -746,25 +743,9 @@ pub fn write_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
-/// What [`read_frame`] can fail with.
-#[derive(Debug)]
-pub enum FrameError {
-    /// Transport failure (including truncation mid-frame).
-    Io(io::Error),
-    /// A length prefix the protocol forbids.
-    Proto(ProtoError),
-}
-
-impl std::fmt::Display for FrameError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameError::Io(e) => write!(f, "transport: {e}"),
-            FrameError::Proto(e) => write!(f, "protocol: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for FrameError {}
+/// What [`read_frame`] can fail with: `Io` (transport failure, including
+/// truncation mid-frame) or `Proto` (a length prefix the protocol forbids).
+pub type FrameError = frame::ReadError<ProtoError>;
 
 #[cfg(test)]
 mod tests {
@@ -958,6 +939,13 @@ mod tests {
             read_frame(&mut r),
             Err(FrameError::Proto(ProtoError::EmptyFrame))
         ));
+        // The reactor's buffer maps the same prefixes the same way.
+        let mut rb = crate::reactor::RecvBuf::new();
+        rb.extend(&0u32.to_be_bytes());
+        assert_eq!(rb.next_frame(), Err(ProtoError::EmptyFrame));
+        let mut rb = crate::reactor::RecvBuf::new();
+        rb.extend(&((MAX_FRAME as u32) + 1).to_be_bytes());
+        assert_eq!(rb.next_frame(), Err(ProtoError::Oversized(MAX_FRAME + 1)));
     }
 
     #[test]

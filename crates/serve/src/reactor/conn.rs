@@ -3,122 +3,35 @@
 //!
 //! Under edge-triggered readiness the reactor sees *bytes*, not frames:
 //! a read may deliver half a length prefix, three frames and a tail, or
-//! one byte.  [`RecvBuf`] accumulates whatever arrives and yields
-//! complete frame bodies as they materialize, enforcing the same
-//! [`MAX_FRAME`] bound as the blocking reader did — a hostile prefix is a
-//! typed [`ProtoError`], never a panic or an unbounded allocation.
-//! [`SendBuf`] is the mirror image for writes: responses are queued as
-//! encoded frames and flushed as far as the socket allows; a short write
-//! leaves the tail buffered for the next `EPOLLOUT` edge.
+//! one byte.  [`RecvBuf`] is the workspace's one frame reader,
+//! [`mca_sync::frame::FrameBuf`], under the serving protocol's bounds
+//! ([`ServeFraming`]: 1..=[`crate::protocol::MAX_FRAME`] bytes): it accumulates whatever
+//! arrives and yields complete frame bodies as they materialize, and a
+//! hostile prefix is a typed [`crate::protocol::ProtoError`], never a
+//! panic or an unbounded allocation — the same check the blocking
+//! [`crate::protocol::read_frame`] makes.  [`SendBuf`] is the mirror
+//! image for writes: responses are queued as encoded frames and flushed
+//! as far as the socket allows; a short write leaves the tail buffered
+//! for the next `EPOLLOUT` edge.
 //!
 //! Both types are deliberately transport-agnostic (`impl Read` /
 //! `impl Write`), which is what lets the property tests drive them one
 //! byte at a time and through deliberately short-writing sinks.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
-use crate::protocol::{ProtoError, MAX_FRAME};
+pub use mca_sync::frame::Fill;
+use mca_sync::frame::FrameBuf;
 
-/// How much a single `read` call may pull (per loop iteration); the fill
-/// loop keeps going until the socket runs dry, so this bounds only the
-/// chunk size, not the total.
-const READ_CHUNK: usize = 16 * 1024;
+use crate::protocol::ServeFraming;
 
-/// Compact the buffer once this many consumed bytes accumulate at the
-/// front (amortized: memmove cost is paid once per ~64KiB consumed).
+/// Compact the send buffer once this many written bytes accumulate at
+/// the front (amortized: memmove cost is paid once per ~64KiB written).
 const COMPACT_AT: usize = 64 * 1024;
 
-/// What a [`RecvBuf::fill_from`] pass observed at the transport.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Fill {
-    /// The transport ran dry (`WouldBlock`): all currently-available
-    /// bytes are buffered; wait for the next readiness edge.
-    WouldBlock,
-    /// The peer closed its write side (EOF).  Bytes read before the EOF
-    /// are buffered and should still be decoded.
-    Eof,
-}
-
-/// Growable receive buffer with incremental length-prefixed frame decode.
-#[derive(Debug, Default)]
-pub struct RecvBuf {
-    buf: Vec<u8>,
-    /// Bytes before `start` are consumed (compacted lazily).
-    start: usize,
-}
-
-impl RecvBuf {
-    /// An empty buffer.
-    pub fn new() -> Self {
-        RecvBuf::default()
-    }
-
-    /// Bytes buffered but not yet consumed as frames.
-    pub fn pending(&self) -> usize {
-        self.buf.len() - self.start
-    }
-
-    /// Append raw bytes (the test-side entry point; production bytes
-    /// arrive via [`RecvBuf::fill_from`]).
-    pub fn extend(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Read from `r` until it runs dry (`WouldBlock`) or reports EOF,
-    /// buffering everything.  `Interrupted` is retried; other transport
-    /// errors propagate.  On a blocking transport this returns only at
-    /// EOF — the reactor always hands in non-blocking sockets.
-    pub fn fill_from(&mut self, r: &mut impl Read) -> io::Result<Fill> {
-        let mut chunk = [0u8; READ_CHUNK];
-        loop {
-            match r.read(&mut chunk) {
-                Ok(0) => return Ok(Fill::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(Fill::WouldBlock),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Pop the next complete frame body, if one is buffered.
-    ///
-    /// * `Ok(Some(body))` — a complete frame (length prefix stripped);
-    /// * `Ok(None)` — the buffer holds only a partial frame so far;
-    /// * `Err` — a length prefix the protocol forbids (zero or over
-    ///   [`MAX_FRAME`]): the stream is out of sync and the connection
-    ///   must be dropped after one `BadFrame` answer, matching the
-    ///   blocking reader's contract.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, ProtoError> {
-        let avail = &self.buf[self.start..];
-        if avail.len() < 4 {
-            self.maybe_compact();
-            return Ok(None);
-        }
-        let len = u32::from_be_bytes(avail[..4].try_into().unwrap()) as usize;
-        if len == 0 {
-            return Err(ProtoError::EmptyFrame);
-        }
-        if len > MAX_FRAME {
-            return Err(ProtoError::Oversized(len));
-        }
-        if avail.len() < 4 + len {
-            self.maybe_compact();
-            return Ok(None);
-        }
-        let body = avail[4..4 + len].to_vec();
-        self.start += 4 + len;
-        self.maybe_compact();
-        Ok(Some(body))
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.start >= COMPACT_AT || self.start == self.buf.len() {
-            self.buf.drain(..self.start);
-            self.start = 0;
-        }
-    }
-}
+/// Growable receive buffer with incremental length-prefixed frame decode
+/// (`new`/`extend`/`fill_from`/`next_frame`/`pending`).
+pub type RecvBuf = FrameBuf<ServeFraming>;
 
 /// What a [`SendBuf::flush_to`] pass achieved at the transport.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -192,40 +105,7 @@ impl SendBuf {
 mod tests {
     use super::*;
 
-    fn frame(body: &[u8]) -> Vec<u8> {
-        let mut f = (body.len() as u32).to_be_bytes().to_vec();
-        f.extend_from_slice(body);
-        f
-    }
-
-    #[test]
-    fn byte_at_a_time_decode_yields_each_frame_exactly_once() {
-        let bodies: Vec<Vec<u8>> = vec![vec![1], vec![2, 3, 4], vec![5; 300]];
-        let mut stream = Vec::new();
-        for b in &bodies {
-            stream.extend_from_slice(&frame(b));
-        }
-        let mut rb = RecvBuf::new();
-        let mut seen = Vec::new();
-        for &byte in &stream {
-            rb.extend(&[byte]);
-            while let Some(body) = rb.next_frame().unwrap() {
-                seen.push(body);
-            }
-        }
-        assert_eq!(seen, bodies);
-        assert_eq!(rb.pending(), 0);
-    }
-
-    #[test]
-    fn hostile_prefixes_are_typed_errors() {
-        let mut rb = RecvBuf::new();
-        rb.extend(&0u32.to_be_bytes());
-        assert_eq!(rb.next_frame(), Err(ProtoError::EmptyFrame));
-        let mut rb = RecvBuf::new();
-        rb.extend(&((MAX_FRAME as u32) + 1).to_be_bytes());
-        assert!(matches!(rb.next_frame(), Err(ProtoError::Oversized(_))));
-    }
+    use mca_sync::frame::encode as frame;
 
     /// A sink that accepts at most one byte per write, then blocks every
     /// other call — the worst-case short-write transport.

@@ -13,90 +13,44 @@
 
 use std::process::ExitCode;
 
+use mca_sync::cli::Spec;
 use romp_sim::{run_scenario, Scenario, SimStats};
 
-struct Args {
-    scenario: String,
-    seeds: u64,
-    base: u64,
-    seed: Option<u64>,
-    trace: bool,
-}
-
-fn parse_args() -> Result<Args, String> {
-    let mut args = Args {
-        scenario: "all".to_string(),
-        seeds: 250,
-        base: 1,
-        seed: None,
-        trace: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        let mut val = |name: &str| -> Result<String, String> {
-            it.next().ok_or_else(|| format!("{name} needs a value"))
-        };
-        match a.as_str() {
-            "--scenario" => args.scenario = val("--scenario")?,
-            "--seeds" => {
-                args.seeds = val("--seeds")?
-                    .parse()
-                    .map_err(|e| format!("--seeds: {e}"))?
-            }
-            "--base" => args.base = val("--base")?.parse().map_err(|e| format!("--base: {e}"))?,
-            "--seed" => {
-                args.seed = Some(val("--seed")?.parse().map_err(|e| format!("--seed: {e}"))?)
-            }
-            "--trace" => args.trace = true,
-            "--help" | "-h" => {
-                println!(
-                    "simstorm [--scenario NAME|all] [--seeds N] [--base B] [--seed S] [--trace]\n\
-                     scenarios: {}",
-                    Scenario::all()
-                        .iter()
-                        .map(|s| s.name)
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument {other}")),
-        }
-    }
-    Ok(args)
-}
-
-fn scenarios_for(sel: &str) -> Result<Vec<Scenario>, String> {
-    if sel == "all" {
-        return Ok(Scenario::all());
-    }
-    Scenario::by_name(sel)
-        .map(|s| vec![s])
-        .ok_or_else(|| format!("unknown scenario {sel}"))
-}
-
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
-        Err(e) => {
-            eprintln!("simstorm: {e}");
-            return ExitCode::from(2);
-        }
+    let names: Vec<_> = Scenario::all().iter().map(|s| s.name).collect();
+    let usage = format!(
+        "usage: simstorm [--scenario NAME|all] [--seeds N] [--base B] [--seed S] [--trace]\n\
+         scenarios: {}",
+        names.join(", ")
+    );
+    let args = Spec {
+        usage: &usage,
+        values: "--scenario --seeds --base --seed",
+        switches: "--trace",
+        positionals: 0,
+    }
+    .parse();
+    let scenarios = match args.value::<String>("--scenario").as_deref() {
+        None | Some("all") => Scenario::all(),
+        Some(name) => match Scenario::by_name(name) {
+            Some(sc) => vec![sc],
+            None => args.fail(format!("unknown scenario {name}")),
+        },
     };
-    let scenarios = match scenarios_for(&args.scenario) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("simstorm: {e}");
-            return ExitCode::from(2);
-        }
+    let seeds: u64 = args.value("--seeds").unwrap_or(250);
+    let base: u64 = args.value("--base").unwrap_or(1);
+    let seed: Option<u64> = args.value("--seed");
+    let trace = args.switch("--trace");
+    let Some(end) = base.checked_add(seeds) else {
+        args.fail("--base + --seeds overflows")
     };
 
     // Single-seed reproduction mode.
-    if let Some(seed) = args.seed {
+    if let Some(seed) = seed {
         let mut failed = false;
         for sc in scenarios {
             let name = sc.name;
-            let report = run_scenario(sc, seed, args.trace);
+            let report = run_scenario(sc, seed, trace);
             if let Some(trace) = &report.trace {
                 println!("--- trace {name} seed={seed} ---");
                 print!("{trace}");
@@ -122,7 +76,7 @@ fn main() -> ExitCode {
         let name = sc.name;
         let mut failures = 0u64;
         let mut t = SimStats::default();
-        for seed in args.base..args.base + args.seeds {
+        for seed in base..end {
             let report = run_scenario(sc.clone(), seed, false);
             t.accumulate(&report.stats);
             if !report.ok() {
@@ -140,8 +94,8 @@ fn main() -> ExitCode {
         println!(
             "{name}: {}/{} seeds ok (accepted={} resolved={} completed={} timed_out={} \
              rejected={} sheds={} idem_hits={} escalations={} retries={} events={})",
-            args.seeds - failures,
-            args.seeds,
+            seeds - failures,
+            seeds,
             t.accepted,
             t.resolved,
             t.completed,

@@ -23,9 +23,18 @@
 //!   bindings, an [`park::EventCount`] whose `notify` makes a syscall only
 //!   when a waiter is registered, and the [`park::SpinBudget`] each
 //!   blocking site spins through before it parks.  Every blocking wait in
-//!   the workspace is built on it.
+//!   the workspace is built on it;
+//! * [`frame`] — the one length-prefixed frame format (the u32-BE prefix,
+//!   one incremental receive buffer, one blocking read) that the
+//!   `romp-serve` protocol and the MCAPI wire both speak, in place of
+//!   `tokio-util`'s length-delimited codec;
+//! * [`cli`] — the one argument parser every binary declares its flags
+//!   to, in place of `clap`: a bad command line is a usage line and exit
+//!   status 2, never a panic.
 
+pub mod cli;
 pub mod deque;
+pub mod frame;
 pub mod mutex;
 pub mod park;
 pub mod queue;

@@ -8,59 +8,27 @@
 //! (panicked or completed with wrong results); typed errors and
 //! MCA→native degradations are permitted outcomes and are reported.
 
+use mca_sync::cli::Spec;
 use romp::BackendKind;
 use romp_validation::chaos::run_chaos;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    let s = s.trim();
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
-fn usage() -> ! {
-    eprintln!("usage: chaos [--seeds N] [--seed-base S] [--teams 1,4] [--backend both|native|mca]");
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: chaos [--seeds N] [--seed-base S] [--teams 1,4] [--backend both|native|mca]",
+    values: "--seeds --seed-base --teams --backend",
+    switches: "",
+    positionals: 0,
+};
 
 fn main() {
-    let mut n_seeds = 8usize;
-    let mut seed_base = 0xC0FFEEu64;
-    let mut teams = vec![1usize, 4];
-    let mut kinds = vec![BackendKind::Native, BackendKind::Mca];
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| args.get(i + 1).unwrap_or_else(|| usage());
-        match args[i].as_str() {
-            "--seeds" => {
-                n_seeds = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--seed-base" => {
-                seed_base = parse_u64(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--teams" => {
-                teams = need(i)
-                    .split(',')
-                    .map(|t| t.trim().parse().ok())
-                    .collect::<Option<_>>()
-                    .unwrap_or_else(|| usage());
-                i += 2;
-            }
-            "--backend" => {
-                kinds = match need(i).as_str() {
-                    "both" => vec![BackendKind::Native, BackendKind::Mca],
-                    s => vec![BackendKind::parse(s).unwrap_or_else(|| usage())],
-                };
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+    let args = CLI.parse();
+    let n_seeds: usize = args.value("--seeds").unwrap_or(8);
+    let seed_base: u64 = args.value("--seed-base").unwrap_or(0xC0FFEE);
+    let teams: Vec<usize> = args.list("--teams").unwrap_or_else(|| vec![1, 4]);
+    let kinds = args.value_with("--backend", |s| match s {
+        "both" => Some(BackendKind::all().to_vec()),
+        s => BackendKind::parse(s).map(|k| vec![k]),
+    });
+    let kinds = kinds.unwrap_or_else(|| BackendKind::all().to_vec());
 
     let seeds: Vec<u64> = (0..n_seeds as u64).map(|k| seed_base + k).collect();
     println!(

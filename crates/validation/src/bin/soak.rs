@@ -17,48 +17,23 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use mca_mrapi::{FaultPlan, FaultProbe, FaultSite, MrapiStatus, MrapiSystem};
+use mca_sync::cli::Spec;
 use romp::{BackendKind, Config, McaBackend, McaOptions, RetryPolicy, Runtime};
 use romp_serve::{Client, ServeConfig, Server};
 use romp_validation::drive_cancel_storm;
 
-fn parse_u64(s: &str) -> Option<u64> {
-    let s = s.trim();
-    match s.strip_prefix("0x").or_else(|| s.strip_prefix("0X")) {
-        Some(hex) => u64::from_str_radix(hex, 16).ok(),
-        None => s.parse().ok(),
-    }
-}
-
-fn usage() -> ! {
-    eprintln!("usage: soak [--secs N] [--clients N] [--seed S]");
-    std::process::exit(2);
-}
+const CLI: Spec = Spec {
+    usage: "usage: soak [--secs N] [--clients N] [--seed S]",
+    values: "--secs --clients --seed",
+    switches: "",
+    positionals: 0,
+};
 
 fn main() {
-    let mut secs = 20u64;
-    let mut clients = 4usize;
-    let mut seed = 0x50A4_BEEF_u64;
-
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut i = 0;
-    while i < args.len() {
-        let need = |i: usize| args.get(i + 1).unwrap_or_else(|| usage());
-        match args[i].as_str() {
-            "--secs" => {
-                secs = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--clients" => {
-                clients = need(i).parse().unwrap_or_else(|_| usage());
-                i += 2;
-            }
-            "--seed" => {
-                seed = parse_u64(need(i)).unwrap_or_else(|| usage());
-                i += 2;
-            }
-            _ => usage(),
-        }
-    }
+    let args = CLI.parse();
+    let secs: u64 = args.value("--secs").unwrap_or(20);
+    let clients: usize = args.value("--clients").unwrap_or(4);
+    let seed: u64 = args.value("--seed").unwrap_or(0x50A4_BEEF);
 
     // An MCA-backed runtime whose MRAPI system we keep, so the fault can
     // be armed mid-soak; a short lock timeout keeps escalation fast.
