@@ -418,20 +418,6 @@ fn resolve(addr: &str) -> SocketAddr {
         })
 }
 
-/// Locate `romp-serve` next to this executable (cargo puts workspace
-/// binaries in one target directory).
-fn locate_server_bin() -> Option<std::path::PathBuf> {
-    let exe = std::env::current_exe().ok()?;
-    let dir = exe.parent()?;
-    for d in [dir, dir.parent().unwrap_or(dir)] {
-        let cand = d.join("romp-serve");
-        if cand.is_file() {
-            return Some(cand);
-        }
-    }
-    None
-}
-
 /// Launch a server for one `--workers-sweep` phase and wait for its
 /// readiness line.  Returns the child and the bound address.
 fn spawn_server(bin: &std::path::Path, workers: usize) -> (std::process::Child, String) {
@@ -502,10 +488,12 @@ fn main() {
         if ping || shutdown || sweep.is_some() || addr.is_some() {
             args.fail("--workers-sweep spawns its own servers");
         }
-        let bin = server_bin.or_else(locate_server_bin).unwrap_or_else(|| {
-            eprintln!("loadgen: romp-serve binary not found (pass --server-bin PATH)");
-            std::process::exit(1);
-        });
+        let bin = server_bin
+            .or_else(|| mca_sync::cli::sibling_bin("romp-serve"))
+            .unwrap_or_else(|| {
+                eprintln!("loadgen: romp-serve binary not found (pass --server-bin PATH)");
+                std::process::exit(1);
+            });
         let mut phases: Vec<(usize, PhaseReport)> = Vec::new();
         for &w in &widths {
             if !json {

@@ -721,15 +721,7 @@ pub fn locate_worker_bin() -> Option<PathBuf> {
             return Some(p);
         }
     }
-    let exe = std::env::current_exe().ok()?;
-    let dir = exe.parent()?;
-    for d in [dir, dir.parent().unwrap_or(dir)] {
-        let cand = d.join("romp-worker");
-        if cand.is_file() {
-            return Some(cand);
-        }
-    }
-    None
+    mca_sync::cli::sibling_bin("romp-worker")
 }
 
 /// Ask a worker to exit gracefully and reap it; SIGKILL it if it has not

@@ -22,18 +22,21 @@
 //!   shard fires the release.  Intra-shard arrivals stay inside the
 //!   cluster's cache domain; exactly `num_shards` writes cross it per phase.
 //!
-//! Waiting is spin, then yield, then sleep, with an *idle callback* so the
-//! team can drain explicit tasks while blocked — the OpenMP rule that
-//! barriers are task scheduling points.  The sleep is an [`EventCount`]
-//! wait with a 500 µs deadline (the task-drain heartbeat), which keeps
-//! oversubscribed runs (24 workers on one host core) from melting down in
-//! spin loops.  The release is one generation bump plus the eventcount's
-//! notify, which makes a syscall only when a member is registered to
-//! sleep: a barrier whose members all catch the release while spinning
-//! costs no syscall.
+//! Waiting is [`EventCount::help_until`], the workspace's one
+//! help-while-waiting loop: a waiter runs the team's queued explicit tasks
+//! (the OpenMP rule that barriers are task scheduling points), spins and
+//! yields within `BARRIER_SPIN`, and then sleeps on the barrier's
+//! eventcount — which keeps oversubscribed runs (24 workers on one host
+//! core) from melting down in spin loops.  The sleep has no deadline, as
+//! in libGOMP: a task push notifies the same eventcount (the team parks
+//! every wait on it, see [`Barrier::event`]), so a task queued late wakes
+//! a sleeper instead of waiting for a heartbeat, and a lost wake is a hang
+//! the tests can see rather than a hidden delay.  The release is one
+//! generation bump plus the eventcount's notify, which makes a syscall
+//! only when a member is registered to sleep: a barrier whose members all
+//! catch the release while spinning costs no syscall.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
 
 use mca_platform::ShardLayout;
 use mca_sync::park::{EventCount, SpinBudget};
@@ -53,92 +56,34 @@ pub enum BarrierKind {
 }
 
 /// What a waiter spends before it sleeps: 64 pauses, then 16 yields.
-const BARRIER_SPIN: SpinBudget = SpinBudget::spins(64).then_yields(16);
+/// Every wait of a team (the barrier, its task tail, `taskwait`, a lapped
+/// construct ring, the end-of-region join) spends this budget.
+pub(crate) const BARRIER_SPIN: SpinBudget = SpinBudget::spins(64).then_yields(16);
 
-/// How long a sleeping waiter blocks before re-running its idle callback
-/// (a task posted late still gets drained).  Wakes are by notification;
-/// this bound is only the task-drain heartbeat.
-const SLEEP_BOUND: Duration = Duration::from_micros(500);
-
-/// Shared release machinery: generation word + sleep support.  The
-/// generation is cache-padded away from the arrival counters: every waiter
-/// spins reading it, and sharing its line with a counter that every
-/// arriver writes would turn each arrival into a team-wide invalidation.
+/// A team barrier for a fixed number of participants.
 ///
-/// A sleeper prepares an eventcount wait, re-checks the generation and
-/// the cancel flag, and only then commits; [`Release::fire`] bumps the
+/// A waiter prepares an eventcount wait, re-checks the generation and the
+/// cancel flag, and only then commits; `Barrier::fire` bumps the
 /// generation and [`Barrier::cancel`] sets the flag before each notifies,
 /// so the eventcount's protocol covers both wakes.  The bump and the flag
 /// are `Release`, paired with the waiters' `Acquire` loads; the
 /// eventcount's `SeqCst` fences (not the bump's ordering) order the write
 /// against a sleeper's registration.
-struct Release {
+pub struct Barrier {
+    n: usize,
+    /// The release generation.  Cache-padded away from the arrival
+    /// counters: every waiter spins reading it, and sharing its line with
+    /// a counter that every arriver writes would turn each arrival into a
+    /// team-wide invalidation.
     gen: CachePadded<AtomicU64>,
-    /// Members sleeping (or about to) on the release.
-    sleep: EventCount,
+    /// Members sleeping (or about to) on the release — and, in a team, in
+    /// every other team wait (see [`Barrier::event`]).
+    event: EventCount,
     /// Set by [`Barrier::cancel`].  Checked inside the wait loop (not just
     /// once before it) because a waiter can load the flag as clear, then
     /// the canceller sets it and fires — a one-shot release would race; the
     /// in-loop check cannot miss it.
     cancelled: AtomicBool,
-    /// Test hook: sleep bound override in milliseconds (0 = `SLEEP_BOUND`),
-    /// so a test can tell a notified wake from a timed-out one.
-    #[cfg(test)]
-    bound_ms: AtomicU64,
-}
-
-impl Release {
-    fn new() -> Self {
-        Release {
-            gen: CachePadded::new(AtomicU64::new(0)),
-            sleep: EventCount::new(),
-            cancelled: AtomicBool::new(false),
-            #[cfg(test)]
-            bound_ms: AtomicU64::new(0),
-        }
-    }
-
-    #[inline]
-    fn current(&self) -> u64 {
-        self.gen.load(Ordering::Acquire)
-    }
-
-    fn fire(&self) {
-        self.gen.fetch_add(1, Ordering::Release);
-        self.sleep.notify_all();
-    }
-
-    /// Wait until the generation moves past `gen`, calling `idle` in the
-    /// loop (it returns `true` when it did useful work and wants an
-    /// immediate re-check).
-    fn await_change(&self, gen: u64, mut idle: impl FnMut() -> bool) {
-        let mut spin = BARRIER_SPIN;
-        let released = || self.current() != gen || self.cancelled.load(Ordering::Acquire);
-        while !released() {
-            if idle() || spin.snooze() {
-                continue;
-            }
-            let heartbeat = Instant::now() + self.sleep_bound();
-            self.sleep
-                .wait_until(SpinBudget::NONE, Some(heartbeat), released);
-        }
-    }
-
-    #[inline]
-    fn sleep_bound(&self) -> Duration {
-        #[cfg(test)]
-        match self.bound_ms.load(Ordering::Relaxed) {
-            0 => {}
-            ms => return Duration::from_millis(ms),
-        }
-        SLEEP_BOUND
-    }
-}
-
-/// A team barrier for a fixed number of participants.
-pub struct Barrier {
-    n: usize,
-    release: Release,
     /// The root of the arrival tree, inline: a centralized barrier is this
     /// node alone, with no heap behind it.
     root: CachePadded<Node>,
@@ -232,7 +177,9 @@ impl Barrier {
         }
         Barrier {
             n,
-            release: Release::new(),
+            gen: CachePadded::new(AtomicU64::new(0)),
+            event: EventCount::new(),
+            cancelled: AtomicBool::new(false),
             root: Node::new(width),
             nodes,
             leaf,
@@ -258,31 +205,40 @@ impl Barrier {
     pub fn cancel(&self) {
         // Same handshake as a release: set the flag, then notify (a
         // sleeper's re-check reads the flag after registering).
-        self.release.cancelled.store(true, Ordering::Release);
-        self.release.sleep.notify_all();
+        self.cancelled.store(true, Ordering::Release);
+        self.event.notify_all();
     }
 
     /// Has [`Barrier::cancel`] been called?
     pub fn is_cancelled(&self) -> bool {
-        self.release.cancelled.load(Ordering::Acquire)
+        self.cancelled.load(Ordering::Acquire)
+    }
+
+    /// The eventcount the barrier's waiters park on.  Whoever queues work
+    /// for [`Barrier::wait_idle`]'s waiters notifies it; a team parks
+    /// every other wait on it too, and notifies it for each condition
+    /// those waits read.
+    pub fn event(&self) -> &EventCount {
+        &self.event
     }
 
     /// Arrive and wait until all `n` participants have arrived.  `tid` is
-    /// the caller's dense team index (it picks the caller's leaf).
-    /// `idle` is invoked while waiting; return `true` from it after doing
-    /// useful work to re-check immediately.
-    pub fn wait_idle(&self, tid: usize, idle: impl FnMut() -> bool) {
+    /// the caller's dense team index (it picks the caller's leaf).  While
+    /// waiting the caller helps: it runs `work` (one unit per call, `true`
+    /// if it found any) and parks only when `queued` reports nothing left
+    /// to take — whoever queues work must notify [`Barrier::event`].
+    pub fn wait_idle(&self, tid: usize, work: impl FnMut() -> bool, queued: impl FnMut() -> bool) {
         debug_assert!(tid < self.n);
         if self.n == 1 {
             return;
         }
         // A cancelled barrier admits nobody new: skipping the arrival
         // increment keeps the counts coherent for members that already
-        // left, and `await_change` would return immediately anyway.
+        // left, and the wait would return immediately anyway.
         if self.is_cancelled() {
             return;
         }
-        let gen = self.release.current();
+        let gen = self.gen.load(Ordering::Acquire);
         let mut at = self.leaf.get(tid).copied().unwrap_or(ROOT);
         loop {
             let node = if at == ROOT {
@@ -291,21 +247,30 @@ impl Barrier {
                 &self.nodes[at]
             };
             if node.arrived.fetch_add(1, Ordering::AcqRel) + 1 < node.expected {
-                return self.release.await_change(gen, idle);
+                let released = || self.gen.load(Ordering::Acquire) != gen || self.is_cancelled();
+                self.event
+                    .help_until(BARRIER_SPIN, None, released, work, queued);
+                return;
             }
             // Last arrival here: reset the node (safe — everyone below it
             // waits for the release) and carry one arrival upward.
             node.arrived.store(0, Ordering::Relaxed);
             if at == ROOT {
-                return self.release.fire();
+                return self.fire();
             }
             at = node.parent;
         }
     }
 
-    /// Arrive and wait, with no idle work.
+    /// Release every waiter: bump the generation, then notify.
+    fn fire(&self) {
+        self.gen.fetch_add(1, Ordering::Release);
+        self.event.notify_all();
+    }
+
+    /// Arrive and wait, with no work to help with.
     pub fn wait(&self, tid: usize) {
-        self.wait_idle(tid, || false);
+        self.wait_idle(tid, || false, || false);
     }
 }
 
@@ -315,6 +280,7 @@ pub(crate) mod tests {
     use std::sync::atomic::AtomicU64 as Au64;
     use std::sync::Arc;
     use std::thread;
+    use std::time::Duration;
 
     /// Check `b`'s arrival tree is well formed (every node expects
     /// exactly the members and child nodes that arrive at it), then run
@@ -407,10 +373,11 @@ pub(crate) mod tests {
         let b2 = Arc::clone(&b);
         let ran2 = Arc::clone(&ran);
         let h = thread::spawn(move || {
-            b2.wait_idle(1, || {
+            let work = || {
                 ran2.fetch_add(1, Ordering::Relaxed);
                 false
-            });
+            };
+            b2.wait_idle(1, work, || false);
         });
         thread::sleep(Duration::from_millis(30));
         b.wait(0);
@@ -505,12 +472,14 @@ pub(crate) mod tests {
         }
     }
 
-    /// A barrier whose sleepers only a notification can wake in time: the
-    /// sleep bound is far beyond the watchdog.
+    /// A barrier over `layout`.  Its sleepers have no deadline, so only a
+    /// notification wakes them: a lost wake trips the watchdog.
     fn notify_only_barrier(layout: &ShardLayout) -> Arc<Barrier> {
-        let b = Barrier::with_layout(layout.num_members(), BarrierKind::Centralized, layout);
-        b.release.bound_ms.store(600_000, Ordering::Relaxed);
-        Arc::new(b)
+        Arc::new(Barrier::with_layout(
+            layout.num_members(),
+            BarrierKind::Centralized,
+            layout,
+        ))
     }
 
     /// Park member `tid` of `b` in its wait and return once it is
@@ -518,7 +487,7 @@ pub(crate) mod tests {
     fn park_sleeper(b: &Arc<Barrier>, tid: usize) -> thread::JoinHandle<()> {
         let b2 = Arc::clone(b);
         let h = thread::spawn(move || b2.wait(tid));
-        while b.release.sleep.waiters() == 0 {
+        while b.event.waiters() == 0 {
             thread::yield_now();
         }
         h
@@ -535,7 +504,7 @@ pub(crate) mod tests {
                     b.wait(0); // last arriver: fires
                     h.join().unwrap();
                 }
-                let sleep = &b.release.sleep;
+                let sleep = &b.event;
                 assert_eq!(sleep.timeouts(), 0);
                 assert!(sleep.wakes() > 0);
             }
@@ -552,7 +521,7 @@ pub(crate) mod tests {
                     let h = park_sleeper(&b, 1);
                     b.cancel();
                     h.join().unwrap();
-                    let sleep = &b.release.sleep;
+                    let sleep = &b.event;
                     assert_eq!(sleep.timeouts(), 0);
                     assert_eq!(sleep.wakes(), 1);
                 }
@@ -564,10 +533,10 @@ pub(crate) mod tests {
     fn release_without_sleepers_makes_no_wake_call() {
         let b = Barrier::new(2, BarrierKind::Centralized);
         for _ in 0..100 {
-            b.release.fire();
+            b.fire();
         }
         b.cancel();
-        assert_eq!(b.release.sleep.wakes(), 0);
+        assert_eq!(b.event.wakes(), 0);
     }
 
     #[test]
@@ -595,7 +564,7 @@ pub(crate) mod tests {
             for h in handles {
                 h.join().unwrap();
             }
-            assert_eq!(b.release.sleep.timeouts(), 0);
+            assert_eq!(b.event.timeouts(), 0);
         });
     }
 

@@ -672,36 +672,22 @@ impl Runtime {
         });
         // All members have passed the end barrier: fold this team's
         // counters into the runtime totals.
-        let barriers = team.counters.barriers.load(Ordering::Relaxed);
-        let criticals = team.counters.criticals.load(Ordering::Relaxed);
-        self.inner
-            .stats
-            .barriers
-            .fetch_add(barriers, Ordering::Relaxed);
-        self.inner
-            .stats
-            .criticals
-            .fetch_add(criticals, Ordering::Relaxed);
-        self.inner.stats.singles.fetch_add(
-            team.counters.singles.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.inner.stats.loops.fetch_add(
-            team.counters.loops.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.inner.stats.tasks.fetch_add(
-            team.counters.tasks.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.inner.stats.steals_local.fetch_add(
-            team.counters.steals_local.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
-        self.inner.stats.steals_remote.fetch_add(
-            team.counters.steals_remote.load(Ordering::Relaxed),
-            Ordering::Relaxed,
-        );
+        let (c, st, event) = (&team.counters, &self.inner.stats, team.barrier.event());
+        let barriers = c.barriers.load(Ordering::Relaxed);
+        let criticals = c.criticals.load(Ordering::Relaxed);
+        for (total, n) in [
+            (&st.barriers, barriers),
+            (&st.criticals, criticals),
+            (&st.singles, c.singles.load(Ordering::Relaxed)),
+            (&st.loops, c.loops.load(Ordering::Relaxed)),
+            (&st.tasks, c.tasks.load(Ordering::Relaxed)),
+            (&st.steals_local, c.steals_local.load(Ordering::Relaxed)),
+            (&st.steals_remote, c.steals_remote.load(Ordering::Relaxed)),
+            (&st.parks, event.parks()),
+            (&st.park_timeouts, event.timeouts()),
+        ] {
+            total.fetch_add(n, Ordering::Relaxed);
+        }
         if profiling {
             let cpu: Vec<u64> = team
                 .cpu_ns

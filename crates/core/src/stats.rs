@@ -25,6 +25,8 @@ pub struct RuntimeStats {
     pub(crate) tasks: AtomicU64,
     pub(crate) steals_local: AtomicU64,
     pub(crate) steals_remote: AtomicU64,
+    pub(crate) parks: AtomicU64,
+    pub(crate) park_timeouts: AtomicU64,
     /// Live liveness signal: bumped at construct *entry* (unlike the
     /// per-team counters above, which fold in only at region end), so an
     /// external supervisor can tell a region that is still reaching
@@ -53,6 +55,12 @@ pub struct StatsSnapshot {
     /// unsharded runtime, and on a sharded one whose work never ran dry
     /// locally).
     pub steals_remote: u64,
+    /// Times a member slept on its team's eventcount (in a barrier,
+    /// `taskwait`, a lapped construct ring or the end-of-region join).
+    pub parks: u64,
+    /// Of those sleeps, the ones that ended at a deadline instead of a
+    /// notify.  Team waits keep no deadline, so this stays 0.
+    pub park_timeouts: u64,
 }
 
 impl RuntimeStats {
@@ -67,6 +75,8 @@ impl RuntimeStats {
             tasks: self.tasks.load(Ordering::Relaxed),
             steals_local: self.steals_local.load(Ordering::Relaxed),
             steals_remote: self.steals_remote.load(Ordering::Relaxed),
+            parks: self.parks.load(Ordering::Relaxed),
+            park_timeouts: self.park_timeouts.load(Ordering::Relaxed),
         }
     }
 
@@ -80,6 +90,8 @@ impl RuntimeStats {
         self.tasks.store(0, Ordering::Relaxed);
         self.steals_local.store(0, Ordering::Relaxed);
         self.steals_remote.store(0, Ordering::Relaxed);
+        self.parks.store(0, Ordering::Relaxed);
+        self.park_timeouts.store(0, Ordering::Relaxed);
     }
 }
 

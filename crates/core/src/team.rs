@@ -28,6 +28,16 @@
 //!   local source is dry.  The local/remote split is counted in the
 //!   team's counters and, when tracing is armed, in the
 //!   `steals.{local,remote}` metrics.
+//!
+//! Every wait of a team member — the barrier and its task tail,
+//! `taskwait`, a lapped construct ring, the master's end-of-region join —
+//! is one help-while-waiting loop (`TeamShared::help_until`, over
+//! [`mca_sync::park::EventCount::help_until`]): run queued tasks while
+//! there are any, spin within the barrier's budget, then park on the
+//! team's one eventcount (the barrier's) with no deadline.  So every
+//! condition a waiter reads has a notifier there: the barrier's release
+//! and cancel, a task push (one waiter), the last outstanding task
+//! finishing, a construct-ring slot release and the last member joining.
 
 use std::any::Any;
 use std::cell::UnsafeCell;
@@ -42,7 +52,7 @@ use mca_sync::{CachePadded, Mutex as PlMutex};
 use romp_trace::{EventKind, Tracer};
 
 use crate::backend::SharedWords;
-use crate::barrier::Barrier;
+use crate::barrier::{Barrier, BARRIER_SPIN};
 use crate::cancel::{CancelToken, CancelUnwind};
 
 /// A queued explicit task.  Lifetime-erased to the region (see the SAFETY
@@ -124,9 +134,9 @@ unsafe impl Sync for ConstructSlot {}
 ///   (`state`, then `ready`, then `claim`), making it claimable for
 ///   `seq + CONSTRUCT_RING`;
 /// * **backpressure** — a member lapping the ring (its `seq` maps onto a
-///   slot still owned by `seq - CONSTRUCT_RING`) waits for the stragglers,
-///   running queued tasks meanwhile so task-starved laggards still make
-///   progress.
+///   slot still owned by `seq - CONSTRUCT_RING`) waits for the stragglers
+///   on the team eventcount, which every release notifies, running queued
+///   tasks meanwhile so task-starved laggards still make progress.
 pub(crate) struct ConstructRing {
     slots: Box<[ConstructSlot]>,
 }
@@ -143,14 +153,14 @@ impl ConstructRing {
         ConstructRing { slots }
     }
 
-    /// Fetch-or-create the state for construct `seq`.  `stall` is invoked
-    /// while waiting (on another member's initialization, or on a lapped
-    /// slot); it should do useful work or yield.
+    /// Fetch-or-create the state for construct `seq`.  On a lapped slot,
+    /// `stall(claim, lapped)` is called to wait until the slot's `claim`
+    /// no longer holds `lapped` (its release clears it).
     fn get(
         &self,
         seq: u64,
         init: impl FnOnce() -> ConstructState,
-        mut stall: impl FnMut(),
+        mut stall: impl FnMut(&AtomicU64, u64),
     ) -> Arc<ConstructState> {
         let slot = &self.slots[(seq as usize) % CONSTRUCT_RING];
         let tag = seq + 1;
@@ -181,10 +191,10 @@ impl ConstructRing {
                     // A teammate won the claim; its publication is imminent.
                     std::hint::spin_loop();
                 }
-                Err(_lapped) => {
+                Err(lapped) => {
                     // The slot still belongs to construct seq - RING: this
                     // member lapped the ring ahead of stragglers.
-                    stall();
+                    stall(&slot.claim, lapped);
                 }
             }
         }
@@ -327,17 +337,40 @@ impl TeamShared {
         seq: u64,
         init: impl FnOnce() -> ConstructState,
     ) -> Arc<ConstructState> {
-        self.constructs.get(seq, init, || {
-            // A lapped member could stall forever behind teammates that
-            // have already unwound; cancellation must reach this loop too.
-            self.cancel_checkpoint();
+        self.constructs.get(seq, init, |claim, lapped| {
             // Lapped the ring: help stragglers along by running their
             // queued tasks (a laggard may be stuck in taskwait behind work
-            // sitting in a queue) instead of burning the core.
-            if !self.run_one_task(tid) {
-                std::thread::yield_now();
-            }
+            // sitting in a queue) until the slot is released.  A lapped
+            // member could stall forever behind teammates that have
+            // already unwound; cancellation must reach this wait too.
+            self.help_until(tid, || claim.load(Ordering::Acquire) != lapped);
+            self.cancel_checkpoint();
         })
+    }
+
+    /// The team's one help-while-waiting loop: wait as member `tid` until
+    /// `ready` holds or the team is cancelled, running queued tasks
+    /// meanwhile, and park on the team eventcount ([`Barrier::event`])
+    /// only when no task is queued.  Every condition a caller's `ready`
+    /// reads is notified there: a task's last completion
+    /// ([`TeamShared::run_one_task`]), a construct-ring release
+    /// ([`TeamShared::construct_done`]), and cancellation
+    /// ([`TeamShared::latch_cancel`]); a task push notifies it too.
+    pub(crate) fn help_until(&self, tid: usize, ready: impl Fn() -> bool) {
+        self.barrier.event().help_until(
+            BARRIER_SPIN,
+            None,
+            || ready() || self.cancel_pending(),
+            || self.run_one_task(tid),
+            || self.tasks_queued(),
+        );
+    }
+
+    /// Whether a task waits in any ring or injector.  Running tasks are
+    /// not counted: a waiter must park while a teammate runs the last one.
+    pub(crate) fn tasks_queued(&self) -> bool {
+        self.task_rings.iter().any(|r| !r.is_empty())
+            || self.shard_injectors.iter().any(|i| !i.is_empty())
     }
 
     /// Has cancellation been requested for this team — via the supervisor
@@ -348,9 +381,9 @@ impl TeamShared {
             || self.cancel.as_ref().is_some_and(CancelToken::is_cancelled)
     }
 
-    /// Latch the cancellation team-wide: breaks the barrier and wakes
-    /// `ordered` waiters so blocked teammates observe the latch.
-    /// Idempotent.
+    /// Latch the cancellation team-wide: breaks the barrier (which wakes
+    /// every member parked on the team eventcount) and wakes `ordered`
+    /// waiters, so blocked teammates observe the latch.  Idempotent.
     pub(crate) fn latch_cancel(&self) {
         if !self.cancelled.swap(true, Ordering::AcqRel) {
             self.barrier.cancel();
@@ -374,22 +407,25 @@ impl TeamShared {
 
     /// End-of-region join: every member checks in once; the master (tid 0)
     /// does not return until all have, because the region closure and the
-    /// runtime pointer die with the master's frame.
+    /// runtime pointer die with the master's frame.  The last to check in
+    /// wakes it.  Cancellation does not end this wait: every member checks
+    /// in, cancelled or not.
     pub(crate) fn join_member(&self, tid: usize) {
-        self.joined.fetch_add(1, Ordering::AcqRel);
-        if tid == 0 {
-            let mut spin = JOIN_SPIN;
-            while self.joined.load(Ordering::Acquire) < self.size {
-                spin.snooze();
-            }
+        let event = self.barrier.event();
+        if self.joined.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
+            event.notify_all();
+        } else if tid == 0 {
+            let all_in = || self.joined.load(Ordering::Acquire) == self.size;
+            event.wait_until(BARRIER_SPIN, None, all_in);
         }
     }
 
     /// Mark member done with construct `seq`; the last one releases the
-    /// ring slot.
+    /// ring slot and wakes any member parked on a lap.
     pub(crate) fn construct_done(&self, seq: u64, state: &Arc<ConstructState>) {
         if state.finished.fetch_add(1, Ordering::AcqRel) + 1 == self.size {
             self.constructs.release(seq);
+            self.barrier.event().notify_all();
         }
     }
 
@@ -403,7 +439,9 @@ impl TeamShared {
     /// the task's affinity key, or 0, for the trace).  From outside the
     /// home shard the task goes to the home shard's injector, so a job's
     /// task graph stays concentrated there; from inside it, to `tid`'s
-    /// own ring, overflowing to the shard's injector.
+    /// own ring, overflowing to the shard's injector.  One parked
+    /// teammate is woken to take it (libGOMP's `gomp_team_barrier_wake(…,
+    /// 1)` in `GOMP_task`).
     pub(crate) fn push_task(&self, tid: usize, home: usize, key: u64, task: Task) {
         self.tracer
             .instant(EventKind::TaskSpawn, tid as u32, 0, key);
@@ -413,6 +451,7 @@ impl TeamShared {
         } else if let Err(task) = self.task_rings[tid].push(task) {
             self.shard_injectors[home].push(task);
         }
+        self.barrier.event().notify_one();
     }
 
     /// Drain one shard's injector (absorbing `Retry` contention blips).
@@ -505,7 +544,8 @@ impl TeamShared {
     /// Run one queued task as member `tid`; returns whether one ran.  Task
     /// panics are captured into the team's panic slot (first wins) so a
     /// panic inside a *stolen* task still reaches the master, and
-    /// `outstanding_tasks` still reaches zero so barriers don't hang.
+    /// `outstanding_tasks` still reaches zero so barriers don't hang.  The
+    /// last outstanding task to finish wakes the members parked on it.
     pub(crate) fn run_one_task(&self, tid: usize) -> bool {
         let Some(t) = self.take_task(tid) else {
             return false;
@@ -514,7 +554,9 @@ impl TeamShared {
         if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(t)) {
             self.record_panic(payload);
         }
-        self.outstanding_tasks.fetch_sub(1, Ordering::AcqRel);
+        if self.outstanding_tasks.fetch_sub(1, Ordering::AcqRel) == 1 {
+            self.barrier.event().notify_all();
+        }
         self.counters.tasks.fetch_add(1, Ordering::Relaxed);
         true
     }
@@ -542,10 +584,6 @@ impl TeamShared {
         }
     }
 }
-
-/// The master's end-of-region join: 64 pauses, then yields until every
-/// member has checked in (they are past the barrier, so it is short).
-const JOIN_SPIN: SpinBudget = SpinBudget::spins(64).then_yields(u32::MAX);
 
 /// Dock phases ([`PoolSlot::phase`]).  Each transition has one writer:
 /// the master moves `IDLE → JOB` and `IDLE → EXIT`, the worker `JOB →

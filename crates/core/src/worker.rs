@@ -202,22 +202,15 @@ impl<'a> Worker<'a> {
         self.team
             .tracer
             .begin(romp_trace::EventKind::Barrier, self.tid as u32, 0);
-        self.team.drain_tasks(self.tid);
-        let team = self.team;
-        let tid = self.tid;
-        self.team.barrier.wait_idle(tid, || team.drain_tasks(tid));
-        // Tasks spawned by tasks during the wait: finish them before
-        // proceeding, so the OpenMP completion guarantee holds.  A
-        // cancelled team forfeits that guarantee — unwound members will
+        let (team, tid) = (self.team, self.tid);
+        team.drain_tasks(tid);
+        team.barrier
+            .wait_idle(tid, || team.run_one_task(tid), || team.tasks_queued());
+        // Tasks spawned by tasks during the wait, or still running: finish
+        // them before proceeding, so the OpenMP completion guarantee holds.
+        // A cancelled team forfeits that guarantee — unwound members will
         // never run their share, so waiting would hang.
-        while self.team.outstanding_tasks.load(Ordering::Acquire) > 0 {
-            if self.team.cancel_pending() {
-                break;
-            }
-            if !self.team.drain_tasks(tid) {
-                std::thread::yield_now();
-            }
-        }
+        team.help_until(tid, || team.outstanding_tasks.load(Ordering::Acquire) == 0);
         self.team
             .tracer
             .end(romp_trace::EventKind::Barrier, self.tid as u32, 0);
@@ -656,13 +649,15 @@ impl<'a> Worker<'a> {
 
     /// `#pragma omp taskwait`: run/await queued tasks until none remain.
     /// Pops this member's own ring first, then steals, so the common case
-    /// (wait for tasks you just queued) never touches a shared line.
+    /// (wait for tasks you just queued) never touches a shared line; with
+    /// nothing left to take while a teammate runs the last task, it parks
+    /// until that task finishes.
     pub fn taskwait(&self) {
-        while self.team.outstanding_tasks.load(Ordering::Acquire) > 0 {
-            self.team.cancel_checkpoint();
-            if !self.team.drain_tasks(self.tid) {
-                std::thread::yield_now();
-            }
+        let team = self.team;
+        let outstanding = || team.outstanding_tasks.load(Ordering::Acquire);
+        team.help_until(self.tid, || outstanding() == 0);
+        if outstanding() > 0 {
+            team.cancel_checkpoint();
         }
     }
 

@@ -31,7 +31,7 @@ pub mod stats;
 use std::hint::black_box;
 use std::time::Instant;
 
-use romp::{ReduceOp, Runtime, Schedule};
+use romp::{OmpLock, ReduceOp, Runtime, Schedule, Worker};
 
 /// The constructs Table I reports (plus the EPCC `lock` row).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -183,78 +183,91 @@ fn time_block(cfg: &EpccConfig, mut block: impl FnMut()) -> Vec<f64> {
     samples
 }
 
-/// Measure one construct's overhead on `rt` (EPCC `syncbench` logic).
-pub fn measure(rt: &Runtime, construct: Construct, cfg: &EpccConfig) -> Measurement {
-    let n = cfg.threads;
-    let inner = cfg.inner_reps as u64;
-    let len = cfg.delay_len;
-    let samples = match construct {
-        Construct::Parallel => time_block(cfg, || {
+/// The body of one EPCC block, untimed (`syncbench`'s inner loops):
+/// `inner` repetitions of `construct` on a team of `n`, each around
+/// `delay(len)`; `Critical` and `Lock` split the repetitions across the
+/// team.  `lock` is the `Lock` row's lock, made by the caller so that no
+/// timed block pays for a lock (an MRAPI mutex) being created; only that
+/// row reads it.
+pub fn run_construct(
+    rt: &Runtime,
+    construct: Construct,
+    n: usize,
+    inner: u64,
+    len: u64,
+    lock: Option<&OmpLock>,
+) {
+    let share =
+        |w: &Worker| inner / n as u64 + u64::from((w.thread_num() as u64) < inner % n as u64);
+    match construct {
+        Construct::Parallel => {
             for _ in 0..inner {
                 rt.parallel(n, |_| delay(len));
             }
+        }
+        Construct::For => rt.parallel(n, |w| {
+            for _ in 0..inner {
+                w.for_range(0..n as u64, Schedule::Static { chunk: None }, |_| {
+                    delay(len)
+                });
+            }
         }),
-        Construct::For => time_block(cfg, || {
-            rt.parallel(n, |w| {
-                for _ in 0..inner {
-                    w.for_range(0..n as u64, Schedule::Static { chunk: None }, |_| {
-                        delay(len)
-                    });
-                }
-            });
-        }),
-        Construct::ParallelFor => time_block(cfg, || {
+        Construct::ParallelFor => {
             for _ in 0..inner {
                 rt.parallel_for(n, 0..n as u64, Schedule::Static { chunk: None }, |_| {
                     delay(len)
                 });
             }
+        }
+        Construct::Barrier => rt.parallel(n, |w| {
+            for _ in 0..inner {
+                delay(len);
+                w.barrier();
+            }
         }),
-        Construct::Barrier => time_block(cfg, || {
-            rt.parallel(n, |w| {
-                for _ in 0..inner {
-                    delay(len);
-                    w.barrier();
-                }
-            });
+        Construct::Single => rt.parallel(n, |w| {
+            for _ in 0..inner {
+                w.single(|| delay(len));
+            }
         }),
-        Construct::Single => time_block(cfg, || {
-            rt.parallel(n, |w| {
-                for _ in 0..inner {
-                    w.single(|| delay(len));
-                }
-            });
-        }),
-        Construct::Critical => time_block(cfg, || {
-            rt.parallel(n, |w| {
-                // innerreps criticals in total, split across the team.
-                let mine = inner / n as u64 + u64::from((w.thread_num() as u64) < inner % n as u64);
-                for _ in 0..mine {
-                    w.critical("epcc", || delay(len));
-                }
-            });
+        Construct::Critical => rt.parallel(n, |w| {
+            for _ in 0..share(w) {
+                w.critical("epcc", || delay(len));
+            }
         }),
         Construct::Lock => {
-            let lock = rt.new_lock();
-            time_block(cfg, || {
-                rt.parallel(n, |w| {
-                    let mine =
-                        inner / n as u64 + u64::from((w.thread_num() as u64) < inner % n as u64);
-                    for _ in 0..mine {
-                        lock.with(|| delay(len));
-                    }
-                });
-            })
+            let lock = lock.expect("the Lock row runs on a lock its caller made");
+            rt.parallel(n, |w| {
+                for _ in 0..share(w) {
+                    lock.with(|| delay(len));
+                }
+            });
         }
-        Construct::Reduction => time_block(cfg, || {
+        Construct::Reduction => {
             for _ in 0..inner {
                 rt.parallel(n, |w| {
                     delay(len);
                     black_box(w.reduce_u64(1, ReduceOp::Sum));
                 });
             }
-        }),
-    };
+        }
+    }
+}
+
+/// Measure one construct's overhead on `rt` (EPCC `syncbench` logic).
+pub fn measure(rt: &Runtime, construct: Construct, cfg: &EpccConfig) -> Measurement {
+    let n = cfg.threads;
+    let lock = (construct == Construct::Lock).then(|| rt.new_lock());
+    let samples = time_block(cfg, || {
+        run_construct(
+            rt,
+            construct,
+            n,
+            cfg.inner_reps as u64,
+            cfg.delay_len,
+            lock.as_ref(),
+        )
+    });
     let reference_us = reference_time_us(cfg);
     let overheads: Vec<f64> = samples.iter().map(|s| s - reference_us).collect();
     Measurement {

@@ -1,12 +1,15 @@
 //! The MTAPI runtime: jobs, actions, tasks, groups, queues, scheduler.
 //!
-//! Every blocking wait parks on one of the runtime's two [`EventCount`]s:
-//! idle pool workers on `idle`, which an injected task or shutdown
-//! notifies; `Task::wait` and `Group::wait_all` on `done`, which a task
-//! reaching its final state notifies.  Those waiters help run queued
-//! tasks, so an injection notifies `done` too.  A completion therefore
-//! wakes no idle worker, and a `notify` with nobody parked costs no
-//! syscall.  Only the API's own timeouts bound a wait.
+//! Every blocking wait is [`EventCount::help_until`] — the workspace's
+//! one help-while-waiting loop, which `romp`'s team waits share — on one
+//! of the runtime's two eventcounts: idle pool workers on `idle`, which
+//! an injected task or shutdown notifies; `Task::wait` and
+//! `Group::wait_all` on `done`, which a task reaching its final state
+//! notifies.  Every waiter runs queued tasks until none is left and parks
+//! only when the injectors are empty, so an injection notifies `done`
+//! too.  A completion therefore wakes no idle worker, and a `notify` with
+//! nobody parked costs no syscall.  Only the API's own timeouts bound a
+//! wait.
 
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -16,7 +19,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use mca_sync::deque::{Injector, Steal};
-use mca_sync::park::EventCount;
+use mca_sync::park::{EventCount, SpinBudget};
 use mca_sync::{Mutex as PlMutex, RwLock};
 
 use crate::status::{ensure, MtapiResult, MtapiStatus};
@@ -367,18 +370,14 @@ impl RtInner {
         deadline: Option<Instant>,
         ready: impl Fn() -> bool,
     ) -> bool {
-        while !ready() {
-            if self.run_one_task() {
-                continue;
-            }
-            let key = park.prepare_wait();
-            if ready() || self.injectors.iter().any(|inj| !inj.is_empty()) {
-                park.cancel_wait(key);
-            } else if !park.commit_wait(key, deadline) {
-                return ready();
-            }
-        }
-        true
+        let queued = || self.injectors.iter().any(|inj| !inj.is_empty());
+        park.help_until(
+            SpinBudget::NONE,
+            deadline,
+            ready,
+            || self.run_one_task(),
+            queued,
+        )
     }
 
     fn worker_loop(self: Arc<Self>) {

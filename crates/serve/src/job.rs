@@ -8,7 +8,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
-use romp::{CancelToken, Runtime, Schedule, Worker};
+use romp::{CancelToken, Runtime};
 use romp_epcc::{delay, Construct};
 use romp_npb::{Class, NpbKernel};
 
@@ -325,7 +325,8 @@ pub fn execute(rt: &Runtime, spec: &JobSpec) -> JobOutcome {
         } => {
             let n = threads as usize;
             let inner = inner_reps as u64;
-            run_epcc(rt, construct, n, inner);
+            let lock = (construct == Construct::Lock).then(|| rt.new_lock());
+            romp_epcc::run_construct(rt, construct, n, inner, EPCC_DELAY, lock.as_ref());
             JobOutcome {
                 ok: true,
                 wall_us: t0.elapsed().as_micros() as u64,
@@ -456,69 +457,6 @@ fn run_diag(rt: &Runtime, diag: DiagSpec, n: usize) {
                 }
                 w.barrier();
             });
-        }
-    }
-}
-
-/// The EPCC construct bodies, mirroring `romp_epcc::measure`'s inner
-/// loops without the timing scaffolding.
-fn run_epcc(rt: &Runtime, construct: Construct, n: usize, inner: u64) {
-    let len = EPCC_DELAY;
-    // Criticals/locks split the inner repetitions across the team the way
-    // syncbench does.
-    let share =
-        |w: &Worker| inner / n as u64 + u64::from((w.thread_num() as u64) < inner % n as u64);
-    match construct {
-        Construct::Parallel => {
-            for _ in 0..inner {
-                rt.parallel(n, |_| delay(len));
-            }
-        }
-        Construct::For => rt.parallel(n, |w| {
-            for _ in 0..inner {
-                w.for_range(0..n as u64, Schedule::Static { chunk: None }, |_| {
-                    delay(len)
-                });
-            }
-        }),
-        Construct::ParallelFor => {
-            for _ in 0..inner {
-                rt.parallel_for(n, 0..n as u64, Schedule::Static { chunk: None }, |_| {
-                    delay(len)
-                });
-            }
-        }
-        Construct::Barrier => rt.parallel(n, |w| {
-            for _ in 0..inner {
-                delay(len);
-                w.barrier();
-            }
-        }),
-        Construct::Single => rt.parallel(n, |w| {
-            for _ in 0..inner {
-                w.single(|| delay(len));
-            }
-        }),
-        Construct::Critical => rt.parallel(n, |w| {
-            for _ in 0..share(w) {
-                w.critical("serve-epcc", || delay(len));
-            }
-        }),
-        Construct::Lock => {
-            let lock = rt.new_lock();
-            rt.parallel(n, |w| {
-                for _ in 0..share(w) {
-                    lock.with(|| delay(len));
-                }
-            });
-        }
-        Construct::Reduction => {
-            for _ in 0..inner {
-                rt.parallel(n, |w| {
-                    delay(len);
-                    std::hint::black_box(w.reduce_u64(1, romp::ReduceOp::Sum));
-                });
-            }
         }
     }
 }

@@ -125,11 +125,6 @@ impl LinkDir {
         self.partitioned = true;
     }
 
-    /// Whether the direction is currently cut.
-    pub fn is_partitioned(&self) -> bool {
-        self.partitioned
-    }
-
     /// Heal the direction: everything held is scheduled for delivery,
     /// send order preserved.
     pub fn heal(&mut self, now_ns: u64, rng: &mut SmallRng) -> Vec<(u64, Payload)> {

@@ -196,9 +196,30 @@ impl FromArg for PathBuf {
     }
 }
 
+/// `name`, a binary built beside the running one: next to
+/// `current_exe`, or in its parent directory (cargo puts a workspace's
+/// binaries in one target directory, its tests and examples one below).
+pub fn sibling_bin(name: &str) -> Option<PathBuf> {
+    let exe = std::env::current_exe().ok()?;
+    let dir = exe.parent()?;
+    let found = [dir, dir.parent().unwrap_or(dir)]
+        .into_iter()
+        .map(|d| d.join(name))
+        .find(|cand| cand.is_file());
+    found
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn sibling_bin_finds_only_files_beside_the_running_binary() {
+        let exe = std::env::current_exe().unwrap();
+        let me = exe.file_name().unwrap().to_str().unwrap();
+        assert_eq!(sibling_bin(me), Some(exe.clone()));
+        assert_eq!(sibling_bin("no-such-sibling-binary"), None);
+    }
 
     const SPEC: Spec = Spec {
         usage: "usage: tool [--n N] [--list A,B] [--fast] [X]",

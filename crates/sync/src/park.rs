@@ -2,9 +2,10 @@
 //! on it, and a spin → yield budget to run before parking.
 //!
 //! Every blocking wait in the runtime stack — the pool dock, the barrier
-//! release, `ordered`, the MRAPI mutex, MTAPI's task, group and idle
-//! waits, the serving queue — is built from this module, and it is the
-//! only place in the workspace that makes a futex syscall.  The pattern is
+//! release and every other wait of a `romp` team, `ordered`, the MRAPI
+//! mutex, MTAPI's task, group and idle waits, the serving queue — is
+//! built from this module, and it is the only place in the workspace that
+//! makes a futex syscall.  The pattern is
 //! libGOMP's (spin, then sleep on a futex) with the no-lost-wakeup
 //! discipline of Drepper's "Futexes Are Tricky":
 //!
@@ -18,6 +19,10 @@
 //!   calls [`EventCount::notify_one`] / [`EventCount::notify_all`], which
 //!   is a fence and one load unless a waiter is registered: only then does
 //!   it bump the futex word and make the wake syscall;
+//! * [`EventCount::help_until`] is the one waiting loop on it: run work
+//!   while there is some, spin within the budget, register, re-check
+//!   "ready or work queued", park.  A waiter with no work to help with
+//!   calls [`EventCount::wait_until`], the same loop;
 //! * [`SpinBudget`] is the bounded spin-then-yield phase a site runs
 //!   before it prepares to park.  Each site names its own budget.
 //!
@@ -195,7 +200,8 @@ pub struct WaitKey(u32);
 /// ```
 ///
 /// and a notifier stores `flag` then calls `ec.notify_all()`.
-/// [`EventCount::wait_until`] packages that loop.
+/// [`EventCount::help_until`] packages that loop, with work to run while
+/// waiting; [`EventCount::wait_until`] is it with none.
 ///
 /// The counters (`parks`, `wakes`, `timeouts`) are bumped only on the
 /// sleeping and waking paths, beside a syscall, so they cost the fast path
@@ -247,27 +253,55 @@ impl EventCount {
         notified
     }
 
-    /// Wait until `ready` holds: spin within `budget`, then park, until
-    /// `deadline`.  Returns whether `ready` held.
-    pub fn wait_until(
+    /// Wait until `ready` holds, helping meanwhile: run `work` (one unit
+    /// per call; `true` if it found any) while there is some, spin within
+    /// `budget`, then register, re-check "`ready`, or work `queued`", and
+    /// park until a notify or `deadline`.  Returns whether `ready` held.
+    ///
+    /// This is the workspace's one waiting loop.  It keeps no deadline of
+    /// its own, so every condition it reads needs a notifier: whoever
+    /// makes `ready` true, or queues work, notifies this eventcount.
+    /// `queued` must count only work `work` can still take (not work
+    /// already running elsewhere), or the waiter spins until it finishes.
+    /// The loop returns at the first call of `ready` that holds, so
+    /// `ready` may take what it finds (the serving queue's `pop` does).
+    pub fn help_until(
         &self,
-        budget: SpinBudget,
+        mut budget: SpinBudget,
         deadline: Option<Instant>,
         mut ready: impl FnMut() -> bool,
+        mut work: impl FnMut() -> bool,
+        mut queued: impl FnMut() -> bool,
     ) -> bool {
-        if spin_until(budget, &mut ready) {
-            return true;
-        }
         loop {
+            if ready() {
+                return true;
+            }
+            if work() || budget.snooze() {
+                continue;
+            }
             let key = self.prepare_wait();
             if ready() {
                 self.cancel_wait(key);
                 return true;
             }
-            if !self.commit_wait(key, deadline) {
+            if queued() {
+                self.cancel_wait(key);
+            } else if !self.commit_wait(key, deadline) {
                 return ready();
             }
         }
+    }
+
+    /// [`EventCount::help_until`] with no work to help with: spin within
+    /// `budget`, then park, until `ready` holds or `deadline` passes.
+    pub fn wait_until(
+        &self,
+        budget: SpinBudget,
+        deadline: Option<Instant>,
+        ready: impl FnMut() -> bool,
+    ) -> bool {
+        self.help_until(budget, deadline, ready, || false, || false)
     }
 
     /// Wake one parked waiter, if any is registered.  Call after making
@@ -355,6 +389,26 @@ mod tests {
             ec.notify_one();
             assert!(ec.commit_wait(key, None));
             assert_eq!(ec.wakes(), 1);
+            assert_eq!(ec.waiters(), 0);
+        });
+    }
+
+    #[test]
+    fn wait_until_returns_at_the_first_ready_that_holds() {
+        // `ready` may take what it finds, as the serving queue's `pop`
+        // does: the queue is empty at the first check and a job lands
+        // before the re-check after registering, which takes it.  A third
+        // call would find the queue empty again, drop the job and park.
+        within(10, || {
+            let ec = EventCount::new();
+            let (mut calls, mut took) = (0, None);
+            let held = ec.wait_until(SpinBudget::NONE, None, || {
+                calls += 1;
+                took = (calls == 2).then_some(calls);
+                took.is_some()
+            });
+            assert!(held);
+            assert_eq!((calls, took), (2, Some(2)));
             assert_eq!(ec.waiters(), 0);
         });
     }
@@ -468,6 +522,46 @@ mod tests {
             assert_eq!(to_waiters.timeouts() + to_publisher.timeouts(), 0);
             assert!(to_waiters.parks() > 0, "the waiters never parked");
             assert_eq!((to_waiters.waiters(), to_publisher.waiters()), (0, 0));
+        });
+    }
+
+    #[test]
+    fn help_until_runs_queued_work_and_parks_only_when_none_is_queued() {
+        // A helper takes every item a producer queues, in bursts with gaps
+        // longer than any spin: between bursts it must park (nothing is
+        // queued), and each push must wake it.
+        within(60, || {
+            const ITEMS: u64 = 400;
+            let queued = Arc::new(AtomicU64::new(0));
+            let (done, ec) = (Arc::new(AtomicU64::new(0)), Arc::new(EventCount::new()));
+            let (q, d, e) = (Arc::clone(&queued), Arc::clone(&done), Arc::clone(&ec));
+            let helper = thread::spawn(move || {
+                let take = || {
+                    let n = q.load(Ordering::Acquire);
+                    let took = n > 0
+                        && q.compare_exchange(n, n - 1, Ordering::AcqRel, Ordering::Acquire)
+                            .is_ok();
+                    if took {
+                        d.fetch_add(1, Ordering::AcqRel);
+                    }
+                    took
+                };
+                let all_done = || d.load(Ordering::Acquire) == ITEMS;
+                e.help_until(SpinBudget::spins(16), None, all_done, take, || {
+                    q.load(Ordering::Acquire) > 0
+                })
+            });
+            for i in 0..ITEMS {
+                if i % 8 == 0 {
+                    thread::sleep(Duration::from_micros(300));
+                }
+                queued.fetch_add(1, Ordering::AcqRel);
+                ec.notify_one();
+            }
+            assert!(helper.join().unwrap());
+            assert_eq!(done.load(Ordering::Acquire), ITEMS);
+            assert_eq!((ec.timeouts(), ec.waiters()), (0, 0));
+            assert!(ec.parks() > 0, "the helper never parked between bursts");
         });
     }
 
